@@ -39,7 +39,6 @@ from .retrieval import (
     RetrievalConfig,
     exhaustive_search,
     restrict_corpus,
-    search_queries,
     two_stage_search,
 )
 from .training import TrainConfig, TrainDataset, retrain_reranker, train
@@ -191,7 +190,7 @@ def cmd_search(args) -> int:
         return two_stage_search(target, index, query, params, rerank_params,
                                 preset.enum, cfg, mode=mode)
 
-    results = search_queries(queries, worker, workers=args.workers)
+    results = [worker(q) for q in queries]
     universe = corpus.total_candidates(preset.enum)
     write_results(args.out, results, seed=args.seed, universe=universe, top_k=args.top_k)
     if args.stats_out:
@@ -263,7 +262,7 @@ def cmd_eval(args) -> int:
             min_judgments=preset.min_judgments,
             universe=header.get("universe"), declared_top_k=header.get("top_k"),
             corpus=corpus, enum_cfg=preset.enum if corpus else None,
-            config=config_echo, workers=args.workers,
+            config=config_echo,
         )
     write_kv_report(args.out, report.to_kv())
     print(f"evaluated {report.query_count} queries into {args.out}")
@@ -356,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="widen clip containment by this many clips")
     p.add_argument("--single-video", action="store_true",
                    help="score each query only against its ground-truth video")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="has no effect; search runs single-threaded")
     p.add_argument("--stats-out", help="write per-query stage counters here")
     p.add_argument("--out", required=True, help="results file")
     p.add_argument("--seed", type=int, default=0)
@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,10,100")
     p.add_argument("--ious", default="0.5,0.7")
     p.add_argument("--single-video", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="has no effect; eval runs single-threaded")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -70,10 +70,6 @@ class CostCounters:
     distance_evals: int = 0
     moments_scored: int = 0
 
-    def merge(self, other: "CostCounters") -> None:
-        self.distance_evals += other.distance_evals
-        self.moments_scored += other.moments_scored
-
 
 def clip_distances(query_emb: np.ndarray, clip_embeddings: np.ndarray, video_id: str = "") -> ClipDistanceTable:
     """Distance table for one video; prefix sums accumulate in 64-bit."""

@@ -7,7 +7,6 @@ on results files without touching feature data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -219,36 +218,25 @@ def build_report(
     corpus: Optional[Corpus] = None,
     enum_cfg: Optional[EnumConfig] = None,
     config: Optional[dict] = None,
-    workers: int = 1,
 ) -> MetricsReport:
     """Assemble the full metrics table from per-query first-correct ranks.
 
     Median rank and the oracle bound are included only when their inputs
-    (full-universe rankings / the corpus) are available. Per-query work may
-    run on a thread pool; aggregation follows query order, so reports are
-    identical for any worker count.
+    (full-universe rankings / the corpus) are available.
     """
     if not results:
         raise ValueError("no results to evaluate")
     report = MetricsReport(recalls={}, query_count=len(results), config=dict(config or {}))
-    qids = list(results.keys())
     # Rank cap: large enough that an absent correct moment misses every k.
     cap = universe if universe is not None else max(
         max(ks), max(len(r) for r in results.values())
     )
 
-    def ranks_for(qid: str) -> list[int]:
-        return [
-            first_correct_rank(results[qid], ground_truths[qid], iou, min_judgments, cap)
-            for iou in ious
-        ]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_query = list(pool.map(ranks_for, qids))
-    else:
-        per_query = [ranks_for(qid) for qid in qids]
-    rank_table = np.asarray(per_query, dtype=np.int64)  # (queries, ious)
+    rank_table = np.asarray([
+        [first_correct_rank(results[qid], ground_truths[qid], iou, min_judgments, cap)
+         for iou in ious]
+        for qid in results
+    ], dtype=np.int64)  # (queries, ious)
 
     exhaustive = (universe is not None and declared_top_k is not None
                   and declared_top_k >= universe)

@@ -5,8 +5,8 @@ are stored as float32; all comparisons use squared Euclidean distance, so
 ordering matches the alignment cost without square roots. Ties are broken
 by (video_id, clip_idx).
 
-Searches are read-only after build. Counters are advisory: exact only in
-single-threaded benchmark runs.
+Searches are read-only after build; each search returns its own
+SearchStats.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class ClipIndex:
         # Lexicographic rank of each ordinal, so tie-breaks follow video_id strings.
         order = np.argsort(np.argsort(np.asarray(self.video_ids)))
         self._id_rank = order[self.keys[:, 0].astype(np.int64)]
-        self.counters = SearchStats()
 
     @property
     def num_entries(self) -> int:
@@ -96,7 +95,6 @@ class ClipIndex:
         diff = self.vectors - q
         dists = np.einsum("ij,ij->i", diff, diff)
         stats = SearchStats(distance_evals=self.num_entries)
-        self.counters.distance_evals += self.num_entries
         idx = np.arange(self.num_entries)
         return self._rank_hits(idx, dists, top_c), stats
 
@@ -140,9 +138,6 @@ class IvfIndex(ClipIndex):
             centroid_evals=p,
             partitions_probed=int(nprobe),
         )
-        self.counters.distance_evals += stats.distance_evals
-        self.counters.centroid_evals += stats.centroid_evals
-        self.counters.partitions_probed += stats.partitions_probed
         return self._rank_hits(idx, dists, top_c), stats
 
 

@@ -12,13 +12,13 @@ Three paths produce a ranked list of moments for a query:
 
 Non-minimum suppression runs only at the final ranking stage. All merges
 apply the deterministic (cost, video_id, first_clip, last_clip) tie-break,
-so rankings are reproducible across runs and worker counts.
+a total order, so rankings are reproducible across runs and do not depend
+on the order in which videos are scored.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,14 +76,20 @@ def nms(scored: list[ScoredMoment], iou_threshold: float) -> list[ScoredMoment]:
     return retained
 
 
-def _rank_within_video(scored: list[ScoredMoment]) -> list[ScoredMoment]:
-    return sorted(scored, key=lambda s: (s.cost, s.moment.first_clip, s.moment.last_clip))
-
-
-def _merge(per_video: list[list[ScoredMoment]], top_k: int) -> list[ScoredMoment]:
-    merged = [s for block in per_video for s in block]
+def _rank(
+    groups, q_emb: np.ndarray, variant: str, params: ModelParams, nms_iou: float, top_k: int,
+) -> tuple[list[ScoredMoment], CostCounters]:
+    """Score each (video, features, moments) group, suppress within the video
+    cheapest first, and merge by sort_key; returns (top_k ranked, counters).
+    """
+    counters = CostCounters()
+    merged: list[ScoredMoment] = []
+    for video, feats, moments in groups:
+        scored = score_moments(video, feats, q_emb, variant, params, moments, counters)
+        scored.sort(key=lambda s: (s.cost, s.moment.first_clip, s.moment.last_clip))
+        merged.extend(nms(scored, nms_iou))
     merged.sort(key=lambda s: s.sort_key)
-    return merged[:top_k]
+    return merged[:top_k], counters
 
 
 def _check_variant(variant: str, params: ModelParams) -> None:
@@ -105,16 +111,9 @@ def exhaustive_search(
     """Score the full candidate universe with one model."""
     _check_variant(cfg.variant, params)
     q_emb = embed_query(query.word_vectors, params)
-    counters = CostCounters()
-    per_video = []
-    for video in corpus.videos:
-        scored = score_moments(
-            video, corpus.features_for(video.video_id), q_emb,
-            cfg.variant, params, enumerate_moments(video, enum_cfg), counters,
-        )
-        if scored:
-            per_video.append(nms(_rank_within_video(scored), cfg.nms_iou))
-    ranked = _merge(per_video, cfg.top_k)
+    groups = ((v, corpus.features_for(v.video_id), enumerate_moments(v, enum_cfg))
+              for v in corpus.videos)
+    ranked, counters = _rank(groups, q_emb, cfg.variant, params, cfg.nms_iou, cfg.top_k)
     return RankedResult(query.query_id, ranked, {
         "stage1_distances": counters.distance_evals,
         "stage1_moments": counters.moments_scored,
@@ -166,16 +165,15 @@ def two_stage_search(
             retrieved.setdefault(h.video_id, set()).add(h.clip_idx)
         d = cfg.dilation_clips
         candidates: dict[str, list[Moment]] = {}
-        for video in corpus.videos:
-            clips = retrieved.get(video.video_id)
-            if not clips:
+        for video_id, clips in retrieved.items():
+            if video_id not in corpus:  # a single-video corpus skips other hits
                 continue
             kept = [
-                m for m in enumerate_moments(video, enum_cfg)
+                m for m in enumerate_moments(corpus.video(video_id), enum_cfg)
                 if any(m.first_clip - d <= k <= m.last_clip + d for k in clips)
             ]
             if kept:
-                candidates[video.video_id] = kept
+                candidates[video_id] = kept
     else:
         _check_variant(cfg.variant, stage1_params)
         q1 = embed_query(query.word_vectors, stage1_params)
@@ -195,20 +193,12 @@ def two_stage_search(
             candidates.setdefault(s.moment.video_id, []).append(s.moment)
 
     q2 = embed_query(query.word_vectors, rerank_params)
-    stage2_counters = CostCounters()
-    per_video = []
-    for video in corpus.videos:
-        kept = candidates.get(video.video_id)
-        if not kept:
-            continue
-        scored = score_moments(
-            video, corpus.features_for(video.video_id), q2,
-            rerank_variant, rerank_params, kept, stage2_counters,
-        )
-        per_video.append(nms(_rank_within_video(scored), cfg.nms_iou))
+    groups = ((corpus.video(vid), corpus.features_for(vid), kept)
+              for vid, kept in candidates.items())
+    ranked, stage2_counters = _rank(groups, q2, rerank_variant, rerank_params,
+                                    cfg.nms_iou, cfg.top_k)
     counters["stage2_distances"] = stage2_counters.distance_evals
     counters["stage2_moments"] = stage2_counters.moments_scored
-    ranked = _merge(per_video, cfg.top_k)
     return RankedResult(query.query_id, ranked, counters)
 
 
@@ -310,11 +300,3 @@ def baseline_scores(
 def restrict_corpus(corpus: Corpus, video_id: str) -> Corpus:
     video = corpus.video(video_id)
     return Corpus([video], {video_id: corpus.features_for(video_id)})
-
-
-def search_queries(queries: list[Query], worker, workers: int = 1) -> list[RankedResult]:
-    """Run `worker(query)` over queries, in input order, with a thread pool."""
-    if workers <= 1:
-        return [worker(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, queries))

@@ -43,7 +43,6 @@ from momentsearch.retrieval import (
     baseline_scores,
     exhaustive_search,
     fit_moment_prior,
-    search_queries,
     two_stage_search,
 )
 from momentsearch.training import TrainConfig, TrainDataset, sample_triples, train
@@ -420,10 +419,7 @@ def test_criterion_08_planted_signal_learning():
     def corpus_recalls(params, variant):
         cfg = RetrievalConfig(variant=variant, nms_iou=preset.nms_iou,
                               top_k=10, budget=10)
-        ranked = search_queries(
-            queries,
-            lambda q: exhaustive_search(corpus, q, params, preset.enum, cfg),
-            workers=2)
+        ranked = [exhaustive_search(corpus, q, params, preset.enum, cfg) for q in queries]
         report = build_report(results_as_predictions(ranked), gts, ks=(1, 10),
                               ious=(0.5,), min_judgments=preset.min_judgments)
         return report.recalls[(1, 0.5)], report.recalls[(10, 0.5)]
@@ -441,11 +437,8 @@ def test_criterion_08_planted_signal_learning():
     baseline_r1 = {}
     bcfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=10, budget=10)
     for kind in ("chance", "moment_prior"):
-        ranked = search_queries(
-            queries,
-            lambda q: baseline_scores(corpus, q, kind, preset.enum, bcfg,
-                                      prior=prior, seed=0),
-            workers=2)
+        ranked = [baseline_scores(corpus, q, kind, preset.enum, bcfg, prior=prior, seed=0)
+                  for q in queries]
         report = build_report(results_as_predictions(ranked), gts, ks=(1,),
                               ious=(0.5,), min_judgments=preset.min_judgments)
         baseline_r1[kind] = report.recalls[(1, 0.5)]

@@ -316,14 +316,6 @@ class TestReports:
         assert report.recalls[(1, 0.5)] == recall_at_k(results, gts, 1, 0.5)
         assert report.recalls[(5, 0.5)] == recall_at_k(results, gts, 5, 0.5)
 
-    def test_workers_do_not_change_report(self):
-        rng = np.random.default_rng(10)
-        results, gts = random_fixture(rng, n_queries=12, universe=20)
-        a = build_report(results, gts, universe=20, declared_top_k=20, workers=1)
-        b = build_report(results, gts, universe=20, declared_top_k=20, workers=4)
-        assert a.recalls == b.recalls
-        assert a.median_ranks == b.median_ranks
-
     def test_kv_round_trip_keys(self):
         rng = np.random.default_rng(11)
         results, gts = random_fixture(rng, n_queries=4)

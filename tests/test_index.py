@@ -47,7 +47,6 @@ class TestExactIndex:
         index = build_exact(corpus, small_params())
         _, stats = index.search(rng.standard_normal(5), top_c=4)
         assert stats.distance_evals == 15
-        assert index.counters.distance_evals == 15
 
     def test_matches_brute_force(self, rng):
         corpus = make_corpus(rng, num_videos=5, num_clips=9)
@@ -157,13 +156,12 @@ class TestPersistence:
         path = str(tmp_path / "i.calx")
         save_index(index, path)
         loaded = load_index(path, index.video_ids)
-        assert loaded.counters.distance_evals == 0  # counters load zeroed
         q = rng.standard_normal(5)
         hits_a, _ = index.search(q, top_c=5)
-        hits_b, _ = loaded.search(q, top_c=5)
+        hits_b, stats = loaded.search(q, top_c=5)
         assert [(h.video_id, h.clip_idx, h.sq_distance) for h in hits_a] == \
             [(h.video_id, h.clip_idx, h.sq_distance) for h in hits_b]
-        assert loaded.counters.distance_evals == 24
+        assert stats.distance_evals == 24
 
     def test_ivf_round_trip(self, tmp_path, rng):
         corpus = make_corpus(rng, num_videos=4, num_clips=6)

@@ -14,7 +14,6 @@ from momentsearch.retrieval import (
     fit_moment_prior,
     nms,
     restrict_corpus,
-    search_queries,
     two_stage_search,
 )
 
@@ -102,8 +101,7 @@ class TestExhaustive:
         # identity-strength signal: score with an oracle-configured model that
         # reproduces raw features, querying with the planted latent directly
         from conftest import identity_visual_params
-        from momentsearch.costs import score_moments, CostCounters
-        from momentsearch.retrieval import _merge, _rank_within_video
+        from momentsearch.retrieval import _rank
 
         params = identity_visual_params(visual_in=8)
         import os
@@ -114,13 +112,9 @@ class TestExhaustive:
         readout = (spec_rng.standard_normal((8, 6)) / np.sqrt(6)).astype(np.float32)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            per_video = []
-            for video in corpus.videos:
-                scored = score_moments(
-                    video, corpus.features_for(video.video_id), latent, "cal",
-                    params, enumerate_moments(video, preset.enum), CostCounters())
-                per_video.append(nms(_rank_within_video(scored), preset.nms_iou))
-            ranked = _merge(per_video, 10)
+            groups = ((v, corpus.features_for(v.video_id), enumerate_moments(v, preset.enum))
+                      for v in corpus.videos)
+            ranked, _ = _rank(groups, latent, "cal", params, preset.nms_iou, 10)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
@@ -139,44 +133,35 @@ class TestExhaustive:
         assert res_cal.stage_counters["stage1_distances"] < \
             res_agg.stage_counters["stage1_distances"]
 
-    def test_deterministic_across_workers(self, planted):
-        preset, corpus, queries, params = planted
-        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=20, budget=20)
-
-        def worker(q):
-            return exhaustive_search(corpus, q, params, preset.enum, cfg)
-
-        seq = search_queries(queries, worker, workers=1)
-        par = search_queries(queries, worker, workers=4)
-        for a, b in zip(seq, par):
-            assert a.query_id == b.query_id
-            assert [(s.moment.sort_key, s.cost) for s in a.ranked] == \
-                [(s.moment.sort_key, s.cost) for s in b.ranked]
-
 
 class TestTwoStage:
     def test_full_clip_budget_equals_exhaustive(self, planted):
         preset, corpus, queries, params = planted
         index = build_exact(corpus, params)
-        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=25, budget=25,
-                              clip_budget=corpus.total_clips)
-        for q in queries[:4]:
-            ex = exhaustive_search(corpus, q, params, preset.enum, cfg)
-            ts = two_stage_search(corpus, index, q, params, None, preset.enum, cfg,
-                                  mode="approx")
-            assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
-                [(s.moment.sort_key, s.cost) for s in ts.ranked]
+        universe = corpus.total_candidates(preset.enum)
+        for nms_iou in (preset.nms_iou, 0.5):  # didemo's 1.0 never suppresses; 0.5 does
+            cfg = RetrievalConfig(nms_iou=nms_iou, top_k=universe, budget=universe,
+                                  clip_budget=corpus.total_clips)
+            for q in queries[:4]:
+                ex = exhaustive_search(corpus, q, params, preset.enum, cfg)
+                ts = two_stage_search(corpus, index, q, params, None, preset.enum, cfg,
+                                      mode="approx")
+                assert (len(ex.ranked) < universe) == (nms_iou < 1)
+                assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
+                    [(s.moment.sort_key, s.cost) for s in ts.ranked]
 
     def test_full_moment_budget_equals_exhaustive(self, planted):
         preset, corpus, queries, params = planted
         universe = corpus.total_candidates(preset.enum)
-        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=25, budget=universe)
-        for q in queries[:4]:
-            ex = exhaustive_search(corpus, q, params, preset.enum, cfg)
-            ts = two_stage_search(corpus, None, q, params, None, preset.enum, cfg,
-                                  mode="moment")
-            assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
-                [(s.moment.sort_key, s.cost) for s in ts.ranked]
+        for nms_iou in (preset.nms_iou, 0.5):  # didemo's 1.0 never suppresses; 0.5 does
+            cfg = RetrievalConfig(nms_iou=nms_iou, top_k=universe, budget=universe)
+            for q in queries[:4]:
+                ex = exhaustive_search(corpus, q, params, preset.enum, cfg)
+                ts = two_stage_search(corpus, None, q, params, None, preset.enum, cfg,
+                                      mode="moment")
+                assert (len(ex.ranked) < universe) == (nms_iou < 1)
+                assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
+                    [(s.moment.sort_key, s.cost) for s in ts.ranked]
 
     def test_candidates_contain_every_retrieved_clip(self, planted):
         preset, corpus, queries, params = planted
