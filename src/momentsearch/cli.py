@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .bench import BenchConfig, run_bench, write_bench_report
+from .bench import BenchConfig, run_bench
 from .core import Moment, TemporalSpan, VideoMeta
 from .dataio import (
     Corpus,
@@ -154,6 +154,9 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.single_video and args.mode == "approx":
+        raise CliError("E_INVALID", "--single-video cannot run --mode approx: the clip "
+                       "index retrieves from the whole corpus, not the query's video")
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, args.corpus)
     preset = get_preset(args.preset)
@@ -280,8 +283,7 @@ def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(","))
     workdir = args.workdir or args.out + ".workdir"
     os.makedirs(workdir, exist_ok=True)
-    report = run_bench(cfg, workdir, methods=methods, write_csv=args.csv)
-    write_bench_report(report, args.out)
+    write_kv_report(args.out, run_bench(cfg, workdir, methods=methods))
     print(f"bench report written to {args.out}")
     return 0
 
@@ -354,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dilation", type=int, default=0,
                    help="widen clip containment by this many clips")
     p.add_argument("--single-video", action="store_true",
-                   help="score each query only against its ground-truth video")
-    p.add_argument("--workers", type=int, default=1,
-                   help="has no effect; search runs single-threaded")
+                   help="score each query only against its ground-truth video "
+                        "(exhaustive and two-stage modes)")
     p.add_argument("--stats-out", help="write per-query stage counters here")
     p.add_argument("--out", required=True, help="results file")
     p.add_argument("--seed", type=int, default=0)
@@ -384,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,10,100")
     p.add_argument("--ious", default="0.5,0.7")
     p.add_argument("--single-video", action="store_true")
-    p.add_argument("--workers", type=int, default=1,
-                   help="has no effect; eval runs single-threaded")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="JSON bench settings")
     p.add_argument("--methods", default="cal,aggregate,approx")
     p.add_argument("--workdir", help="scratch dir (default: <out>.workdir)")
-    p.add_argument("--csv", action="store_true", help="also write bench.csv")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_bench)

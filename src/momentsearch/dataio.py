@@ -295,9 +295,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.videos)
 
-    def __contains__(self, video_id: str) -> bool:
-        return video_id in self._by_id
-
     def video(self, video_id: str) -> VideoMeta:
         return self._by_id[video_id]
 

@@ -19,7 +19,7 @@ on the order in which videos are scored.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,8 +50,6 @@ class RetrievalConfig:
     def __post_init__(self):
         if not 0 < self.nms_iou <= 1:
             raise ValueError("nms_iou must lie in (0, 1]")
-        if self.budget < self.top_k:
-            raise ValueError("stage-one budget must be at least top_k")
         if self.clip_budget < 1 or self.top_k < 1:
             raise ValueError("clip_budget and top_k must be positive")
 
@@ -67,8 +65,11 @@ def nms(scored: list[ScoredMoment], iou_threshold: float) -> list[ScoredMoment]:
     """Greedy suppression within one video, cheapest first.
 
     A moment is dropped iff its IoU with an already-retained cheaper moment
-    exceeds the threshold; order among the retained is preserved.
+    exceeds the threshold; order among the retained is preserved. IoU never
+    exceeds 1, so a threshold of 1 or more keeps every moment.
     """
+    if iou_threshold >= 1:
+        return list(scored)
     retained: list[ScoredMoment] = []
     for s in scored:
         if all(temporal_iou(s.moment.span, r.moment.span) <= iou_threshold for r in retained):
@@ -166,8 +167,6 @@ def two_stage_search(
         d = cfg.dilation_clips
         candidates: dict[str, list[Moment]] = {}
         for video_id, clips in retrieved.items():
-            if video_id not in corpus:  # a single-video corpus skips other hits
-                continue
             kept = [
                 m for m in enumerate_moments(corpus.video(video_id), enum_cfg)
                 if any(m.first_clip - d <= k <= m.last_clip + d for k in clips)
@@ -175,21 +174,15 @@ def two_stage_search(
             if kept:
                 candidates[video_id] = kept
     else:
-        _check_variant(cfg.variant, stage1_params)
-        q1 = embed_query(query.word_vectors, stage1_params)
-        stage1_counters = CostCounters()
-        scored_all: list[ScoredMoment] = []
-        for video in corpus.videos:
-            scored_all.extend(score_moments(
-                video, corpus.features_for(video.video_id), q1,
-                cfg.variant, stage1_params, enumerate_moments(video, enum_cfg),
-                stage1_counters,
-            ))
-        counters["stage1_distances"] = stage1_counters.distance_evals
-        counters["stage1_moments"] = stage1_counters.moments_scored
-        scored_all.sort(key=lambda s: s.sort_key)
+        if cfg.budget < cfg.top_k:
+            raise ValueError("stage-one budget must be at least top_k")
+        # NMS at IoU 1 drops nothing, so stage one is the exhaustive ranking
+        # cut at the budget.
+        stage1 = exhaustive_search(corpus, query, stage1_params, enum_cfg,
+                                   replace(cfg, nms_iou=1.0, top_k=cfg.budget))
+        counters.update(stage1.stage_counters)
         candidates = {}
-        for s in scored_all[:cfg.budget]:
+        for s in stage1.ranked:
             candidates.setdefault(s.moment.video_id, []).append(s.moment)
 
     q2 = embed_query(query.word_vectors, rerank_params)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from momentsearch.cli import main
+from momentsearch.cli import build_parser, main
 from momentsearch.dataio import read_checkpoint, read_kv_report, read_results
 
 
@@ -89,16 +90,6 @@ class TestPipeline:
         bytes_a = open(out_a, "rb").read()
         assert bytes_a == open(out_b, "rb").read()
         assert bytes_a == open(out_c, "rb").read()
-
-    def test_worker_count_does_not_change_bytes(self, pipeline, tmp_path):
-        out_1 = str(tmp_path / "w1.jsonl")
-        out_4 = str(tmp_path / "w4.jsonl")
-        common = ["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
-                  "--queries", pipeline["queries"], "--mode", "exhaustive",
-                  "--preset", "didemo", "--top-k", "20", "--seed", "5"]
-        assert main([*common, "--workers", "1", "--out", out_1]) == 0
-        assert main([*common, "--workers", "4", "--out", out_4]) == 0
-        assert open(out_1, "rb").read() == open(out_4, "rb").read()
 
     def test_single_video_search_and_eval(self, pipeline, tmp_path):
         results = str(tmp_path / "sv.jsonl")
@@ -245,6 +236,18 @@ class TestErrorHandling:
         assert rc != 0
         assert capsys.readouterr().err.startswith("E_NO_INDEX")
 
+    def test_single_video_approx_rejected(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "sv_approx.jsonl")
+        rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                   "--queries", pipeline["queries"], "--mode", "approx",
+                   "--index", pipeline["index"], "--clip-budget", "10", "--single-video",
+                   "--preset", "didemo", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: --single-video")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")
         with open(cfg, "w") as f:
@@ -270,12 +273,12 @@ HELP_FLAGS = {
     "search": ["--corpus", "--index", "--ckpt", "--rerank-ckpt", "--queries", "--mode",
                "--preset", "--variant", "--rerank-variant", "--top-k", "--budget",
                "--clip-budget", "--nprobe", "--dilation", "--single-video",
-               "--workers", "--stats-out", "--out", "--seed"],
+               "--stats-out", "--out", "--seed"],
     "retrain-rerank": ["--base", "--retrievals", "--corpus", "--queries", "--preset",
                        "--config", "--rank-rate", "--loss-log", "--out", "--seed"],
     "eval": ["--results", "--gt", "--preset", "--corpus", "--ks", "--ious",
-             "--single-video", "--workers", "--out"],
-    "bench": ["--spec", "--methods", "--workdir", "--csv", "--out", "--seed"],
+             "--single-video", "--out"],
+    "bench": ["--spec", "--methods", "--workdir", "--out", "--seed"],
 }
 
 
@@ -288,6 +291,11 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in HELP_FLAGS[command]:
             assert flag in text, f"{command} --help missing {flag}"
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {flag for action in sub.choices[command]._actions
+                    for flag in action.option_strings if flag not in ("-h", "--help")}
+        assert declared == set(HELP_FLAGS[command]), f"{command}: flags not in HELP_FLAGS"
 
     def test_console_script_runs(self):
         proc = subprocess.run([sys.executable, "-m", "momentsearch.cli", "--help"],

@@ -163,6 +163,53 @@ class TestTwoStage:
                 assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
                     [(s.moment.sort_key, s.cost) for s in ts.ranked]
 
+    def test_truncated_moment_budget_keeps_cheapest_stage_one_moments(self, planted):
+        from momentsearch.costs import moment_cost_aggregate
+        from momentsearch.model import compute_context, embed_query
+
+        preset, corpus, queries, params = planted
+        budget = 30
+        q = queries[0]
+        q_emb = embed_query(q.word_vectors, params)
+        brute = []
+        for video in corpus.videos:
+            feats = corpus.features_for(video.video_id)
+            context = compute_context(feats)
+            for m in enumerate_moments(video, preset.enum):
+                brute.append((moment_cost_aggregate(q_emb, feats, context, None, m, params),
+                              m.sort_key))
+        assert len(brute) == 252 > budget
+        brute.sort()
+        expected = {key for _, key in brute[:budget]}
+        # NMS at 1.0 keeps every candidate, so the ranked list is the stage-two set
+        cfg = RetrievalConfig(variant="aggregate", rerank_variant="cal", nms_iou=1.0,
+                              top_k=budget, budget=budget)
+        ts = two_stage_search(corpus, None, q, params, None, preset.enum, cfg, mode="moment")
+        assert {s.moment.sort_key for s in ts.ranked} == expected
+        touched = {video_id for video_id, _, _ in expected}
+        assert ts.stage_counters == {
+            "stage1_distances": len(brute),  # aggregate: one distance per moment
+            "stage1_moments": len(brute),
+            "stage2_distances": sum(corpus.video(v).num_clips for v in touched),
+            "stage2_moments": budget,
+        }
+
+    def test_top_k_above_budget_allowed_outside_moment_mode(self, planted):
+        preset, corpus, queries, params = planted
+        index = build_exact(corpus, params)
+        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=50, budget=10)
+        ex = exhaustive_search(corpus, queries[0], params, preset.enum, cfg)
+        ts = two_stage_search(corpus, index, queries[0], params, None, preset.enum, cfg,
+                              mode="approx")
+        assert len(ex.ranked) == len(ts.ranked) == 50
+
+    def test_moment_budget_below_top_k_rejected(self, planted):
+        preset, corpus, queries, params = planted
+        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=50, budget=10)
+        with pytest.raises(ValueError, match="budget"):
+            two_stage_search(corpus, None, queries[0], params, None, preset.enum, cfg,
+                             mode="moment")
+
     def test_candidates_contain_every_retrieved_clip(self, planted):
         preset, corpus, queries, params = planted
         index = build_exact(corpus, params)
