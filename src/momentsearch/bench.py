@@ -7,7 +7,7 @@ Compares three retrieval routes on one synthetic corpus:
   distance pass, one prefix sum and each video's cheapest span, a
   per-video best-span proxy. On the 10,000-video corpus (2 vCPUs, one
   BLAS thread) it reads 0.08-0.09 s per query; `exhaustive_search` takes
-  37-43 s.
+  7.5-8.4 s.
 * aggregate, exhaustive scan: one indexed entry and one distance per
   candidate span (all lengths 1..K), the cost of indexing pooled moment
   features. It times the distance pass and a top-200 selection.
@@ -39,6 +39,7 @@ from .enumeration import (
     DatasetPreset,
     EnumConfig,
     aggregate_index_entries,
+    candidate_clips,
     clip_index_entries,
 )
 from .index import build_exact, build_ivf, corpus_clip_matrix, save_index
@@ -167,8 +168,7 @@ def run_bench(cfg: BenchConfig, workdir: str, methods=("cal", "aggregate", "appr
         video_offsets = np.zeros(len(corpus.videos) + 1, dtype=np.int64)
         np.cumsum([v.num_clips for v in corpus.videos], out=video_offsets[1:])
         latencies = []
-        firsts, lasts = _span_table(n, k_max)
-        f2, l2 = firsts[firsts < lasts], lasts[firsts < lasts]
+        f2, l2 = candidate_clips(n, preset.enum).T
         z2 = (l2 - f2 + 1).astype(np.float64)
         for q in query_embs:
             t1 = time.perf_counter()

@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .bench import BenchConfig, run_bench
 from .core import Moment, TemporalSpan, VideoMeta
 from .dataio import (
@@ -167,6 +169,11 @@ def cmd_search(args) -> int:
     index = None
     if args.index:
         index = load_index(args.index, tuple(v.video_id for v in corpus.videos))
+        num_clips = np.array([v.num_clips for v in corpus.videos])
+        if index.num_entries != corpus.total_clips or \
+                np.any(index.keys[:, 1] >= num_clips[index.keys[:, 0]]):
+            raise CliError("E_STALE_INDEX", f"{args.index} does not index this corpus's "
+                           f"{corpus.total_clips} clips; rebuild it with `index`")
     if args.mode == "approx" and index is None:
         raise CliError("E_NO_INDEX", "approximate mode requires --index")
 
@@ -184,16 +191,16 @@ def cmd_search(args) -> int:
         dilation_clips=args.dilation,
     )
 
-    def worker(query):
+    mode = "approx" if args.mode == "approx" else "moment"
+    results = []
+    for query in queries:
         target = restrict_corpus(corpus, query.ground_truth.video_id) \
             if args.single_video else corpus
         if args.mode == "exhaustive":
-            return exhaustive_search(target, query, params, preset.enum, cfg)
-        mode = "approx" if args.mode == "approx" else "moment"
-        return two_stage_search(target, index, query, params, rerank_params,
-                                preset.enum, cfg, mode=mode)
-
-    results = [worker(q) for q in queries]
+            results.append(exhaustive_search(target, query, params, preset.enum, cfg))
+        else:
+            results.append(two_stage_search(target, index, query, params, rerank_params,
+                                            preset.enum, cfg, mode=mode))
     universe = corpus.total_candidates(preset.enum)
     write_results(args.out, results, seed=args.seed, universe=universe, top_k=args.top_k)
     if args.stats_out:

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Moment, VideoMeta
-from .enumeration import EnumConfig, enumerate_moments
 from .model import (
     ModelParams,
     assemble_visual_inputs,
     compute_context,
     embed_clips,
     mlp_forward,
-    tef,
 )
 
 VARIANTS = ("cal", "aggregate", "cal_tef", "aggregate_tef")
@@ -57,10 +55,6 @@ class ClipDistanceTable:
 class ScoredMoment:
     moment: Moment
     cost: float
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.cost, self.moment.video_id, self.moment.first_clip, self.moment.last_clip)
 
 
 @dataclass
@@ -106,21 +100,13 @@ def moment_cost_aggregate(
     return float(sq_distances(emb, np.asarray(query_emb, dtype=np.float64))[0])
 
 
-def _cal_costs_for_moments(
-    table: ClipDistanceTable, moments: list[Moment]
-) -> np.ndarray:
-    firsts = np.fromiter((m.first_clip for m in moments), dtype=np.int64, count=len(moments))
-    lasts = np.fromiter((m.last_clip for m in moments), dtype=np.int64, count=len(moments))
-    z = (lasts - firsts + 1).astype(np.float64)
-    return (table.prefix[lasts + 1] - table.prefix[firsts]) / z
-
-
 def _tef_costs_for_moments(
     video: VideoMeta,
     video_features: np.ndarray,
     context: np.ndarray,
     query_emb: np.ndarray,
-    moments: list[Moment],
+    firsts: np.ndarray,
+    lasts: np.ndarray,
     params: ModelParams,
     aggregate: bool,
 ) -> tuple[np.ndarray, int]:
@@ -128,27 +114,29 @@ def _tef_costs_for_moments(
 
     TEF-tiled clip embeddings depend on the containing moment, so each
     moment gets its own rows; rows for all moments are embedded in one
-    batch and reduced by segment means.
+    batch and reduced by segment means. Endpoints are normalized as in
+    `model.tef` over `Moment.from_clips`'s span.
     """
     feats = np.asarray(video_features, dtype=np.float64)
     blocks = []
     seg_ids = []
-    for idx, m in enumerate(moments):
-        pair = tef(m, video)
+    for idx, (first, last) in enumerate(zip(firsts.tolist(), lasts.tolist())):
+        end = min((last + 1) * video.clip_length, video.duration)
+        pair = (first * video.clip_length / video.duration, end / video.duration)
         if aggregate:
-            pooled = feats[m.first_clip:m.last_clip + 1].mean(axis=0)[None, :]
+            pooled = feats[first:last + 1].mean(axis=0)[None, :]
             blocks.append(assemble_visual_inputs(pooled, context, pair, params.dims))
             seg_ids.extend([idx])
         else:
-            clip_rows = feats[m.first_clip:m.last_clip + 1]
+            clip_rows = feats[first:last + 1]
             blocks.append(assemble_visual_inputs(clip_rows, context, pair, params.dims))
             seg_ids.extend([idx] * clip_rows.shape[0])
     inputs = np.concatenate(blocks, axis=0)
     emb = mlp_forward(inputs, params)
     dists = sq_distances(emb, np.asarray(query_emb, dtype=np.float64))
     seg = np.asarray(seg_ids)
-    sums = np.bincount(seg, weights=dists, minlength=len(moments))
-    counts = np.bincount(seg, minlength=len(moments)).astype(np.float64)
+    sums = np.bincount(seg, weights=dists, minlength=len(firsts))
+    counts = np.bincount(seg, minlength=len(firsts)).astype(np.float64)
     return sums / counts, int(dists.shape[0])
 
 
@@ -158,18 +146,19 @@ def score_moments(
     query_emb: np.ndarray,
     variant: str,
     params: ModelParams,
-    moments: list[Moment],
+    firsts: np.ndarray,
+    lasts: np.ndarray,
     counters: CostCounters | None = None,
-) -> list[ScoredMoment]:
-    """Score an explicit candidate list for one video.
+) -> np.ndarray:
+    """Cost of each candidate (firsts[i], lasts[i]) of one video.
 
     The non-TEF clip-alignment variant computes one distance per clip and
     reuses the table for every moment; the other variants pay per moment.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not moments:
-        return []
+    if len(firsts) == 0:
+        return np.empty(0, dtype=np.float64)
     if counters is None:
         counters = CostCounters()
     feats = np.asarray(video_features, dtype=np.float64)
@@ -179,34 +168,21 @@ def score_moments(
     if variant == "cal":
         emb = embed_clips(feats, context, None, params)
         table = clip_distances(q, emb, video.video_id)
-        costs = _cal_costs_for_moments(table, moments)
+        costs = (table.prefix[lasts + 1] - table.prefix[firsts]) / (lasts - firsts + 1)
         counters.distance_evals += table.num_clips
     elif variant == "aggregate":
         pooled = np.stack([
-            feats[m.first_clip:m.last_clip + 1].mean(axis=0) for m in moments
+            feats[first:last + 1].mean(axis=0)
+            for first, last in zip(firsts.tolist(), lasts.tolist())
         ])
         inputs = assemble_visual_inputs(pooled, context, None, params.dims)
         emb = mlp_forward(inputs, params)
         costs = sq_distances(emb, q)
-        counters.distance_evals += len(moments)
+        counters.distance_evals += len(firsts)
     else:
         costs, n_dists = _tef_costs_for_moments(
-            video, feats, context, q, moments, params, aggregate=variant == "aggregate_tef"
+            video, feats, context, q, firsts, lasts, params, aggregate=variant == "aggregate_tef"
         )
         counters.distance_evals += n_dists
-    counters.moments_scored += len(moments)
-    return [ScoredMoment(m, float(c)) for m, c in zip(moments, costs)]
-
-
-def score_all_moments(
-    video: VideoMeta,
-    video_features: np.ndarray,
-    query_emb: np.ndarray,
-    variant: str,
-    cfg: EnumConfig,
-    params: ModelParams,
-    counters: CostCounters | None = None,
-) -> list[ScoredMoment]:
-    """Score every enumerated candidate moment of one video."""
-    moments = enumerate_moments(video, cfg)
-    return score_moments(video, video_features, query_emb, variant, params, moments, counters)
+    counters.moments_scored += len(firsts)
+    return costs

@@ -16,7 +16,7 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from .core import GroundTruth, Query, TemporalSpan, VideoMeta
-from .enumeration import DatasetPreset, enumerate_moments
+from .enumeration import DatasetPreset, candidate_clips, enumerate_moments
 from .model import ModelDims, ModelParams
 
 FEATURE_MAGIC = b"CALF"
@@ -154,7 +154,8 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_lines(path: str) -> list[dict]:
+def _load_lines(path: str) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-lines file."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -162,7 +163,7 @@ def _load_lines(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise FormatError(f"{path}:{lineno}: invalid record: {e}") from None
     return records
@@ -188,7 +189,7 @@ def write_manifest(path: str, videos: list[VideoMeta]) -> None:
 
 def read_manifest(path: str) -> list[VideoMeta]:
     videos = []
-    for lineno, rec in enumerate(_load_lines(path), start=1):
+    for lineno, rec in _load_lines(path):
         _require(rec, ("video_id", "duration_s", "clip_length_s", "num_clips", "features_path"),
                  path, lineno)
         videos.append(VideoMeta(
@@ -209,8 +210,12 @@ def write_queries(path: str, records: list[dict]) -> None:
 
 def load_queries(path: str, base_dir: str) -> list[Query]:
     queries = []
-    for lineno, rec in enumerate(_load_lines(path), start=1):
+    seen = set()
+    for lineno, rec in _load_lines(path):
         _require(rec, ("query_id", "video_id", "spans", "words_path"), path, lineno)
+        if rec["query_id"] in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
+        seen.add(rec["query_id"])
         spans = tuple(TemporalSpan(float(s), float(e)) for s, e in rec["spans"])
         words = read_features(os.path.join(base_dir, rec["words_path"])).astype(np.float64)
         queries.append(Query(
@@ -237,11 +242,15 @@ def write_results(path: str, results: list, seed: int, universe: int, top_k: int
 
 def read_results(path: str) -> tuple[dict, list[dict]]:
     records = _load_lines(path)
-    if not records or "universe" not in records[0]:
+    if not records or "universe" not in records[0][1]:
         raise FormatError(f"{path}:1: missing results header")
-    header, body = records[0], records[1:]
-    for lineno, rec in enumerate(body, start=2):
+    header, body = records[0][1], [rec for _, rec in records[1:]]
+    seen = set()
+    for lineno, rec in records[1:]:
         _require(rec, ("query_id", "ranked"), path, lineno)
+        if rec["query_id"] in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
+        seen.add(rec["query_id"])
     return header, body
 
 
@@ -306,7 +315,7 @@ class Corpus:
         return sum(v.num_clips for v in self.videos)
 
     def total_candidates(self, enum_cfg) -> int:
-        return sum(len(enumerate_moments(v, enum_cfg)) for v in self.videos)
+        return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)
 
 
 def save_corpus(out_dir: str, videos: list[VideoMeta], features: dict[str, np.ndarray]) -> None:

@@ -7,10 +7,13 @@ candidate sets.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import Moment, VideoMeta
 
@@ -68,11 +71,26 @@ def stride_clips(moment_clips: int, cfg: EnumConfig) -> int:
     return max(1, s)
 
 
-def enumerate_moments(video: VideoMeta, cfg: EnumConfig) -> list[Moment]:
-    """All candidate moments of a video, sorted by (first_clip, last_clip).
+@functools.lru_cache(maxsize=None)
+def candidate_clips(num_clips: int, cfg: EnumConfig) -> np.ndarray:
+    """All candidate (first_clip, last_clip) pairs of a `num_clips`-clip video,
+    as one shared, read-only (n, 2) int64 array sorted by (first, last).
 
     For each admissible length, start positions advance by the length's
     stride from clip 0; only moments that fit in the video are emitted.
+    """
+    pairs = [(first, first + length - 1)
+             for length in range(cfg.min_moment_clips, min(cfg.max_moment_clips, num_clips) + 1,
+                                 cfg.length_step_clips)
+             for first in range(0, num_clips - length + 1, stride_clips(length, cfg))]
+    grid = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    grid.flags.writeable = False
+    return grid
+
+
+def enumerate_moments(video: VideoMeta, cfg: EnumConfig) -> list[Moment]:
+    """All candidate moments of a video, in `candidate_clips` order.
+
     A video shorter than the minimum moment yields an empty list.
     """
     n = video.num_clips
@@ -82,14 +100,7 @@ def enumerate_moments(video: VideoMeta, cfg: EnumConfig) -> list[Moment]:
             video.video_id, n, cfg.min_moment_clips,
         )
         return []
-    out = []
-    max_len = min(cfg.max_moment_clips, n)
-    for length in range(cfg.min_moment_clips, max_len + 1, cfg.length_step_clips):
-        s = stride_clips(length, cfg)
-        for first in range(0, n - length + 1, s):
-            out.append(Moment.from_clips(video, first, first + length - 1))
-    out.sort(key=lambda m: (m.first_clip, m.last_clip))
-    return out
+    return [Moment.from_clips(video, f, l) for f, l in candidate_clips(n, cfg).tolist()]
 
 
 def aggregate_index_entries(n_clips: int, max_moment_clips: int, min_len: int = 1) -> int:

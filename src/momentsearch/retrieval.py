@@ -2,15 +2,18 @@
 
 Three paths produce a ranked list of moments for a query:
 
-* exhaustive: score every enumerated moment of every video, suppress
+* exhaustive: score every candidate of every video, suppress
   near-duplicates per video, merge.
 * two-stage (moment budget): rank all moments with the cheap stage-one
   model, keep the top `budget`, re-score those with the re-ranking model.
 * approximate (clip budget): retrieve the top clips from the index, then
-  re-score all moments of the touched videos that contain a retrieved
+  re-score the candidates of the touched videos that contain a retrieved
   clip.
 
-Non-minimum suppression runs only at the final ranking stage. All merges
+Candidates travel as per-video (first_clip, last_clip) integer arrays
+taken from `enumeration.candidate_clips`; costs are arrays aligned with
+them, and `Moment` objects are built only for the rows a ranking returns.
+Non-maximum suppression runs only at the final ranking stage. All merges
 apply the deterministic (cost, video_id, first_clip, last_clip) tie-break,
 a total order, so rankings are reproducible across runs and do not depend
 on the order in which videos are scored.
@@ -24,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, Query, temporal_iou
+from .core import Moment, Query
 from .costs import CostCounters, ScoredMoment, score_moments
 from .dataio import Corpus, stable_u32
-from .enumeration import EnumConfig, enumerate_moments
+from .enumeration import EnumConfig, candidate_clips, enumerate_moments
 from .index import ClipIndex, IvfIndex
 from .model import ModelParams, embed_query
 
@@ -61,36 +64,50 @@ class RankedResult:
     stage_counters: dict[str, int] = field(default_factory=dict)
 
 
-def nms(scored: list[ScoredMoment], iou_threshold: float) -> list[ScoredMoment]:
-    """Greedy suppression within one video, cheapest first.
+def nms(spans: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy suppression within one video; returns the kept row positions.
 
-    A moment is dropped iff its IoU with an already-retained cheaper moment
-    exceeds the threshold; order among the retained is preserved. IoU never
-    exceeds 1, so a threshold of 1 or more keeps every moment.
+    `spans` is an (n, 2) array of (start, end) seconds sorted cheapest
+    first. A row is dropped iff its IoU with a kept cheaper row exceeds the
+    threshold, computed with `core.temporal_iou`'s operations. IoU never
+    exceeds 1, so a threshold of 1 or more keeps every row.
     """
-    if iou_threshold >= 1:
-        return list(scored)
-    retained: list[ScoredMoment] = []
-    for s in scored:
-        if all(temporal_iou(s.moment.span, r.moment.span) <= iou_threshold for r in retained):
-            retained.append(s)
-    return retained
+    keep = np.ones(len(spans), dtype=bool)
+    if iou_threshold < 1:
+        for i in range(len(spans)):
+            if keep[i]:
+                (s, e), (s_i, e_i) = spans[i + 1:].T, spans[i]
+                inter = np.minimum(e, e_i) - np.maximum(s, s_i)
+                union = np.maximum(e, e_i) - np.minimum(s, s_i)
+                keep[i + 1:] &= (inter <= 0) | (inter / union <= iou_threshold)
+    return np.flatnonzero(keep)
 
 
 def _rank(
     groups, q_emb: np.ndarray, variant: str, params: ModelParams, nms_iou: float, top_k: int,
 ) -> tuple[list[ScoredMoment], CostCounters]:
-    """Score each (video, features, moments) group, suppress within the video
-    cheapest first, and merge by sort_key; returns (top_k ranked, counters).
+    """Score each (video, features, firsts, lasts) group, suppress within the
+    video cheapest first, and merge by (cost, video_id, first, last); returns
+    (top_k ranked, counters). Only the returned rows become `Moment`s.
     """
     counters = CostCounters()
-    merged: list[ScoredMoment] = []
-    for video, feats, moments in groups:
-        scored = score_moments(video, feats, q_emb, variant, params, moments, counters)
-        scored.sort(key=lambda s: (s.cost, s.moment.first_clip, s.moment.last_clip))
-        merged.extend(nms(scored, nms_iou))
-    merged.sort(key=lambda s: s.sort_key)
-    return merged[:top_k], counters
+    videos, rows = [], []
+    for video, feats, firsts, lasts in groups:
+        costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
+        spans = np.stack([firsts * video.clip_length,
+                          np.minimum((lasts + 1) * video.clip_length, video.duration)], axis=1)
+        order = np.lexsort((lasts, firsts, costs))
+        kept = order[nms(spans[order], nms_iou)]
+        rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
+        videos.append(video)
+    if not videos:
+        return [], counters
+    ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(*rows))
+    id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
+    top = np.lexsort((lasts, firsts, id_rank[ordinal], costs))[:top_k]
+    return [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
+            for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
+                                  lasts[top].tolist(), costs[top].tolist())], counters
 
 
 def _check_variant(variant: str, params: ModelParams) -> None:
@@ -112,7 +129,7 @@ def exhaustive_search(
     """Score the full candidate universe with one model."""
     _check_variant(cfg.variant, params)
     q_emb = embed_query(query.word_vectors, params)
-    groups = ((v, corpus.features_for(v.video_id), enumerate_moments(v, enum_cfg))
+    groups = ((v, corpus.features_for(v.video_id), *candidate_clips(v.num_clips, enum_cfg).T)
               for v in corpus.videos)
     ranked, counters = _rank(groups, q_emb, cfg.variant, params, cfg.nms_iou, cfg.top_k)
     return RankedResult(query.query_id, ranked, {
@@ -161,33 +178,37 @@ def two_stage_search(
         if not hits:
             log.warning("%s: empty stage-one retrieval", query.query_id)
             return RankedResult(query.query_id, [], counters)
-        retrieved: dict[str, set[int]] = {}
+        retrieved: dict[str, list[int]] = {}
         for h in hits:
-            retrieved.setdefault(h.video_id, set()).add(h.clip_idx)
+            retrieved.setdefault(h.video_id, []).append(h.clip_idx)
+        # Keep (f, l) iff a retrieved clip lies in [f - d, l + d]: a prefix
+        # count of retrieved clips, read at the window clamped to the video.
         d = cfg.dilation_clips
-        candidates: dict[str, list[Moment]] = {}
+        candidates = {}  # video_id -> (first, last) rows
         for video_id, clips in retrieved.items():
-            kept = [
-                m for m in enumerate_moments(corpus.video(video_id), enum_cfg)
-                if any(m.first_clip - d <= k <= m.last_clip + d for k in clips)
-            ]
-            if kept:
-                candidates[video_id] = kept
+            n = corpus.video(video_id).num_clips
+            grid = candidate_clips(n, enum_cfg)
+            count = np.cumsum(np.bincount(np.asarray(clips) + 1, minlength=n + 1))
+            hit = (count[np.minimum(grid[:, 1] + d, n - 1) + 1]
+                   > count[np.maximum(grid[:, 0] - d, 0)])
+            if hit.any():
+                candidates[video_id] = grid[hit]
     else:
         if cfg.budget < cfg.top_k:
             raise ValueError("stage-one budget must be at least top_k")
         # NMS at IoU 1 drops nothing, so stage one is the exhaustive ranking
-        # cut at the budget.
+        # cut at the budget; its rows go to stage two in stage-one order.
         stage1 = exhaustive_search(corpus, query, stage1_params, enum_cfg,
                                    replace(cfg, nms_iou=1.0, top_k=cfg.budget))
         counters.update(stage1.stage_counters)
         candidates = {}
         for s in stage1.ranked:
-            candidates.setdefault(s.moment.video_id, []).append(s.moment)
+            candidates.setdefault(s.moment.video_id, []).append(
+                (s.moment.first_clip, s.moment.last_clip))
 
     q2 = embed_query(query.word_vectors, rerank_params)
-    groups = ((corpus.video(vid), corpus.features_for(vid), kept)
-              for vid, kept in candidates.items())
+    groups = ((corpus.video(vid), corpus.features_for(vid), *np.asarray(rows).T)
+              for vid, rows in candidates.items())
     ranked, stage2_counters = _rank(groups, q2, rerank_variant, rerank_params,
                                     cfg.nms_iou, cfg.top_k)
     counters["stage2_distances"] = stage2_counters.distance_evals
@@ -271,7 +292,6 @@ def baseline_scores(
     if kind == "chance":
         order = rng.permutation(len(all_moments))
         ranked = [ScoredMoment(all_moments[i], float(r)) for r, i in enumerate(order)]
-        ranked.sort(key=lambda s: s.cost)
     else:
         if prior is None:
             raise ValueError("moment_prior baseline needs a fitted prior")

@@ -248,6 +248,56 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not os.path.exists(out)
 
+    def test_index_of_another_corpus_rejected(self, pipeline, tmp_path, capsys):
+        # Same video ids and feature width, 20 clips per video instead of 12.
+        spec = str(tmp_path / "long.json")
+        with open(spec, "w") as f:
+            json.dump({"num_videos": 6, "clips_per_video": 20, "visual_dim": 8,
+                       "word_dim": 6, "vocab_size": 24, "queries_per_video": 1,
+                       "signal_noise": 0.05, "seed": 3}, f)
+        long_corpus = str(tmp_path / "long")
+        stale = str(tmp_path / "long.calx")
+        assert main(["gen", "--spec", spec, "--out", long_corpus]) == 0
+        assert main(["index", "--corpus", long_corpus, "--ckpt", pipeline["ckpt"],
+                     "--out", stale]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "stale.jsonl")
+        rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                   "--queries", pipeline["queries"], "--mode", "approx", "--index", stale,
+                   "--clip-budget", "10", "--preset", "didemo", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_STALE_INDEX: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_duplicate_query_ids_rejected(self, pipeline, tmp_path, capsys):
+        with open(pipeline["queries"]) as f:
+            lines = f.readlines()
+        dup_queries = str(tmp_path / "queries.jsonl")
+        with open(dup_queries, "w") as f:
+            f.writelines(lines + lines[:1])
+        common = ["--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                  "--preset", "didemo", "--top-k", "5"]
+        rc = main(["search", *common, "--queries", dup_queries,
+                   "--out", str(tmp_path / "never.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("E_FORMAT: ")
+        results = str(tmp_path / "r.jsonl")
+        assert main(["search", *common, "--queries", pipeline["queries"],
+                     "--out", results]) == 0
+        with open(results) as f:
+            records = f.readlines()
+        with open(results, "w") as f:
+            f.writelines(records + records[1:2])
+        capsys.readouterr()
+        rc = main(["eval", "--results", results, "--gt", pipeline["queries"],
+                   "--preset", "didemo", "--out", str(tmp_path / "report.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_FORMAT: ") and "duplicate query_id" in err
+        assert err.count("\n") == 1
+
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")
         with open(cfg, "w") as f:

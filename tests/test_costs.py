@@ -7,10 +7,10 @@ from momentsearch.costs import (
     clip_distances,
     moment_cost_aggregate,
     moment_cost_cal,
-    score_all_moments,
+    score_moments,
     sq_distances,
 )
-from momentsearch.enumeration import EnumConfig, enumerate_moments
+from momentsearch.enumeration import EnumConfig, candidate_clips, enumerate_moments
 from momentsearch.model import ModelDims, compute_context, init_params
 from conftest import identity_visual_params
 
@@ -173,29 +173,34 @@ class TestScoreAllMoments:
         q = rng.standard_normal(5)
         return cfg, video, feats, params, q
 
+    @staticmethod
+    def _score_all(video, feats, q, variant, cfg, params, counters=None):
+        grid = candidate_clips(video.num_clips, cfg)
+        return grid, score_moments(video, feats, q, variant, params, *grid.T, counters)
+
     def test_cal_counts_one_distance_per_clip(self, rng):
         cfg, video, feats, params, q = self._setup(rng)
         counters = CostCounters()
-        scored = score_all_moments(video, feats, q, "cal", cfg, params, counters)
+        _, costs = self._score_all(video, feats, q, "cal", cfg, params, counters)
         assert counters.distance_evals == video.num_clips
-        assert counters.moments_scored == len(scored) == len(enumerate_moments(video, cfg))
+        assert counters.moments_scored == len(costs) == len(enumerate_moments(video, cfg))
 
     def test_aggregate_counts_one_distance_per_moment(self, rng):
         cfg, video, feats, params, q = self._setup(rng)
         counters = CostCounters()
-        scored = score_all_moments(video, feats, q, "aggregate", cfg, params, counters)
-        assert counters.distance_evals == len(scored)
+        _, costs = self._score_all(video, feats, q, "aggregate", cfg, params, counters)
+        assert counters.distance_evals == len(costs)
 
     def test_cal_costs_match_direct_table(self, rng):
         cfg, video, feats, params, q = self._setup(rng)
         from momentsearch.model import embed_clips
 
-        scored = score_all_moments(video, feats, q, "cal", cfg, params)
+        grid, costs = self._score_all(video, feats, q, "cal", cfg, params)
         emb = embed_clips(feats, compute_context(feats), None, params)
         table = clip_distances(q, emb, "v")
-        for s in scored:
-            expect = moment_cost_cal(table, s.moment.first_clip, s.moment.last_clip)
-            assert s.cost == expect
+        for (first, last), cost in zip(grid.tolist(), costs):
+            expect = moment_cost_cal(table, first, last)
+            assert cost == expect
 
     def test_tef_variant_costs(self, rng):
         cfg = EnumConfig(clip_length=2.0, max_moment_clips=4, stride_seconds=2.0)
@@ -204,24 +209,24 @@ class TestScoreAllMoments:
         dims = ModelDims(3, 4, hidden_mlp=5, embed=4, hidden_lstm=4, use_tef=True)
         params = init_params(dims, 3)
         q = rng.standard_normal(4)
-        scored = score_all_moments(video, feats, q, "cal_tef", cfg, params)
+        grid, costs = self._score_all(video, feats, q, "cal_tef", cfg, params)
         # oracle: embed each moment's clips with its own endpoints, average
         from momentsearch.model import embed_clips, tef
 
         ctx = compute_context(feats)
-        for s in scored:
-            m = s.moment
+        for (first, last), cost in zip(grid.tolist(), costs):
+            m = Moment.from_clips(video, first, last)
             rows = embed_clips(feats[m.first_clip:m.last_clip + 1], ctx, tef(m, video), params)
             expected = float(np.mean(sq_distances(rows, q)))
-            assert s.cost == pytest.approx(expected, rel=1e-12)
+            assert cost == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_variant_rejected(self, rng):
         cfg, video, feats, params, q = self._setup(rng)
         with pytest.raises(ValueError):
-            score_all_moments(video, feats, q, "bogus", cfg, params)
+            self._score_all(video, feats, q, "bogus", cfg, params)
 
     def test_costs_non_negative(self, rng):
         cfg, video, feats, params, q = self._setup(rng)
         for variant in ("cal", "aggregate"):
-            for s in score_all_moments(video, feats, q, variant, cfg, params):
-                assert s.cost >= 0.0
+            _, costs = self._score_all(video, feats, q, variant, cfg, params)
+            assert np.all(costs >= 0.0)

@@ -155,6 +155,29 @@ class TestLineFormats:
         with pytest.raises(FormatError, match="header"):
             read_results(path)
 
+    def test_results_duplicate_query_id_rejected(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        with open(path, "w") as f:
+            f.write(json.dumps({"seed": 0, "universe": 1, "top_k": 1}) + "\n\n")
+            for qid in ("q0", "q1", "q0"):
+                f.write(json.dumps({"query_id": qid, "ranked": []}) + "\n")
+        # the blank second line counts: positions are file lines, not record numbers
+        with pytest.raises(FormatError, match=r"r\.jsonl:5: duplicate query_id 'q0'"):
+            read_results(path)
+
+    def test_queries_duplicate_query_id_rejected(self, tmp_path):
+        spec = SyntheticSpec(num_videos=3, clips_per_video=12, visual_dim=4, word_dim=3,
+                             vocab_size=8, queries_per_video=1, seed=0)
+        corpus_dir = str(tmp_path / "c")
+        generate_synthetic(spec, get_preset("didemo"), corpus_dir)
+        path = os.path.join(corpus_dir, "queries.jsonl")
+        with open(path) as f:
+            lines = f.readlines()
+        with open(path, "w") as f:
+            f.writelines(lines + lines[1:2])
+        with pytest.raises(FormatError, match=r"queries\.jsonl:4: duplicate query_id"):
+            load_queries(path, corpus_dir)
+
     def test_kv_report_round_trip(self, tmp_path):
         path = str(tmp_path / "report.txt")
         write_kv_report(path, {"recall@1_iou0.50": "0.81", "seed": 3})

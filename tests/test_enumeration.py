@@ -6,6 +6,7 @@ from momentsearch.enumeration import (
     PRESETS,
     EnumConfig,
     aggregate_index_entries,
+    candidate_clips,
     clip_index_entries,
     enumerate_moments,
     get_preset,
@@ -102,6 +103,35 @@ class TestEnumerateMoments:
         with caplog.at_level("WARNING"):
             assert enumerate_moments(video, cfg) == []
         assert any("tiny" in rec.message for rec in caplog.records)
+
+
+def nested_loop_grid(n: int, cfg: EnumConfig) -> list[list[int]]:
+    """The per-video enumeration loop that `candidate_clips` replaced."""
+    out = []
+    for length in range(cfg.min_moment_clips, min(cfg.max_moment_clips, n) + 1,
+                        cfg.length_step_clips):
+        s = stride_clips(length, cfg)
+        for first in range(0, n - length + 1, s):
+            out.append([first, first + length - 1])
+    out.sort()
+    return out
+
+
+class TestCandidateClips:
+    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
+    def test_equals_nested_loop(self, preset_name):
+        cfg = get_preset(preset_name).enum
+        for n in range(2, 61):
+            grid = candidate_clips(n, cfg)
+            assert grid.dtype == np.int64 and grid.shape[1] == 2
+            assert grid.tolist() == nested_loop_grid(n, cfg)
+
+    def test_shared_and_read_only(self):
+        cfg = PRESETS["didemo"].enum
+        grid = candidate_clips(12, cfg)
+        assert candidate_clips(12, cfg) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 5
 
 
 class TestIndexAccounting:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentsearch.core import Moment, Query, TemporalSpan, VideoMeta, temporal_iou
-from momentsearch.costs import ScoredMoment
 from momentsearch.dataio import SyntheticSpec, generate_synthetic
-from momentsearch.enumeration import enumerate_moments, get_preset
+from momentsearch.enumeration import candidate_clips, enumerate_moments, get_preset
 from momentsearch.index import build_exact, build_ivf
 from momentsearch.model import ModelDims, init_params
 from momentsearch.retrieval import (
@@ -36,48 +37,73 @@ def _video(n=10, clip_len=1.0, vid="v"):
     return VideoMeta(vid, n * clip_len, clip_len, n)
 
 
+def _spans(moments) -> np.ndarray:
+    return np.array([[m.span.start, m.span.end] for m in moments])
+
+
+def greedy_nms_reference(spans: list[TemporalSpan], iou_threshold: float) -> list[int]:
+    """Keep a span iff its IoU with every kept, cheaper span is at most the threshold."""
+    kept = []
+    for i, span in enumerate(spans):
+        if all(temporal_iou(span, spans[k]) <= iou_threshold for k in kept):
+            kept.append(i)
+    return kept
+
+
 class TestNms:
-    def _scored(self, video, triples):
-        return [ScoredMoment(Moment.from_clips(video, i, j), c) for i, j, c in triples]
+    def _spans(self, video, pairs):
+        return _spans(Moment.from_clips(video, i, j) for i, j in pairs)
 
     def test_threshold_one_keeps_everything(self):
         video = _video()
-        scored = self._scored(video, [(0, 3, 0.1), (0, 2, 0.2), (1, 3, 0.3), (0, 4, 0.4)])
-        assert nms(scored, 1.0) == scored
+        spans = self._spans(video, [(0, 3), (0, 2), (1, 3), (0, 4)])
+        assert nms(spans, 1.0).tolist() == [0, 1, 2, 3]
 
     def test_identical_spans_suppressed(self):
         video = _video()
-        cheap = ScoredMoment(Moment.from_clips(video, 2, 5), 0.1)
-        dear = ScoredMoment(Moment.from_clips(video, 2, 5), 0.9)
-        assert nms([cheap, dear], 0.6) == [cheap]
+        assert nms(self._spans(video, [(2, 5), (2, 5)]), 0.6).tolist() == [0]
 
     def test_low_overlap_pair_survives(self):
         video = _video(20)
-        a = ScoredMoment(Moment.from_clips(video, 0, 9), 0.1)   # [0, 10)
-        b = ScoredMoment(Moment.from_clips(video, 5, 14), 0.2)  # [5, 15), IoU 1/3
-        assert nms([a, b], 0.5) == [a, b]
+        spans = self._spans(video, [(0, 9), (5, 14)])  # [0, 10), [5, 15): IoU 1/3
+        assert nms(spans, 0.5).tolist() == [0, 1]
 
     def test_greedy_cascade(self):
         video = _video(20)
-        a = ScoredMoment(Moment.from_clips(video, 0, 9), 0.1)
-        b = ScoredMoment(Moment.from_clips(video, 1, 10), 0.2)   # IoU with a: 9/11 > 0.5
-        c = ScoredMoment(Moment.from_clips(video, 2, 11), 0.3)   # IoU with a: 8/12 > 0.5
-        assert nms([a, b, c], 0.5) == [a]
+        # IoU of the 2nd with the 1st is 9/11, of the 3rd with the 1st 8/12: both > 0.5
+        spans = self._spans(video, [(0, 9), (1, 10), (2, 11)])
+        assert nms(spans, 0.5).tolist() == [0]
 
     def test_retained_pairs_respect_constraint(self, rng):
         video = _video(16)
         moments = enumerate_moments(
             video, get_preset("charades-sta").enum.__class__(
                 clip_length=1.0, max_moment_clips=8, stride_seconds=1.0))
-        scored = sorted(
-            (ScoredMoment(m, float(rng.random())) for m in moments),
-            key=lambda s: s.sort_key,
-        )
+        costs = rng.random(len(moments))
+        moments = [moments[i] for i in np.argsort(costs)]
         for thr in (0.3, 0.5, 0.7):
-            kept = nms(scored, thr)
+            kept = [moments[i] for i in nms(_spans(moments), thr)]
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
-                    assert temporal_iou(kept[i].moment.span, kept[j].moment.span) <= thr
+                    assert temporal_iou(kept[i].span, kept[j].span) <= thr
+
+    @settings(max_examples=60, deadline=None)
+    @given(preset_name=st.sampled_from(["charades-sta", "activitynet"]),
+           num_clips=st.integers(2, 80), short_by=st.floats(0.0, 0.95),
+           tied=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           thr=st.sampled_from([0.3, 0.5, 0.6, 1.0]))
+    def test_matches_greedy_temporal_iou_loop(self, preset_name, num_clips, short_by, tied,
+                                              seed, thr):
+        enum = get_preset(preset_name).enum
+        video = VideoMeta("v", (num_clips - short_by) * enum.clip_length, enum.clip_length,
+                          num_clips)
+        grid = candidate_clips(num_clips, enum)
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 3, len(grid)) if tied else rng.random(len(grid))
+        order = np.lexsort((grid[:, 1], grid[:, 0], costs))
+        moments = [Moment.from_clips(video, f, l) for f, l in grid[order].tolist()]
+        assert nms(_spans(moments), thr).tolist() == \
+            greedy_nms_reference([m.span for m in moments], thr)
 
 
 class TestExhaustive:
@@ -112,13 +138,31 @@ class TestExhaustive:
         readout = (spec_rng.standard_normal((8, 6)) / np.sqrt(6)).astype(np.float32)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            groups = ((v, corpus.features_for(v.video_id), enumerate_moments(v, preset.enum))
-                      for v in corpus.videos)
+            groups = ((v, corpus.features_for(v.video_id),
+                       *candidate_clips(v.num_clips, preset.enum).T) for v in corpus.videos)
             ranked, _ = _rank(groups, latent, "cal", params, preset.nms_iou, 10)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
             assert max(temporal_iou(top.span, a) for a in gt.annotations) >= 0.5
+
+    def test_cost_ties_break_by_clips_within_and_video_id_across(self, monkeypatch):
+        import momentsearch.retrieval as retrieval
+
+        monkeypatch.setattr(retrieval, "score_moments",
+                            lambda video, feats, q, variant, params, firsts, lasts, counters:
+                            np.zeros(len(firsts)))
+        enum = get_preset("charades-sta").enum
+        grid = candidate_clips(10, enum)
+        videos = [VideoMeta(vid, 30.0, 3.0, 10) for vid in ("vb", "va")]
+        ranked, _ = retrieval._rank([(v, None, *grid.T) for v in videos], None, "cal", None,
+                                    0.3, len(grid) * 2)
+        # every cost ties: suppression walks each video in (first, last) order
+        kept = greedy_nms_reference(
+            [Moment.from_clips(videos[0], f, l).span for f, l in grid.tolist()], 0.3)
+        assert [(s.moment.video_id, s.moment.first_clip, s.moment.last_clip)
+                for s in ranked] == [(vid, *grid[k].tolist()) for vid in ("va", "vb")
+                                     for k in kept]
 
     def test_counter_asymmetry_cal_vs_aggregate(self, planted):
         preset, corpus, queries, params = planted
@@ -234,6 +278,33 @@ class TestTwoStage:
                 if any(m.first_clip <= k <= m.last_clip for k in clips):
                     expected += 1
         assert ts.stage_counters["stage2_moments"] == expected
+
+    def test_dilated_containment_matches_brute_force(self, planted):
+        from momentsearch.model import embed_query
+
+        preset, corpus, queries, params = planted
+        index = build_exact(corpus, params)
+        universe = corpus.total_candidates(preset.enum)
+        q = queries[0]
+        hits, _ = index.search(embed_query(q.word_vectors, params), top_c=12)
+        by_video = {}
+        for h in hits:
+            by_video.setdefault(h.video_id, set()).add(h.clip_idx)
+        sizes = []
+        for d in range(4):
+            # NMS at 1.0 and top_k covering the universe: the ranked list is the candidate set
+            cfg = RetrievalConfig(nms_iou=1.0, top_k=universe, clip_budget=12, dilation_clips=d)
+            ts = two_stage_search(corpus, index, q, params, None, preset.enum, cfg,
+                                  mode="approx")
+            expected = {
+                m.sort_key for video in corpus.videos
+                for m in enumerate_moments(video, preset.enum)
+                if any(m.first_clip - d <= k <= m.last_clip + d
+                       for k in by_video.get(video.video_id, ()))
+            }
+            assert {s.moment.sort_key for s in ts.ranked} == expected
+            sizes.append(len(expected))
+        assert sizes[0] < sizes[3]
 
     def test_monotone_clip_budget(self, planted):
         preset, corpus, queries, params = planted
