@@ -169,11 +169,14 @@ def cmd_search(args) -> int:
     index = None
     if args.index:
         index = load_index(args.index, tuple(v.video_id for v in corpus.videos))
+        # Each (video ordinal, clip) key of this corpus must appear exactly once.
         num_clips = np.array([v.num_clips for v in corpus.videos])
-        if index.num_entries != corpus.total_clips or \
-                np.any(index.keys[:, 1] >= num_clips[index.keys[:, 0]]):
+        ordinal, clip = index.keys.astype(np.int64).T
+        position = np.cumsum(num_clips)[ordinal] - num_clips[ordinal] + clip
+        if index.num_entries != corpus.total_clips or np.any(clip >= num_clips[ordinal]) or \
+                np.any(np.bincount(position, minlength=corpus.total_clips) != 1):
             raise CliError("E_STALE_INDEX", f"{args.index} does not index this corpus's "
-                           f"{corpus.total_clips} clips; rebuild it with `index`")
+                           f"{corpus.total_clips} clips once each; rebuild it with `index`")
     if args.mode == "approx" and index is None:
         raise CliError("E_NO_INDEX", "approximate mode requires --index")
 

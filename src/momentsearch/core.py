@@ -102,6 +102,13 @@ class Moment:
         return cls(video.video_id, first_clip, last_clip, TemporalSpan(start, end))
 
 
+def clip_spans(video: VideoMeta, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """(n, 2) array of the (start, end) seconds of clip ranges [firsts[i], lasts[i]],
+    computed with `Moment.from_clips`'s operations; the ranges are not validated."""
+    return np.stack([firsts * video.clip_length,
+                     np.minimum((lasts + 1) * video.clip_length, video.duration)], axis=1)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Annotated spans for one query; several entries when judgments disagree."""
@@ -135,3 +142,12 @@ def temporal_iou(a: TemporalSpan, b: TemporalSpan) -> float:
         return 0.0
     union = max(a.end, b.end) - min(a.start, b.start)
     return inter / union
+
+
+def span_ious(spans: np.ndarray, start: float, end: float) -> np.ndarray:
+    """IoU of each (start, end) row of `spans` with [start, end), computed
+    with `temporal_iou`'s operations; 0 where the two are disjoint."""
+    s, e = spans[:, 0], spans[:, 1]
+    inter = np.minimum(e, end) - np.maximum(s, start)
+    union = np.maximum(e, end) - np.minimum(s, start)
+    return np.where(inter > 0, inter / union, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Moment, VideoMeta
+from .core import Moment, VideoMeta, clip_spans
 from .model import (
     ModelParams,
     assemble_visual_inputs,
@@ -114,15 +114,14 @@ def _tef_costs_for_moments(
 
     TEF-tiled clip embeddings depend on the containing moment, so each
     moment gets its own rows; rows for all moments are embedded in one
-    batch and reduced by segment means. Endpoints are normalized as in
-    `model.tef` over `Moment.from_clips`'s span.
+    batch and reduced by segment means. Endpoints are `clip_spans`
+    normalized by the duration, as `model.tef` normalizes a moment's span.
     """
     feats = np.asarray(video_features, dtype=np.float64)
     blocks = []
     seg_ids = []
-    for idx, (first, last) in enumerate(zip(firsts.tolist(), lasts.tolist())):
-        end = min((last + 1) * video.clip_length, video.duration)
-        pair = (first * video.clip_length / video.duration, end / video.duration)
+    pairs = clip_spans(video, firsts, lasts) / video.duration
+    for idx, (first, last, pair) in enumerate(zip(firsts.tolist(), lasts.tolist(), pairs)):
         if aggregate:
             pooled = feats[first:last + 1].mean(axis=0)[None, :]
             blocks.append(assemble_visual_inputs(pooled, context, pair, params.dims))

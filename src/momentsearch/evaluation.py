@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, TemporalSpan, temporal_iou
+from .core import GroundTruth, TemporalSpan, clip_spans, span_ious, temporal_iou
 from .dataio import Corpus
-from .enumeration import EnumConfig, enumerate_moments
+from .enumeration import EnumConfig, candidate_clips
 
 EXACT_MATCH_IOU = 1.0 - 1e-9
 
@@ -118,17 +118,15 @@ def oracle_recall(
     iou_thr: float,
     min_judgments: int = 1,
 ) -> float:
-    """Best achievable recall: some candidate in the right video qualifies."""
-    cache: dict[str, list] = {}
+    """Best achievable recall: the share of ground truths whose video has a
+    candidate with IoU >= `iou_thr` against `min_judgments` annotations."""
     hits = []
     for gt in ground_truths.values():
-        if gt.video_id not in cache:
-            cache[gt.video_id] = enumerate_moments(corpus.video(gt.video_id), enum_cfg)
-        ok = any(
-            sum(1 for a in gt.annotations if temporal_iou(m.span, a) >= iou_thr) >= min_judgments
-            for m in cache[gt.video_id]
-        )
-        hits.append(1 if ok else 0)
+        video = corpus.video(gt.video_id)
+        spans = clip_spans(video, *candidate_clips(video.num_clips, enum_cfg).T)
+        judged = np.sum([span_ious(spans, a.start, a.end) >= iou_thr for a in gt.annotations],
+                        axis=0)
+        hits.append(1 if np.any(judged >= min_judgments) else 0)
     if not hits:
         raise ValueError("no ground truths to evaluate")
     return float(np.mean(hits))

@@ -304,6 +304,9 @@ def load_index(path: str, video_ids: tuple[str, ...]):
                 _read_exact(f, (p + 1) * 8, "offsets", path), "<u8"
             ).copy()
             _expect_eof(f, path)
+            if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or offsets[-1] != count:
+                raise FormatError(f"{path}: IVF partition offsets must start at 0, never "
+                                  f"decrease and end at the entry count {count}")
             index = IvfIndex(video_ids, keys, vectors, centroids, offsets)
         else:
             raise FormatError(f"{path}: unknown index flavor {flavor}")

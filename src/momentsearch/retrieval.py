@@ -27,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, Query
+from .core import Moment, Query, clip_spans
 from .costs import CostCounters, ScoredMoment, score_moments
 from .dataio import Corpus, stable_u32
-from .enumeration import EnumConfig, candidate_clips, enumerate_moments
+from .enumeration import EnumConfig, candidate_clips
 from .index import ClipIndex, IvfIndex
 from .model import ModelParams, embed_query
 
@@ -55,6 +55,8 @@ class RetrievalConfig:
             raise ValueError("nms_iou must lie in (0, 1]")
         if self.clip_budget < 1 or self.top_k < 1:
             raise ValueError("clip_budget and top_k must be positive")
+        if self.dilation_clips < 0:
+            raise ValueError(f"dilation_clips must be non-negative, got {self.dilation_clips}")
 
 
 @dataclass
@@ -94,10 +96,8 @@ def _rank(
     videos, rows = [], []
     for video, feats, firsts, lasts in groups:
         costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
-        spans = np.stack([firsts * video.clip_length,
-                          np.minimum((lasts + 1) * video.clip_length, video.duration)], axis=1)
         order = np.lexsort((lasts, firsts, costs))
-        kept = order[nms(spans[order], nms_iou)]
+        kept = order[nms(clip_spans(video, firsts[order], lasts[order]), nms_iou)]
         rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
         videos.append(video)
     if not videos:
@@ -228,34 +228,26 @@ class MomentPrior:
     bins: int
     probabilities: np.ndarray  # (bins, bins)
 
-    def bin_of(self, s_norm: float, e_norm: float) -> tuple[int, int]:
-        i = min(int(s_norm * self.bins), self.bins - 1)
-        j = min(int(e_norm * self.bins), self.bins - 1)
-        return i, j
-
-    def probability(self, s_norm: float, e_norm: float) -> float:
-        i, j = self.bin_of(s_norm, e_norm)
-        return float(self.probabilities[i, j])
+    def cells(self, norm_spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Histogram cell (i, j) of each duration-normalized (start, end) row."""
+        cell = np.minimum((norm_spans * self.bins).astype(np.int64), self.bins - 1)
+        return cell[:, 0], cell[:, 1]
 
 
 def fit_moment_prior(corpus: Corpus, queries: list[Query], bins: int = 10) -> MomentPrior:
-    counts = np.zeros((bins, bins), dtype=np.float64)
-    total = 0
+    norm = []
     for q in queries:
         gt = q.ground_truth
         if gt is None:
             continue
         duration = corpus.video(gt.video_id).duration
-        for span in gt.annotations:
-            s_norm = span.start / duration
-            e_norm = span.end / duration
-            i = min(int(s_norm * bins), bins - 1)
-            j = min(int(e_norm * bins), bins - 1)
-            counts[i, j] += 1
-            total += 1
-    if total == 0:
+        norm.extend((span.start / duration, span.end / duration) for span in gt.annotations)
+    if not norm:
         raise ValueError("cannot fit a moment prior without ground truth")
-    return MomentPrior(bins, counts / total)
+    prior = MomentPrior(bins, np.zeros((bins, bins), dtype=np.float64))
+    np.add.at(prior.probabilities, prior.cells(np.asarray(norm)), 1.0)
+    prior.probabilities /= len(norm)
+    return prior
 
 
 def baseline_scores(
@@ -270,9 +262,11 @@ def baseline_scores(
 ) -> RankedResult:
     """Chance / moment-prior / endpoint-only reference rankings.
 
-    Chance and the prior rank raw candidates without suppression (chance is
-    a seeded permutation of the full candidate set; prior ties are broken
-    by a seeded uniform draw). The endpoint-only baseline is a full
+    Chance and the prior rank every video's `candidate_clips` rows without
+    suppression; only the top_k become `Moment`s. Chance costs a row its rank
+    in a seeded permutation; the prior costs it minus the histogram
+    probability of its normalized span, ties broken by a seeded uniform draw,
+    then (video_id, first, last). The endpoint-only baseline is a full
     exhaustive run with a visually-masked model.
     """
     if kind not in BASELINES:
@@ -281,28 +275,28 @@ def baseline_scores(
         if params is None or not params.dims.tef_only:
             raise ValueError("tef_only baseline needs a model trained with masked visuals")
         return exhaustive_search(corpus, query, params, enum_cfg, cfg)
+    if kind == "moment_prior" and prior is None:
+        raise ValueError("moment_prior baseline needs a fitted prior")
 
     rng = np.random.default_rng([seed, stable_u32(query.query_id)])
-    all_moments: list[Moment] = []
-    durations: list[float] = []
-    for video in corpus.videos:
-        for m in enumerate_moments(video, enum_cfg):
-            all_moments.append(m)
-            durations.append(video.duration)
+    videos = corpus.videos
+    grids = [candidate_clips(v.num_clips, enum_cfg) for v in videos]
+    ordinal = np.repeat(np.arange(len(videos)), [len(g) for g in grids])
+    firsts, lasts = np.concatenate([np.empty((0, 2), np.int64), *grids]).T
     if kind == "chance":
-        order = rng.permutation(len(all_moments))
-        ranked = [ScoredMoment(all_moments[i], float(r)) for r, i in enumerate(order)]
+        top = rng.permutation(len(ordinal))[:cfg.top_k]
+        costs = np.arange(len(top), dtype=np.float64)
     else:
-        if prior is None:
-            raise ValueError("moment_prior baseline needs a fitted prior")
-        jitter = rng.random(len(all_moments))
-        scored = []
-        for idx, m in enumerate(all_moments):
-            p = prior.probability(m.span.start / durations[idx], m.span.end / durations[idx])
-            scored.append((-p, jitter[idx], m))
-        scored.sort(key=lambda t: (t[0], t[1], t[2].sort_key))
-        ranked = [ScoredMoment(m, float(cost)) for cost, _, m in scored]
-    return RankedResult(query.query_id, ranked[:cfg.top_k], {"stage1_moments": len(all_moments)})
+        jitter = rng.random(len(ordinal))
+        norm = [clip_spans(v, *g.T) / v.duration for v, g in zip(videos, grids)]
+        p = prior.probabilities[prior.cells(np.concatenate([np.empty((0, 2)), *norm]))]
+        id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
+        top = np.lexsort((lasts, firsts, id_rank[ordinal], jitter, -p))[:cfg.top_k]
+        costs = -p[top]
+    ranked = [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
+              for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
+                                    lasts[top].tolist(), costs.tolist())]
+    return RankedResult(query.query_id, ranked, {"stage1_moments": len(ordinal)})
 
 
 # ---------------------------------------------------------------------------

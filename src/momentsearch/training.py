@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Moment, Query, temporal_iou
+from .core import Moment, Query, clip_spans, span_ious
 from .dataio import Corpus
-from .enumeration import EnumConfig, enumerate_moments
+from .enumeration import EnumConfig, candidate_clips, enumerate_moments
 from .model import (
     ModelDims,
     ModelParams,
@@ -68,7 +68,11 @@ def ranking_loss(x: float, y: float, b: float) -> float:
 
 
 class TrainDataset:
-    """Corpus + aligned queries + cached candidate sets for sampling."""
+    """Corpus + aligned queries + cached candidate sets for sampling.
+
+    Per query, one array holds each candidate's best annotation IoU: the
+    positive is its first maximum, an intra pool the rows below the exclusion.
+    """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
         self.corpus = corpus
@@ -77,15 +81,16 @@ class TrainDataset:
         self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
         self._norm_endpoints: dict[str, np.ndarray] = {}
         self._contexts: dict[str, np.ndarray] = {}
+        spans = {}
         for video in corpus.videos:
             cands = enumerate_moments(video, enum_cfg)
             self.candidates[video.video_id] = cands
             self.candidate_keys[video.video_id] = {
                 (m.first_clip, m.last_clip): m for m in cands
             }
-            self._norm_endpoints[video.video_id] = np.asarray(
-                [tef(m, video) for m in cands], dtype=np.float64
-            ) if cands else np.zeros((0, 2))
+            spans[video.video_id] = clip_spans(
+                video, *candidate_clips(video.num_clips, enum_cfg).T)
+            self._norm_endpoints[video.video_id] = spans[video.video_id] / video.duration
         self.enumerable_video_ids = [
             v.video_id for v in corpus.videos if self.candidates[v.video_id]
         ]
@@ -93,28 +98,20 @@ class TrainDataset:
 
         self.queries: list[Query] = []
         self.positives: list[Moment] = []
-        self.intra_pools: list[list[Moment]] = []
+        self._best_ious: list[np.ndarray] = []
         for q in queries:
             if q.ground_truth is None:
                 continue
             cands = self.candidates.get(q.ground_truth.video_id, [])
             if not cands:
                 continue
+            best = np.max([span_ious(spans[q.ground_truth.video_id], a.start, a.end)
+                           for a in q.ground_truth.annotations], axis=0)
             self.queries.append(q)
-            self.positives.append(self._align(q, cands))
-            self.intra_pools.append([])  # filled once the exclusion IoU is known
-
+            self.positives.append(cands[int(np.argmax(best))])
+            self._best_ious.append(best)
+        self.intra_pools: list[list[Moment]] = [[] for _ in self.queries]
         self._pool_exclusion: Optional[float] = None
-
-    @staticmethod
-    def _align(query: Query, candidates: list[Moment]) -> Moment:
-        """Aligned positive: the candidate with the highest annotation IoU."""
-        best, best_iou = candidates[0], -1.0
-        for m in candidates:
-            iou = max(temporal_iou(m.span, a) for a in query.ground_truth.annotations)
-            if iou > best_iou:
-                best, best_iou = m, iou
-        return best
 
     def context_for(self, video_id: str) -> np.ndarray:
         ctx = self._contexts.get(video_id)
@@ -126,14 +123,11 @@ class TrainDataset:
     def intra_pool(self, query_index: int, exclusion_iou: float) -> list[Moment]:
         if self._pool_exclusion != exclusion_iou:
             self._pool_exclusion = exclusion_iou
-            for qi, q in enumerate(self.queries):
-                gt = q.ground_truth
-                pool = []
-                for m in self.candidates[gt.video_id]:
-                    iou = max(temporal_iou(m.span, a) for a in gt.annotations)
-                    if iou < exclusion_iou:
-                        pool.append(m)
-                self.intra_pools[qi] = pool
+            self.intra_pools = [
+                [self.candidates[q.ground_truth.video_id][i]
+                 for i in np.flatnonzero(best < exclusion_iou).tolist()]
+                for q, best in zip(self.queries, self._best_ious)
+            ]
         return self.intra_pools[query_index]
 
     def nearest_candidate(self, video_id: str, s_norm: float, e_norm: float) -> Moment:

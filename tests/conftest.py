@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momentsearch.core import VideoMeta
+from momentsearch.core import GroundTruth, Query, TemporalSpan, VideoMeta
 from momentsearch.dataio import Corpus
 from momentsearch.model import ModelDims, ModelParams
 
@@ -51,6 +51,39 @@ def make_corpus(
         videos.append(VideoMeta(vid, num_clips * clip_length, clip_length, num_clips))
         features[vid] = rng.standard_normal((num_clips, visual_dim))
     return Corpus(videos, features)
+
+
+def varied_corpus(
+    rng: np.random.Generator,
+    clip_length: float,
+    num_videos: int = 16,
+    max_clips: int = 30,
+) -> tuple[Corpus, list[Query]]:
+    """Videos of 2, 3, 4, then random up to max_clips clips, most with a
+    partial last clip, and two queries per video whose 1-3 annotations lie
+    on or off the clip grid."""
+    videos, features, queries = [], {}, []
+    for i in range(num_videos):
+        n = 2 + i if i < 3 else int(rng.integers(2, max_clips + 1))
+        duration = (n - float(rng.choice([0.0, 0.25, 0.6]))) * clip_length
+        video = VideoMeta(f"v{i:03d}", duration, clip_length, n)
+        videos.append(video)
+        features[video.video_id] = rng.standard_normal((n, 3))
+        for qi in range(2):
+            annotations = []
+            for _ in range(int(rng.integers(1, 4))):
+                if rng.random() < 0.5:
+                    first = int(rng.integers(0, n - 1))
+                    last = int(rng.integers(first + 1, n))
+                    start = first * clip_length
+                    end = min((last + 1) * clip_length, duration)
+                else:
+                    start = float(rng.uniform(0, duration - 0.5))
+                    end = float(rng.uniform(start + 0.25, duration))
+                annotations.append(TemporalSpan(start, end))
+            queries.append(Query(f"q{i:03d}_{qi}", rng.standard_normal((3, 2)),
+                                 GroundTruth(video.video_id, tuple(annotations))))
+    return Corpus(videos, features), queries
 
 
 @pytest.fixture

@@ -271,6 +271,39 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not os.path.exists(out)
 
+    def test_index_with_a_duplicate_clip_rejected(self, pipeline, tmp_path, capsys):
+        from momentsearch.dataio import load_corpus
+        from momentsearch.index import ClipIndex, load_index, save_index
+
+        ids = tuple(v.video_id for v in load_corpus(pipeline["corpus"]).videos)
+        good = load_index(pipeline["index"], ids)
+        keys = good.keys.copy()
+        keys[1] = keys[0]  # clip (v0, 0) twice, clip (v0, 1) missing
+        dup = str(tmp_path / "dup.calx")
+        save_index(ClipIndex(ids, keys, good.vectors), dup)
+        out = str(tmp_path / "dup.jsonl")
+        rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                   "--queries", pipeline["queries"], "--mode", "approx", "--index", dup,
+                   "--clip-budget", "10", "--preset", "didemo", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_STALE_INDEX: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_negative_dilation_rejected(self, pipeline, tmp_path, capsys):
+        for dilation in ("-1", "-5"):
+            out = str(tmp_path / f"d{dilation}.jsonl")
+            rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                       "--queries", pipeline["queries"], "--mode", "approx",
+                       "--index", pipeline["index"], "--clip-budget", "10",
+                       "--dilation", dilation, "--preset", "didemo", "--out", out])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("E_INVALID: dilation_clips must be non-negative")
+            assert err.count("\n") == 1
+            assert not os.path.exists(out)
+
     def test_duplicate_query_ids_rejected(self, pipeline, tmp_path, capsys):
         with open(pipeline["queries"]) as f:
             lines = f.readlines()

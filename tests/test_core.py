@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentsearch.core import (
     GroundTruth,
@@ -8,8 +10,14 @@ from momentsearch.core import (
     TemporalSpan,
     VideoMeta,
     clip_span,
+    span_ious,
     temporal_iou,
 )
+
+# Endpoints on a 2.5 s grid make touching and identical spans common.
+_endpoint = st.one_of(st.integers(0, 12).map(lambda k: k * 2.5),
+                      st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False))
+_span = st.tuples(_endpoint, _endpoint).filter(lambda p: p[0] != p[1]).map(sorted)
 
 
 class TestTemporalIou:
@@ -63,6 +71,19 @@ class TestTemporalIou:
             a = TemporalSpan(pts[0], pts[1] + 1e-6)
             b = TemporalSpan(pts[2], pts[3] + 1e-6)
             assert 0.0 <= temporal_iou(a, b) <= 1.0
+
+
+class TestSpanIous:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_span, min_size=1, max_size=12), other=_span)
+    def test_bit_equal_to_temporal_iou(self, rows, other):
+        got = span_ious(np.asarray(rows, dtype=np.float64), *other)
+        want = [temporal_iou(TemporalSpan(*row), TemporalSpan(*other)) for row in rows]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+    def test_touching_and_disjoint_are_zero(self):
+        rows = np.array([[0.0, 5.0], [10.0, 12.5], [5.0, 10.0]])
+        assert span_ious(rows, 5.0, 10.0).tolist() == [0.0, 0.0, 1.0]
 
 
 class TestSpanValidation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentsearch.core import VideoMeta
+from momentsearch.core import Moment, VideoMeta, clip_spans
 from momentsearch.enumeration import (
     PRESETS,
     EnumConfig,
@@ -125,6 +125,19 @@ class TestCandidateClips:
             grid = candidate_clips(n, cfg)
             assert grid.dtype == np.int64 and grid.shape[1] == 2
             assert grid.tolist() == nested_loop_grid(n, cfg)
+
+    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
+    def test_clip_spans_equal_moment_spans(self, preset_name):
+        cfg = get_preset(preset_name).enum
+        for n in range(2, 61):
+            # The last clip is partial: the duration stops 0.4 clips short.
+            video = VideoMeta("v", (n - 0.4) * cfg.clip_length, cfg.clip_length, n)
+            grid = candidate_clips(n, cfg)
+            spans = clip_spans(video, grid[:, 0], grid[:, 1])
+            assert spans.shape == (len(grid), 2)
+            assert [tuple(row) for row in spans.tolist()] == \
+                [(m.span.start, m.span.end)
+                 for m in (Moment.from_clips(video, f, l) for f, l in grid.tolist())]
 
     def test_shared_and_read_only(self):
         cfg = PRESETS["didemo"].enum

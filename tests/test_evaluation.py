@@ -294,6 +294,38 @@ class TestOracleRecall:
             assert got == pytest.approx(hits / len(gts))
 
 
+def oracle_recall_reference(corpus, gts, enum_cfg, iou_thr, min_judgments):
+    """The per-`Moment` loop that `oracle_recall` replaced."""
+    from momentsearch.enumeration import enumerate_moments
+
+    hits = []
+    for gt in gts.values():
+        ok = any(
+            sum(1 for a in gt.annotations if temporal_iou(m.span, a) >= iou_thr) >= min_judgments
+            for m in enumerate_moments(corpus.video(gt.video_id), enum_cfg)
+        )
+        hits.append(1 if ok else 0)
+    return float(np.mean(hits))
+
+
+@pytest.mark.parametrize("preset_name", ["didemo", "charades-sta", "activitynet"])
+def test_oracle_recall_equals_per_moment_reference(preset_name):
+    from conftest import varied_corpus
+    from momentsearch.enumeration import EnumConfig, get_preset
+
+    enum = get_preset(preset_name).enum
+    # The second grid's minimum length exceeds some videos' clip counts.
+    for enum_cfg in (enum, EnumConfig(enum.clip_length, 9, stride_ratio=0.3,
+                                      min_moment_clips=6)):
+        corpus, queries = varied_corpus(np.random.default_rng(5), enum_cfg.clip_length)
+        gts = {q.query_id: q.ground_truth for q in queries}
+        for iou_thr in (0.3, 0.5, 0.7, 1.0):
+            for min_judgments in (1, 2, 3):
+                got = oracle_recall(corpus, gts, enum_cfg, iou_thr, min_judgments)
+                assert got == oracle_recall_reference(corpus, gts, enum_cfg, iou_thr,
+                                                      min_judgments)
+
+
 class TestReports:
     def test_monotone_invariants_on_random_reports(self):
         rng = np.random.default_rng(3)

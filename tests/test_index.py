@@ -202,3 +202,17 @@ class TestPersistence:
         save_index(index, path)
         with pytest.raises(FormatError, match="ordinal"):
             load_index(path, ("v000",))  # fewer ids than ordinals reference
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 3, 35, 17, 61, 68, 72],  # partitions 2 and 3 swapped: decreasing
+        [2, 3, 17, 35, 61, 68, 72],  # does not start at 0
+    ])
+    def test_ivf_offsets_out_of_order(self, tmp_path, rng, offsets):
+        corpus = make_corpus(rng, num_videos=6, num_clips=12)
+        good = build_ivf(corpus, small_params(), partitions=6, seed=1)
+        bad = IvfIndex(good.video_ids, good.keys, good.vectors, good.centroids,
+                       np.asarray(offsets, dtype=np.uint64))
+        path = str(tmp_path / "x.calx")
+        save_index(bad, path)
+        with pytest.raises(FormatError, match=r"x\.calx: IVF partition offsets"):
+            load_index(path, good.video_ids)

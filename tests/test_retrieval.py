@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentsearch.core import Moment, Query, TemporalSpan, VideoMeta, temporal_iou
-from momentsearch.dataio import SyntheticSpec, generate_synthetic
-from momentsearch.enumeration import candidate_clips, enumerate_moments, get_preset
+from momentsearch.dataio import Corpus, SyntheticSpec, generate_synthetic, stable_u32
+from momentsearch.enumeration import EnumConfig, candidate_clips, enumerate_moments, get_preset
 from momentsearch.index import build_exact, build_ivf
 from momentsearch.model import ModelDims, init_params
 from momentsearch.retrieval import (
+    MomentPrior,
     RetrievalConfig,
     baseline_scores,
     exhaustive_search,
@@ -351,7 +352,86 @@ class TestTwoStage:
                              cfg, mode="approx")
 
 
+# Enumeration settings for the reference comparisons below: the three
+# presets, plus a minimum length that exceeds some videos' clip counts.
+REFERENCE_ENUMS = {
+    **{name: get_preset(name).enum for name in ("didemo", "charades-sta", "activitynet")},
+    "min-above-clips": EnumConfig(clip_length=3.0, max_moment_clips=9, stride_ratio=0.3,
+                                  min_moment_clips=6),
+}
+
+
+def fit_moment_prior_reference(corpus, queries, bins):
+    """The per-annotation binning loop that `fit_moment_prior` replaced."""
+    counts = np.zeros((bins, bins), dtype=np.float64)
+    total = 0
+    for q in queries:
+        duration = corpus.video(q.ground_truth.video_id).duration
+        for span in q.ground_truth.annotations:
+            i = min(int(span.start / duration * bins), bins - 1)
+            j = min(int(span.end / duration * bins), bins - 1)
+            counts[i, j] += 1
+            total += 1
+    return counts / total
+
+
+def baseline_reference(corpus, query, kind, enum_cfg, top_k, prior, seed):
+    """The per-`Moment` chance and prior rankings that `baseline_scores` replaced."""
+    rng = np.random.default_rng([seed, stable_u32(query.query_id)])
+    all_moments, durations = [], []
+    for video in corpus.videos:
+        for m in enumerate_moments(video, enum_cfg):
+            all_moments.append(m)
+            durations.append(video.duration)
+    if kind == "chance":
+        order = rng.permutation(len(all_moments))
+        ranked = [(all_moments[i], float(r)) for r, i in enumerate(order)]
+    else:
+        jitter = rng.random(len(all_moments))
+        scored = []
+        for idx, m in enumerate(all_moments):
+            s_norm, e_norm = m.span.start / durations[idx], m.span.end / durations[idx]
+            i = min(int(s_norm * prior.bins), prior.bins - 1)
+            j = min(int(e_norm * prior.bins), prior.bins - 1)
+            scored.append((-float(prior.probabilities[i, j]), jitter[idx], m))
+        scored.sort(key=lambda t: (t[0], t[1], t[2].sort_key))
+        ranked = [(m, float(cost)) for cost, _, m in scored]
+    return ranked[:top_k], len(all_moments)
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("enum_name", sorted(REFERENCE_ENUMS))
+    def test_equal_to_per_moment_reference(self, enum_name):
+        from conftest import varied_corpus
+
+        enum_cfg = REFERENCE_ENUMS[enum_name]
+        corpus, queries = varied_corpus(np.random.default_rng(11), enum_cfg.clip_length)
+        prior = fit_moment_prior(corpus, queries, bins=7)
+        assert prior.probabilities.tobytes() == \
+            fit_moment_prior_reference(corpus, queries, 7).tobytes()
+        universe = corpus.total_candidates(enum_cfg)
+        for top_k in (1, 25, universe + 5):
+            cfg = RetrievalConfig(nms_iou=1.0, top_k=top_k, budget=max(top_k, 200))
+            for kind in ("chance", "moment_prior"):
+                for q in queries[:5]:
+                    got = baseline_scores(corpus, q, kind, enum_cfg, cfg, prior=prior, seed=2)
+                    want, total = baseline_reference(corpus, q, kind, enum_cfg, top_k, prior, 2)
+                    assert got.stage_counters == {"stage1_moments": total}
+                    assert [(s.moment, s.cost.hex()) for s in got.ranked] == \
+                        [(m, cost.hex()) for m, cost in want]
+
+    def test_no_candidates_ranks_nothing(self):
+        enum_cfg = REFERENCE_ENUMS["min-above-clips"]
+        short = VideoMeta("v0", 12.0, 3.0, 4)
+        prior = MomentPrior(10, np.full((10, 10), 0.01))
+        cfg = RetrievalConfig(nms_iou=1.0, top_k=10, budget=10)
+        query = Query("q", np.ones((2, 3)))
+        for corpus in (Corpus([], {}), Corpus([short], {"v0": np.zeros((4, 3))})):
+            for kind in ("chance", "moment_prior"):
+                res = baseline_scores(corpus, query, kind, enum_cfg, cfg, prior=prior)
+                assert res.ranked == []
+                assert res.stage_counters == {"stage1_moments": 0}
+
     def test_chance_is_permutation(self, planted):
         preset, corpus, queries, _ = planted
         universe = corpus.total_candidates(preset.enum)

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from momentsearch.core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta
+from momentsearch.core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta, temporal_iou
 from momentsearch.costs import clip_distances, moment_cost_cal
 from momentsearch.dataio import Corpus, SyntheticSpec, generate_synthetic
-from momentsearch.enumeration import EnumConfig, get_preset
-from momentsearch.model import ModelDims, ModelParams, compute_context, embed_clips, embed_query, init_params
+from momentsearch.enumeration import EnumConfig, enumerate_moments, get_preset
+from momentsearch.model import (
+    ModelDims,
+    ModelParams,
+    compute_context,
+    embed_clips,
+    embed_query,
+    init_params,
+    tef,
+)
 from momentsearch.training import (
     TrainConfig,
     TrainDataset,
@@ -20,7 +28,7 @@ from momentsearch.training import (
     sgd_step,
     train,
 )
-from conftest import identity_visual_params
+from conftest import identity_visual_params, varied_corpus
 
 
 def tiny_dataset(seed: int, num_videos: int = 3, num_clips: int = 5,
@@ -39,6 +47,48 @@ def tiny_dataset(seed: int, num_videos: int = 3, num_clips: int = 5,
         words = rng.standard_normal((int(rng.integers(2, 5)), word_dim))
         queries.append(Query(f"q{i:02d}", words, GroundTruth(vid, (span,))))
     return TrainDataset(Corpus(videos, features), queries, cfg)
+
+
+def align_reference(query, candidates):
+    """The per-candidate loop that picked the aligned positive."""
+    best, best_iou = candidates[0], -1.0
+    for m in candidates:
+        iou = max(temporal_iou(m.span, a) for a in query.ground_truth.annotations)
+        if iou > best_iou:
+            best, best_iou = m, iou
+    return best
+
+
+def intra_pool_reference(query, candidates, exclusion_iou):
+    """The per-candidate loop that built an intra-negative pool."""
+    return [m for m in candidates
+            if max(temporal_iou(m.span, a) for a in query.ground_truth.annotations)
+            < exclusion_iou]
+
+
+@pytest.mark.parametrize("preset_name", ["didemo", "charades-sta", "activitynet"])
+def test_dataset_equals_per_candidate_reference(preset_name):
+    enum = get_preset(preset_name).enum
+    # The second grid's minimum length exceeds some videos' clip counts.
+    for enum_cfg in (enum, EnumConfig(enum.clip_length, 9, stride_ratio=0.3,
+                                      min_moment_clips=6)):
+        corpus, queries = varied_corpus(np.random.default_rng(7), enum_cfg.clip_length)
+        dataset = TrainDataset(corpus, queries, enum_cfg)
+        for video in corpus.videos:
+            cands = enumerate_moments(video, enum_cfg)
+            assert dataset.candidates[video.video_id] == cands
+            assert dataset._norm_endpoints[video.video_id].tolist() == \
+                [list(tef(m, video)) for m in cands]
+        kept = [q for q in queries if dataset.candidates[q.ground_truth.video_id]]
+        assert [q.query_id for q in dataset.queries] == [q.query_id for q in kept]
+        for qi, q in enumerate(kept):
+            cands = dataset.candidates[q.ground_truth.video_id]
+            assert dataset.positives[qi] is align_reference(q, cands)
+        for exclusion in (0.35, 0.5, 1.0, 0.0):
+            for qi, q in enumerate(kept):
+                cands = dataset.candidates[q.ground_truth.video_id]
+                assert dataset.intra_pool(qi, exclusion) == \
+                    intra_pool_reference(q, cands, exclusion)
 
 
 def finite_difference_grads(dataset, triples, params, cfg, h=1e-5):
