@@ -7,7 +7,9 @@ Exact byte layouts live in FORMATS.md at the repo root.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass
@@ -39,12 +41,24 @@ def stable_u32(text: str) -> int:
 
 
 def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
-    data = f.read(n)
+    """Read exactly `n` bytes. A length of more than one buffer is first
+    compared with the bytes left in the file, so a corrupted size field is
+    refused before that many bytes are requested."""
+    if n > io.DEFAULT_BUFFER_SIZE and n > os.fstat(f.fileno()).st_size - f.tell():
+        data = b""
+    else:
+        data = f.read(n)
     if len(data) != n:
-        raise FormatError(
-            f"{path}: truncated while reading {what} at byte {f.tell() - len(data)}"
-        )
+        raise FormatError(f"{path}: truncated while reading {what} at byte "
+                          f"{f.tell() - len(data)} ({n} bytes declared)")
     return data
+
+
+def _decode(data: bytes, what: str, path: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {what} is not UTF-8: {e}") from None
 
 
 def _expect_eof(f: BinaryIO, path: str) -> None:
@@ -125,23 +139,41 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             name_len = int(np.frombuffer(_read_exact(f, 2, "name length", path), "<u2")[0])
-            name = _read_exact(f, name_len, "tensor name", path).decode("utf-8")
+            name = _decode(_read_exact(f, name_len, "tensor name", path), "tensor name", path)
             rank = int(np.frombuffer(_read_exact(f, 1, "rank", path), "u1")[0])
+            shape_at = f.tell()
             shape = tuple(
                 int(x) for x in np.frombuffer(_read_exact(f, 4 * rank, "dims", path), "<u4")
             )
-            n_elems = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(f, n_elems * 8, f"payload of {name}", path)
-            tensors[name] = np.frombuffer(payload, "<f8").reshape(shape).copy()
+            payload = _read_exact(f, math.prod(shape) * 8, f"payload of {name}", path)
+            try:
+                tensors[name] = np.frombuffer(payload, "<f8").reshape(shape).copy()
+            except ValueError as e:  # e.g. a zero dim beside dims too large for numpy
+                raise FormatError(
+                    f"{path}: shape {shape} of {name} at byte {shape_at}: {e}") from None
         cfg_len = int(np.frombuffer(_read_exact(f, 4, "config length", path), "<u4")[0])
-        config = json.loads(_read_exact(f, cfg_len, "config", path).decode("utf-8"))
+        config_at = f.tell()
+        blob = _decode(_read_exact(f, cfg_len, "config", path), "config", path)
         _expect_eof(f, path)
-    dims = ModelDims(**config.pop("dims"))
+    try:
+        config = json.loads(blob)
+    except ValueError as e:
+        raise FormatError(f"{path}: invalid config record at byte {config_at}: {e}") from None
+    if not isinstance(config, dict) or not isinstance(config.get("dims"), dict):
+        raise FormatError(f"{path}: config record at byte {config_at} must be a JSON object "
+                          "with a 'dims' object")
+    try:
+        dims = ModelDims(**config.pop("dims"))
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad 'dims' in the config record: {e}") from None
     missing = [n for n in ModelParams.TENSOR_NAMES if n not in tensors]
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
     params = ModelParams(dims, *(tensors[n] for n in ModelParams.TENSOR_NAMES))
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
     return params, config
 
 

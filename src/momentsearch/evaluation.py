@@ -111,6 +111,32 @@ def median_rank(
     return (ranks[mid - 1] + ranks[mid]) / 2.0
 
 
+def _oracle_reach(
+    corpus: Corpus,
+    ground_truths: dict[str, GroundTruth],
+    enum_cfg: EnumConfig,
+    min_judgments: int,
+) -> np.ndarray:
+    """Per ground truth, the largest IoU threshold at which some candidate of
+    its video overlaps `min_judgments` annotations: over the candidates, the
+    largest `min_judgments`-th largest annotation IoU. -inf when the video has
+    no candidate or too few annotations."""
+    if min_judgments < 1:
+        raise ValueError("min_judgments must be at least 1")
+    reach = []
+    for gt in ground_truths.values():
+        video = corpus.video(gt.video_id)
+        spans = clip_spans(video, *candidate_clips(video.num_clips, enum_cfg).T)
+        if len(spans) == 0 or len(gt.annotations) < min_judgments:
+            reach.append(-np.inf)
+        else:
+            ious = np.sort([span_ious(spans, a.start, a.end) for a in gt.annotations], axis=0)
+            reach.append(ious[-min_judgments].max())
+    if not reach:
+        raise ValueError("no ground truths to evaluate")
+    return np.asarray(reach)
+
+
 def oracle_recall(
     corpus: Corpus,
     ground_truths: dict[str, GroundTruth],
@@ -120,16 +146,7 @@ def oracle_recall(
 ) -> float:
     """Best achievable recall: the share of ground truths whose video has a
     candidate with IoU >= `iou_thr` against `min_judgments` annotations."""
-    hits = []
-    for gt in ground_truths.values():
-        video = corpus.video(gt.video_id)
-        spans = clip_spans(video, *candidate_clips(video.num_clips, enum_cfg).T)
-        judged = np.sum([span_ious(spans, a.start, a.end) >= iou_thr for a in gt.annotations],
-                        axis=0)
-        hits.append(1 if np.any(judged >= min_judgments) else 0)
-    if not hits:
-        raise ValueError("no ground truths to evaluate")
-    return float(np.mean(hits))
+    return float(np.mean(_oracle_reach(corpus, ground_truths, enum_cfg, min_judgments) >= iou_thr))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +255,9 @@ def build_report(
 
     exhaustive = (universe is not None and declared_top_k is not None
                   and declared_top_k >= universe)
+    reach = None
+    if corpus is not None and enum_cfg is not None:
+        reach = _oracle_reach(corpus, ground_truths, enum_cfg, min_judgments)
     for col, iou in enumerate(ious):
         ranks = rank_table[:, col]
         for k in ks:
@@ -250,8 +270,8 @@ def build_report(
                 float(ordered[mid]) if n % 2 == 1
                 else (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
             )
-        if corpus is not None and enum_cfg is not None:
-            report.oracle[iou] = oracle_recall(corpus, ground_truths, enum_cfg, iou, min_judgments)
+        if reach is not None:
+            report.oracle[iou] = float(np.mean(reach >= iou))
     report.validate()
     return report
 

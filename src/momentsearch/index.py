@@ -284,11 +284,13 @@ def load_index(path: str, video_ids: tuple[str, ...]):
         flavor = int(np.frombuffer(_read_exact(f, 1, "flavor", path), "u1")[0])
         dim = int(np.frombuffer(_read_exact(f, 4, "dim", path), "<u4")[0])
         count = int(np.frombuffer(_read_exact(f, 8, "entry count", path), "<u8")[0])
+        if count == 0:
+            raise FormatError(f"{path}: entry count at byte 11 is 0; an index needs entries")
         raw = _read_exact(f, count * (2 + dim) * 4, "entries", path)
         interleaved = np.frombuffer(raw, "<u4").reshape(count, 2 + dim)
         keys = interleaved[:, :2].astype(np.uint32)
         vectors = interleaved[:, 2:].copy().view("<f4")
-        max_ordinal = int(keys[:, 0].max()) if count else 0
+        max_ordinal = int(keys[:, 0].max())
         if max_ordinal >= len(video_ids):
             raise FormatError(f"{path}: entry references video ordinal {max_ordinal}, "
                               f"but only {len(video_ids)} ids were supplied")

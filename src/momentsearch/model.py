@@ -142,13 +142,15 @@ def tef(moment: Moment, video: VideoMeta) -> tuple[float, float]:
 def assemble_visual_inputs(
     clip_features: np.ndarray,
     context: np.ndarray,
-    tef_pair: Optional[tuple[float, float]],
+    tef_pair: Optional[np.ndarray | tuple[float, float]],
     dims: ModelDims,
 ) -> np.ndarray:
     """Stack per-clip MLP input rows: clip feature | context | optional TEF.
 
-    The context and TEF are tiled across all rows. In tef_only mode the
-    visual and context slots are zeroed so only the endpoints carry signal.
+    `context` and `tef_pair` are each one row shared by every clip or one
+    row per clip; this is the only place where a moment's rows become MLP
+    inputs. In tef_only mode the visual and context slots are zeroed so only
+    the endpoints carry signal.
     """
     feats = np.asarray(clip_features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != dims.visual_in:
@@ -157,7 +159,7 @@ def assemble_visual_inputs(
     if dims.use_tef:
         if tef_pair is None:
             raise ValueError("model uses TEF but no endpoints were supplied")
-        tef_cols = np.tile(np.asarray(tef_pair, dtype=np.float64), (n, 1))
+        tef_cols = _per_row(tef_pair, n, 2, "TEF endpoints")
     else:
         if tef_pair is not None:
             raise ValueError("TEF supplied to a model that does not use it")
@@ -166,8 +168,16 @@ def assemble_visual_inputs(
         feats = np.zeros_like(feats)
         ctx_cols = np.zeros((n, dims.visual_in))
     else:
-        ctx_cols = np.tile(np.asarray(context, dtype=np.float64), (n, 1))
+        ctx_cols = _per_row(context, n, dims.visual_in, "context")
     return np.concatenate([feats, ctx_cols, tef_cols], axis=1)
+
+
+def _per_row(values, n: int, width: int, what: str) -> np.ndarray:
+    """A (width,) row or an (n, width) block, read as n rows."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape not in ((width,), (n, width)):
+        raise ValueError(f"{what} must be ({width},) or ({n}, {width}), got {arr.shape}")
+    return np.broadcast_to(arr, (n, width))
 
 
 def mlp_forward(inputs: np.ndarray, params: ModelParams, want_cache: bool = False):
@@ -186,7 +196,7 @@ def mlp_forward(inputs: np.ndarray, params: ModelParams, want_cache: bool = Fals
 def embed_clips(
     clip_features: np.ndarray,
     context: np.ndarray,
-    tef_pair: Optional[tuple[float, float]],
+    tef_pair: Optional[np.ndarray | tuple[float, float]],
     params: ModelParams,
 ) -> np.ndarray:
     """Embed clip rows through the visual head; one output row per clip."""

@@ -193,23 +193,24 @@ def sample_triples(
 
 def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: ModelDims,
                     variant: str):
-    """Flatten a batch into MLP input rows plus padded query word tensors."""
-    blocks, seg = [], []
-    for t_idx, triple in enumerate(triples):
-        roles = (triple.positive, triple.intra_negative, triple.inter_negative)
-        for role_idx, moment in enumerate(roles):
-            m_idx = 3 * t_idx + role_idx
-            video = dataset.corpus.video(moment.video_id)
-            feats = dataset.corpus.features_for(moment.video_id)
-            ctx = dataset.context_for(moment.video_id)
-            pair = tef(moment, video) if dims.use_tef else None
-            clip_rows = feats[moment.first_clip:moment.last_clip + 1]
-            if variant == "aggregate":
-                clip_rows = clip_rows.mean(axis=0)[None, :]
-            blocks.append(assemble_visual_inputs(clip_rows, ctx, pair, dims))
-            seg.extend([m_idx] * blocks[-1].shape[0])
-    x = np.concatenate(blocks, axis=0)
-    seg = np.asarray(seg, dtype=np.int64)
+    """Flatten a batch into MLP input rows plus padded query word tensors.
+
+    Each moment contributes its clip rows (one pooled row under "aggregate"),
+    its video's context and, under TEF, its endpoints; one
+    `assemble_visual_inputs` call builds every row of the batch.
+    """
+    moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
+    rows, contexts, pairs = [], [], []
+    for moment in moments:
+        clip_rows = dataset.corpus.features_for(moment.video_id)[
+            moment.first_clip:moment.last_clip + 1]
+        rows.append(clip_rows.mean(axis=0)[None, :] if variant == "aggregate" else clip_rows)
+        contexts.append(dataset.context_for(moment.video_id))
+        if dims.use_tef:
+            pairs.append(tef(moment, dataset.corpus.video(moment.video_id)))
+    seg = np.repeat(np.arange(len(moments)), [len(r) for r in rows])
+    x = assemble_visual_inputs(np.concatenate(rows), np.asarray(contexts)[seg],
+                               np.asarray(pairs)[seg] if dims.use_tef else None, dims)
     z_counts = np.bincount(seg, minlength=3 * len(triples)).astype(np.float64)
 
     lengths = [dataset.queries[t.query_index].word_vectors.shape[0] for t in triples]

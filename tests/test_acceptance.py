@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from momentsearch.core import GroundTruth, TemporalSpan, VideoMeta, temporal_iou
-from momentsearch.costs import clip_distances, moment_cost_cal
+from momentsearch.costs import cal_costs, sq_distances
 from momentsearch.dataio import (
     SyntheticSpec,
     generate_synthetic,
@@ -99,15 +99,11 @@ def test_criterion_02_cost_engine_oracle():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 129))
-        emb = rng.standard_normal((n, 8))
-        q = rng.standard_normal(8)
-        table = clip_distances(q, emb)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                fast = moment_cost_cal(table, i, j)
-                slow = float(np.mean(table.distances[i:j + 1]))
-                denom = max(abs(slow), 1e-300)
-                worst = max(worst, abs(fast - slow) / denom)
+        d = sq_distances(rng.standard_normal((n, 8)), rng.standard_normal(8))
+        firsts, lasts = np.triu_indices(n, k=1)
+        fast = cal_costs(d, firsts, lasts)
+        slow = np.array([np.mean(d[i:j + 1]) for i, j in zip(firsts, lasts)])
+        worst = max(worst, float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300))))
     ok_naive = worst <= 1e-9
 
     ok_invariance = True
@@ -117,16 +113,16 @@ def test_criterion_02_cost_engine_oracle():
         emb = dyadic(rng, (n, 4))
         q = dyadic(rng, (4,))
         shift = dyadic(rng, (4,))
-        base = clip_distances(q, emb)
-        moved = clip_distances(q + shift, emb + shift)
-        if not np.array_equal(base.distances, moved.distances):
+        pairs = np.triu_indices(n, k=1)
+        base = sq_distances(emb, q)
+        moved = sq_distances(emb + shift, q + shift)
+        base_costs = cal_costs(base, *pairs)
+        if not (np.array_equal(base, moved)
+                and np.array_equal(base_costs, cal_costs(moved, *pairs))):
             ok_invariance = False
             break
         scale = float(rng.uniform(0.1, 10.0))
-        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        scaled = clip_distances(scale * q, scale * emb)
-        base_costs = [moment_cost_cal(base, i, j) for i, j in pairs]
-        scaled_costs = [moment_cost_cal(scaled, i, j) for i, j in pairs]
+        scaled_costs = cal_costs(sq_distances(scale * emb, scale * q), *pairs)
         if int(np.argmin(base_costs)) != int(np.argmin(scaled_costs)):
             ok_invariance = False
             break

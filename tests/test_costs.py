@@ -4,9 +4,7 @@ import pytest
 from momentsearch.core import Moment, VideoMeta
 from momentsearch.costs import (
     CostCounters,
-    clip_distances,
-    moment_cost_aggregate,
-    moment_cost_cal,
+    cal_costs,
     score_moments,
     sq_distances,
 )
@@ -25,68 +23,54 @@ def naive_cal_cost(distances, i, j):
     return float(np.mean(distances[i:j + 1]))
 
 
+def all_ranges(n):
+    """(firsts, lasts) of every range i < j of n clips."""
+    return np.triu_indices(n, k=1)
+
+
 class TestClipDistances:
     def test_zero_for_identical(self):
         q = np.array([1.0, 2.0])
-        table = clip_distances(q, np.array([[1.0, 2.0]]))
-        assert table.distances[0] == 0.0
+        assert sq_distances(np.array([[1.0, 2.0]]), q)[0] == 0.0
 
     def test_worked_example(self):
-        q = np.zeros(2)
-        table = clip_distances(q, np.array([[1.0, 0.0], [0.0, 2.0]]))
-        np.testing.assert_array_equal(table.distances, [1.0, 4.0])
-        np.testing.assert_array_equal(table.prefix, [0.0, 1.0, 5.0])
+        d = sq_distances(np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(2))
+        np.testing.assert_array_equal(d, [1.0, 4.0])
+        np.testing.assert_array_equal(cal_costs(d, np.array([0, 0, 1]), np.array([0, 1, 1])),
+                                      [1.0, 2.5, 4.0])
 
     def test_prefix_invariant(self, rng):
         emb = rng.standard_normal((17, 5))
         q = rng.standard_normal(5)
-        table = clip_distances(q, emb)
-        assert table.prefix[0] == 0.0
-        np.testing.assert_allclose(np.diff(table.prefix), table.distances, rtol=1e-12)
-        assert np.all(table.distances >= 0)
+        d = sq_distances(emb, q)
+        single = np.arange(17)
+        np.testing.assert_allclose(cal_costs(d, single, single), d, rtol=1e-12)
+        assert np.all(d >= 0)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
-            clip_distances(rng.standard_normal(3), rng.standard_normal((4, 5)))
+            sq_distances(rng.standard_normal((4, 5)), rng.standard_normal(3))
 
 
 class TestMomentCostCal:
     def test_worked_examples(self):
-        table = clip_distances(np.zeros(1), np.array([[1.0], [np.sqrt(3) ** 1], [0.0]]))
-        table.distances = np.array([1.0, 3.0, 5.0])
-        table.prefix = np.array([0.0, 1.0, 4.0, 9.0])
-        assert moment_cost_cal(table, 0, 2) == pytest.approx(3.0)
-        assert moment_cost_cal(table, 0, 1) == pytest.approx(2.0)
+        costs = cal_costs(np.array([1.0, 3.0, 5.0]), np.array([0, 0]), np.array([2, 1]))
+        np.testing.assert_array_equal(costs, [3.0, 2.0])
 
     def test_constant_distances(self, rng):
         emb = np.tile(rng.standard_normal(4), (9, 1))
-        q = rng.standard_normal(4)
-        table = clip_distances(q, emb)
-        d = table.distances[0]
-        for i in range(8):
-            for j in range(i + 1, 9):
-                assert moment_cost_cal(table, i, j) == pytest.approx(d, rel=1e-12)
-
-    def test_single_clip_rejected(self, rng):
-        table = clip_distances(rng.standard_normal(3), rng.standard_normal((5, 3)))
-        with pytest.raises(ValueError):
-            moment_cost_cal(table, 2, 2)
-        with pytest.raises(ValueError):
-            moment_cost_cal(table, 3, 1)
+        d = sq_distances(emb, rng.standard_normal(4))
+        np.testing.assert_allclose(cal_costs(d, *all_ranges(9)), d[0], rtol=1e-12)
 
     def test_prefix_equals_naive_on_random_videos(self):
         # all (i, j) pairs on 100 random videos with up to 128 clips
         rng = np.random.default_rng(123)
         for _ in range(100):
             n = int(rng.integers(2, 129))
-            emb = rng.standard_normal((n, 8))
-            q = rng.standard_normal(8)
-            table = clip_distances(q, emb)
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    fast = moment_cost_cal(table, i, j)
-                    slow = naive_cal_cost(table.distances, i, j)
-                    assert fast == pytest.approx(slow, rel=1e-9)
+            d = sq_distances(rng.standard_normal((n, 8)), rng.standard_normal(8))
+            firsts, lasts = all_ranges(n)
+            slow = [naive_cal_cost(d, i, j) for i, j in zip(firsts, lasts)]
+            np.testing.assert_allclose(cal_costs(d, firsts, lasts), slow, rtol=1e-9)
 
     def test_translation_invariance_exact(self):
         # On a dyadic grid every addition is exact, so costs match bitwise.
@@ -96,10 +80,11 @@ class TestMomentCostCal:
             emb = dyadic(rng, (n, 4))
             q = dyadic(rng, (4,))
             shift = dyadic(rng, (4,))
-            base = clip_distances(q, emb)
-            moved = clip_distances(q + shift, emb + shift)
-            np.testing.assert_array_equal(base.distances, moved.distances)
-            np.testing.assert_array_equal(base.prefix, moved.prefix)
+            base = sq_distances(emb, q)
+            moved = sq_distances(emb + shift, q + shift)
+            np.testing.assert_array_equal(base, moved)
+            np.testing.assert_array_equal(cal_costs(base, *all_ranges(n)),
+                                          cal_costs(moved, *all_ranges(n)))
 
     def test_scaling_preserves_argmin(self):
         rng = np.random.default_rng(6)
@@ -108,52 +93,51 @@ class TestMomentCostCal:
             emb = rng.standard_normal((n, 4))
             q = rng.standard_normal(4)
             scale = float(rng.uniform(0.1, 10.0))
-            pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-            base_table = clip_distances(q, emb)
-            scaled_table = clip_distances(scale * q, scale * emb)
-            base_costs = [moment_cost_cal(base_table, i, j) for i, j in pairs]
-            scaled_costs = [moment_cost_cal(scaled_table, i, j) for i, j in pairs]
+            base = sq_distances(emb, q)
+            base_costs = cal_costs(base, *all_ranges(n))
+            scaled_costs = cal_costs(sq_distances(scale * emb, scale * q), *all_ranges(n))
             assert int(np.argmin(base_costs)) == int(np.argmin(scaled_costs))
             if trial % 10 == 0:
                 # power-of-two scales keep even the cost values exact
-                t2 = clip_distances(2.0 * q, 2.0 * emb)
-                np.testing.assert_array_equal(t2.distances, 4.0 * base_table.distances)
+                np.testing.assert_array_equal(sq_distances(2.0 * emb, 2.0 * q), 4.0 * base)
 
 
 class TestMomentCostAggregate:
+    """The aggregate variant of `score_moments`, one moment at a time."""
+
     def _video(self, rng, n=6, dim=4):
         video = VideoMeta("v", n * 2.0, 2.0, n)
         feats = rng.standard_normal((n, dim))
         return video, feats
 
+    @staticmethod
+    def _cost(video, feats, q, variant, params, first, last):
+        return score_moments(video, feats, q, variant, params,
+                             np.array([first]), np.array([last]))[0]
+
     def test_identical_clips_match_cal_under_identity_heads(self, rng):
         params = identity_visual_params(visual_in=4)
         video, feats = self._video(rng)
         feats[1:4] = feats[1]  # moment of identical clips
-        moment = Moment.from_clips(video, 1, 3)
-        ctx = compute_context(feats)
         q = rng.standard_normal(4)
-        agg = moment_cost_aggregate(q, feats, ctx, None, moment, params)
-        table = clip_distances(q, feats)  # identity head: embeddings == features
-        cal = moment_cost_cal(table, 1, 3)
+        agg = self._cost(video, feats, q, "aggregate", params, 1, 3)
+        cal = self._cost(video, feats, q, "cal", params, 1, 3)  # embeddings == features
         assert agg == pytest.approx(cal, rel=1e-12)
 
     def test_zero_when_pooled_embedding_hits_query(self, rng):
         params = identity_visual_params(visual_in=4)
         video, feats = self._video(rng)
-        moment = Moment.from_clips(video, 0, 2)
         pooled = feats[0:3].mean(axis=0)
-        agg = moment_cost_aggregate(pooled, feats, compute_context(feats), None, moment, params)
+        agg = self._cost(video, feats, pooled, "aggregate", params, 0, 2)
         assert agg == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_independent_path(self, rng):
         dims = ModelDims(4, 4, hidden_mlp=6, embed=5, hidden_lstm=4)
         params = init_params(dims, 11)
         video, feats = self._video(rng)
-        moment = Moment.from_clips(video, 2, 4)
         ctx = compute_context(feats)
         q = rng.standard_normal(5)
-        got = moment_cost_aggregate(q, feats, ctx, None, moment, params)
+        got = self._cost(video, feats, q, "aggregate", params, 2, 4)
         # independent: pool, affine-relu-affine, squared distance
         pooled = feats[2:5].mean(axis=0)
         row = np.concatenate([pooled, ctx])
@@ -196,11 +180,10 @@ class TestScoreAllMoments:
         from momentsearch.model import embed_clips
 
         grid, costs = self._score_all(video, feats, q, "cal", cfg, params)
-        emb = embed_clips(feats, compute_context(feats), None, params)
-        table = clip_distances(q, emb, "v")
+        d = sq_distances(embed_clips(feats, compute_context(feats), None, params), q)
+        np.testing.assert_array_equal(costs, cal_costs(d, *grid.T))
         for (first, last), cost in zip(grid.tolist(), costs):
-            expect = moment_cost_cal(table, first, last)
-            assert cost == expect
+            assert cost == pytest.approx(naive_cal_cost(d, first, last), rel=1e-12)
 
     def test_tef_variant_costs(self, rng):
         cfg = EnumConfig(clip_length=2.0, max_moment_clips=4, stride_seconds=2.0)

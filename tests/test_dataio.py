@@ -1,8 +1,12 @@
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentsearch.core import TemporalSpan
 from momentsearch.dataio import (
@@ -23,7 +27,9 @@ from momentsearch.dataio import (
     write_results,
 )
 from momentsearch.enumeration import get_preset
+from momentsearch.index import build_ivf, load_index, save_index
 from momentsearch.model import ModelDims, ModelParams, init_params
+from conftest import make_corpus
 
 
 class TestFeatureFiles:
@@ -55,6 +61,13 @@ class TestFeatureFiles:
         with open(path, "ab") as f:
             f.write(b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            read_features(path)
+
+    def test_declared_shape_past_the_file_rejected_before_reading(self, tmp_path):
+        path = str(tmp_path / "huge.calf")
+        with open(path, "wb") as f:
+            f.write(b"CALF" + struct.pack("<HII", 1, 2 ** 31, 2 ** 20) + b"\x00" * 16)
+        with pytest.raises(FormatError, match=r"truncated while reading payload at byte 14"):
             read_features(path)
 
     def test_nan_rejected(self, tmp_path):
@@ -104,6 +117,61 @@ class TestCheckpoints:
         with open(path, "ab") as f:
             f.write(b"junk")
         with pytest.raises(FormatError, match="trailing"):
+            read_checkpoint(path)
+
+
+    @staticmethod
+    def _rewrite_first_shape(path, dims):
+        """Give the first tensor (mlp_w1, rank 2) a declared shape of `dims`."""
+        data = open(path, "rb").read()
+        name_len = struct.unpack_from("<H", data, 10)[0]
+        rank_at = 12 + name_len
+        assert data[rank_at] == 2
+        shape = struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+        with open(path, "wb") as f:
+            f.write(data[:rank_at] + shape + data[rank_at + 9:])
+
+    @pytest.mark.parametrize("shape", [
+        (2 ** 30, 2 ** 30),          # 2^63 payload bytes
+        (2 ** 16,) * 4,              # 2^64 elements: an int64 product wraps to 0
+    ])
+    def test_declared_tensor_shape_past_the_file_rejected(self, tmp_path, shape):
+        path = str(tmp_path / "m.calw")
+        write_checkpoint(path, init_params(ModelDims(3, 4, hidden_mlp=5, embed=4,
+                                                     hidden_lstm=6), 0), {})
+        self._rewrite_first_shape(path, shape)
+        with pytest.raises(FormatError, match="truncated while reading payload of mlp_w1"):
+            read_checkpoint(path)
+
+    def test_tensors_disagreeing_with_dims_rejected(self, tmp_path):
+        path = str(tmp_path / "m.calw")
+        write_checkpoint(path, init_params(ModelDims(3, 4, hidden_mlp=5, embed=4,
+                                                     hidden_lstm=6), 0), {})
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(data.replace(b'"visual_in": 3', b'"visual_in": 4'))
+        with pytest.raises(FormatError, match=r"m\.calw: mlp_w1: expected shape"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("record", [
+        "[1, 2]",
+        '{"dims": 5}',
+        '{"dims": {"visual_in": 3, "word_in": 4, "colour": 1}}',
+        '{"seed": 1}',
+        '{"dims": {"visual_in": 0, "word_in": 4}}',
+        '{"dims": ',
+    ])
+    def test_malformed_config_record_rejected(self, tmp_path, record):
+        dims = ModelDims(3, 4, hidden_mlp=5, embed=4, hidden_lstm=6)
+        path = str(tmp_path / "m.calw")
+        write_checkpoint(path, init_params(dims, 0), {})
+        blob = json.dumps({"dims": vars(dims)}, sort_keys=True).encode()
+        data = open(path, "rb").read()
+        assert data.endswith(struct.pack("<I", len(blob)) + blob)
+        new_blob = record.encode()
+        with open(path, "wb") as f:
+            f.write(data[:-len(blob) - 4] + struct.pack("<I", len(new_blob)) + new_blob)
+        with pytest.raises(FormatError, match=r"m\.calw: .*config record|m\.calw: bad 'dims'"):
             read_checkpoint(path)
 
 
@@ -261,3 +329,83 @@ class TestSyntheticGenerator:
                 for j in range(i + 1, len(spans)):
                     overlap = min(spans[i].end, spans[j].end) - max(spans[i].start, spans[j].start)
                     assert overlap <= 0
+
+
+# ---------------------------------------------------------------------------
+# Malformed binary files: truncation at every byte, corrupted size fields
+# ---------------------------------------------------------------------------
+
+
+def _small_binaries(root):
+    """Write one small file of each binary format; return {kind: (path, loader)}."""
+    rng = np.random.default_rng(0)
+    calf = os.path.join(root, "m.calf")
+    write_features(calf, rng.standard_normal((3, 2)).astype(np.float32))
+    calw = os.path.join(root, "m.calw")
+    params = init_params(ModelDims(2, 2, hidden_mlp=2, embed=2, hidden_lstm=1), 0)
+    write_checkpoint(calw, params, {"seed": 0})
+    corpus = make_corpus(rng, num_videos=2, num_clips=3, visual_dim=2)
+    index = build_ivf(corpus, params, partitions=2, seed=0)
+    calx = os.path.join(root, "m.calx")
+    save_index(index, calx)
+    return {
+        "calf": (calf, read_features),
+        "calw": (calw, read_checkpoint),
+        "calx": (calx, lambda path: load_index(path, index.video_ids)),
+    }
+
+
+def _size_fields(kind, data):
+    """(offset, width) of every length, count or shape field of a file."""
+    if kind == "calf":
+        return [(6, 4), (10, 4)]
+    if kind == "calx":
+        dim, count = struct.unpack_from("<IQ", data, 7)
+        return [(7, 4), (11, 8), (19 + count * (2 + dim) * 4, 4)]
+    fields, pos = [(6, 4)], 10
+    for _ in range(struct.unpack_from("<I", data, 6)[0]):
+        name_len = struct.unpack_from("<H", data, pos)[0]
+        fields.append((pos, 2))
+        pos += 2 + name_len
+        rank = data[pos]
+        fields.append((pos, 1))
+        shape = struct.unpack_from(f"<{rank}I", data, pos + 1)
+        fields += [(pos + 1 + 4 * k, 4) for k in range(rank)]
+        pos += 1 + 4 * rank + 8 * math.prod(shape)
+    return fields + [(pos, 4)]
+
+
+@pytest.fixture(scope="module")
+def small_binaries(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("binaries"))
+    return root, _small_binaries(root)
+
+
+@pytest.mark.parametrize("kind", ["calf", "calw", "calx"])
+def test_truncation_at_every_byte_rejected(small_binaries, kind):
+    root, files = small_binaries
+    path, load = files[kind]
+    data = open(path, "rb").read()
+    cut_path = os.path.join(root, f"cut.{kind}")
+    for cut in range(len(data)):
+        with open(cut_path, "wb") as f:
+            f.write(data[:cut])
+        with pytest.raises(FormatError):
+            load(cut_path)
+
+
+@pytest.mark.parametrize("kind", ["calf", "calw", "calx"])
+@settings(max_examples=150, deadline=None)
+@given(pick=st.data())
+def test_corrupted_size_field_rejected(small_binaries, kind, pick):
+    root, files = small_binaries
+    path, load = files[kind]
+    data = open(path, "rb").read()
+    offset, width = pick.draw(st.sampled_from(_size_fields(kind, data)))
+    value = pick.draw(st.integers(0, 2 ** (8 * width) - 1))
+    assume(value != int.from_bytes(data[offset:offset + width], "little"))
+    bad_path = os.path.join(root, f"bad.{kind}")
+    with open(bad_path, "wb") as f:
+        f.write(data[:offset] + value.to_bytes(width, "little") + data[offset + width:])
+    with pytest.raises(FormatError, match=r"bad\." + kind):
+        load(bad_path)

@@ -269,6 +269,15 @@ class TestOracleRecall:
         for iou in (0.5, 0.7, 1.0):
             assert oracle_recall(corpus, gts, preset.enum, iou, min_judgments=2) == 1.0
 
+    def test_min_judgments_below_one_rejected(self, rng):
+        from conftest import make_corpus
+        from momentsearch.enumeration import get_preset
+
+        corpus = make_corpus(rng, num_videos=1, num_clips=12, clip_length=2.5)
+        gts = {"q": GroundTruth(corpus.videos[0].video_id, (span(5.0, 10.0),))}
+        with pytest.raises(ValueError, match="min_judgments"):
+            oracle_recall(corpus, gts, get_preset("didemo").enum, 0.5, min_judgments=0)
+
     def test_matches_brute_force_max_iou(self, rng):
         from conftest import make_corpus
         from momentsearch.enumeration import enumerate_moments, get_preset
@@ -324,6 +333,23 @@ def test_oracle_recall_equals_per_moment_reference(preset_name):
                 got = oracle_recall(corpus, gts, enum_cfg, iou_thr, min_judgments)
                 assert got == oracle_recall_reference(corpus, gts, enum_cfg, iou_thr,
                                                       min_judgments)
+
+
+@pytest.mark.parametrize("min_judgments", [1, 2, 3])
+def test_report_oracle_equals_oracle_recall(min_judgments):
+    from conftest import varied_corpus
+    from momentsearch.enumeration import get_preset
+
+    enum_cfg = get_preset("charades-sta").enum
+    corpus, queries = varied_corpus(np.random.default_rng(9), enum_cfg.clip_length)
+    gts = {q.query_id: q.ground_truth for q in queries}
+    results = {qid: [] for qid in gts}
+    ious = (0.1, 0.3, 0.5, 0.7, 1.0)
+    report = build_report(results, gts, ks=(1,), ious=ious, min_judgments=min_judgments,
+                          corpus=corpus, enum_cfg=enum_cfg)
+    assert report.oracle == {
+        iou: oracle_recall(corpus, gts, enum_cfg, iou, min_judgments) for iou in ious}
+    assert 0.0 < report.oracle[0.1] and report.oracle[1.0] < 1.0
 
 
 class TestReports:

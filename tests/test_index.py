@@ -195,6 +195,28 @@ class TestPersistence:
         with pytest.raises(FormatError, match="truncated"):
             load_index(path, index.video_ids)
 
+    def test_declared_entry_count_past_the_file_rejected(self, tmp_path, rng):
+        corpus = make_corpus(rng, num_videos=3, num_clips=5)
+        index = build_exact(corpus, small_params())
+        path = str(tmp_path / "x.calx")
+        save_index(index, path)
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:  # the u8 entry count follows magic, version, flavor, dim
+            f.write(data[:11] + (2 ** 40).to_bytes(8, "little") + data[19:])
+        with pytest.raises(FormatError, match="truncated while reading entries at byte 19"):
+            load_index(path, index.video_ids)
+
+    def test_empty_index_rejected_as_format_error(self, tmp_path, rng):
+        corpus = make_corpus(rng, num_videos=3, num_clips=5)
+        index = build_exact(corpus, small_params())
+        path = str(tmp_path / "x.calx")
+        save_index(index, path)
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:  # header only, declaring zero entries
+            f.write(data[:11] + (0).to_bytes(8, "little"))
+        with pytest.raises(FormatError, match="entry count at byte 11 is 0"):
+            load_index(path, index.video_ids)
+
     def test_ordinal_out_of_range(self, tmp_path, rng):
         corpus = make_corpus(rng, num_videos=3, num_clips=5)
         index = build_exact(corpus, small_params())

@@ -5,6 +5,7 @@ from momentsearch.core import Moment, TemporalSpan, VideoMeta
 from momentsearch.model import (
     ModelDims,
     ModelParams,
+    assemble_visual_inputs,
     compute_context,
     embed_clips,
     embed_query,
@@ -154,6 +155,43 @@ class TestEmbedClips:
         feats = 100.0 * rng.standard_normal((10, 3))
         out = embed_clips(feats, compute_context(feats), None, params)
         assert np.all(np.isfinite(out))
+
+
+class TestAssembleVisualInputs:
+    @pytest.mark.parametrize("use_tef, tef_only", [(False, False), (True, False), (True, True)])
+    def test_per_row_equals_tiled(self, rng, use_tef, tef_only):
+        dims = ModelDims(3, 2, hidden_mlp=4, embed=2, hidden_lstm=2,
+                         use_tef=use_tef, tef_only=tef_only)
+        feats = rng.standard_normal((5, 3))
+        ctx = rng.standard_normal(3)
+        pair = np.array([0.2, 0.7]) if use_tef else None
+        tiled = assemble_visual_inputs(feats, ctx, pair, dims)
+        per_row = assemble_visual_inputs(feats, np.tile(ctx, (5, 1)),
+                                         np.tile(pair, (5, 1)) if use_tef else None, dims)
+        np.testing.assert_array_equal(per_row, tiled)
+        expect = np.concatenate([feats, np.tile(ctx, (5, 1))], axis=1)
+        if tef_only:
+            expect[...] = 0.0
+        if use_tef:
+            expect = np.concatenate([expect, np.tile(pair, (5, 1))], axis=1)
+        np.testing.assert_array_equal(tiled, expect)
+
+    def test_mixed_rows_keep_their_own_values(self, rng):
+        dims = ModelDims(2, 2, hidden_mlp=4, embed=2, hidden_lstm=2, use_tef=True)
+        feats = rng.standard_normal((3, 2))
+        ctx = rng.standard_normal((3, 2))
+        pairs = np.array([[0.0, 0.5], [0.25, 0.75], [0.5, 1.0]])
+        out = assemble_visual_inputs(feats, ctx, pairs, dims)
+        np.testing.assert_array_equal(out, np.concatenate([feats, ctx, pairs], axis=1))
+
+    @pytest.mark.parametrize("bad", ["context", "tef"])
+    def test_per_row_of_wrong_length_rejected(self, rng, bad):
+        dims = ModelDims(3, 2, hidden_mlp=4, embed=2, hidden_lstm=2, use_tef=True)
+        feats = rng.standard_normal((4, 3))
+        ctx = rng.standard_normal((3 if bad == "context" else 4, 3))
+        pairs = np.zeros((5 if bad == "tef" else 4, 2))
+        with pytest.raises(ValueError):
+            assemble_visual_inputs(feats, ctx, pairs, dims)
 
 
 class TestEmbedQuery:

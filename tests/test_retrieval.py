@@ -209,8 +209,8 @@ class TestTwoStage:
                     [(s.moment.sort_key, s.cost) for s in ts.ranked]
 
     def test_truncated_moment_budget_keeps_cheapest_stage_one_moments(self, planted):
-        from momentsearch.costs import moment_cost_aggregate
-        from momentsearch.model import compute_context, embed_query
+        from momentsearch.costs import score_moments
+        from momentsearch.model import embed_query
 
         preset, corpus, queries, params = planted
         budget = 30
@@ -219,10 +219,10 @@ class TestTwoStage:
         brute = []
         for video in corpus.videos:
             feats = corpus.features_for(video.video_id)
-            context = compute_context(feats)
             for m in enumerate_moments(video, preset.enum):
-                brute.append((moment_cost_aggregate(q_emb, feats, context, None, m, params),
-                              m.sort_key))
+                cost = score_moments(video, feats, q_emb, "aggregate", params,
+                                     np.array([m.first_clip]), np.array([m.last_clip]))[0]
+                brute.append((cost, m.sort_key))
         assert len(brute) == 252 > budget
         brute.sort()
         expected = {key for _, key in brute[:budget]}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentsearch.core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta, temporal_iou
-from momentsearch.costs import clip_distances, moment_cost_cal
+from momentsearch.costs import cal_costs, sq_distances
 from momentsearch.dataio import Corpus, SyntheticSpec, generate_synthetic
 from momentsearch.enumeration import EnumConfig, enumerate_moments, get_preset
 from momentsearch.model import (
@@ -373,11 +373,11 @@ class TestTrainLoop:
             q = dataset.queries[t.query_index]
             q_emb = embed_query(q.word_vectors, params)
             feats = dataset.corpus.features_for(t.positive.video_id)
-            emb = embed_clips(feats, compute_context(feats), None, params)
-            table = clip_distances(q_emb, emb)
-            pos_costs.append(moment_cost_cal(table, t.positive.first_clip, t.positive.last_clip))
-            neg_costs.append(moment_cost_cal(table, t.intra_negative.first_clip,
-                                             t.intra_negative.last_clip))
+            d = sq_distances(embed_clips(feats, compute_context(feats), None, params), q_emb)
+            pos, neg = cal_costs(d, np.array([t.positive.first_clip, t.intra_negative.first_clip]),
+                                 np.array([t.positive.last_clip, t.intra_negative.last_clip]))
+            pos_costs.append(pos)
+            neg_costs.append(neg)
         assert np.mean(pos_costs) < np.mean(neg_costs)
 
     def test_training_is_deterministic(self):
