@@ -1,12 +1,11 @@
 """Corpus-scale natural-language video moment retrieval over clip embeddings."""
 
-from .core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta, clip_span, temporal_iou
+from .core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta, temporal_iou
 from .enumeration import (
     PRESETS,
     DatasetPreset,
     EnumConfig,
     aggregate_index_entries,
-    clip_index_entries,
     enumerate_moments,
     get_preset,
     stride_clips,
@@ -17,9 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GroundTruth", "Moment", "Query", "TemporalSpan", "VideoMeta",
-    "clip_span", "temporal_iou",
+    "temporal_iou",
     "PRESETS", "DatasetPreset", "EnumConfig", "aggregate_index_entries",
-    "clip_index_entries", "enumerate_moments", "get_preset", "stride_clips",
+    "enumerate_moments", "get_preset", "stride_clips",
     "ModelDims", "ModelParams", "compute_context", "embed_clips",
     "embed_query", "init_params", "tef",
     "__version__",

@@ -40,7 +40,6 @@ from .enumeration import (
     EnumConfig,
     aggregate_index_entries,
     candidate_clips,
-    clip_index_entries,
 )
 from .index import build_exact, build_ivf, save_index
 from .model import (
@@ -154,7 +153,7 @@ def run_bench(cfg: BenchConfig, workdir: str, methods=("cal", "aggregate", "appr
     query_embs = [embed_query(q.word_vectors, params).astype(np.float32) for q in queries]
 
     n, k_max = cfg.clips_per_video, cfg.max_moment_clips
-    entries_clip = clip_index_entries(n)
+    entries_clip = n  # a clip index holds one entry per clip
     entries_agg = aggregate_index_entries(n, k_max, min_len=1)
     stats: dict[str, MethodStats] = {}
 

@@ -29,14 +29,14 @@ from .dataio import (
     read_kv_report,
     read_results,
     write_checkpoint,
+    write_jsonl,
     write_kv_report,
-    write_loss_log,
     write_results,
 )
 from .enumeration import PRESETS, get_preset
 from .evaluation import Prediction, build_report, single_video_eval
 from .index import build_exact, build_ivf, load_index, save_index
-from .model import ModelDims, ModelParams
+from .model import ModelDims
 from .retrieval import (
     RetrievalConfig,
     exhaustive_search,
@@ -98,10 +98,6 @@ def _model_dims(args, config_data: dict, corpus: Corpus, queries) -> ModelDims:
         raise CliError("E_CONFIG", f"bad model dims: {e}")
 
 
-def _effective_variant(base: str, params: ModelParams) -> str:
-    return base + ("_tef" if params.dims.use_tef else "")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def cmd_train(args) -> int:
         "seed": args.seed, "variant": args.variant, "preset": preset.name,
     })
     loss_log = args.loss_log or args.out + ".loss.jsonl"
-    write_loss_log(loss_log, [{"seed": args.seed, "preset": preset.name}] + history)
+    write_jsonl(loss_log, [{"seed": args.seed, "preset": preset.name}] + history)
     final = f"final mean loss {history[-1]['mean_loss']:.6f}" if history else "no epochs run"
     print(f"trained {cfg.epochs} epochs, {final}; checkpoint at {args.out}")
     return 0
@@ -180,12 +176,9 @@ def cmd_search(args) -> int:
     if args.mode == "approx" and index is None:
         raise CliError("E_NO_INDEX", "approximate mode requires --index")
 
-    stage1_variant = _effective_variant(args.variant, params)
-    rerank_variant = _effective_variant(
-        args.rerank_variant or args.variant, rerank_params or params)
     cfg = RetrievalConfig(
-        variant=stage1_variant,
-        rerank_variant=rerank_variant,
+        variant=args.variant,
+        rerank_variant=args.rerank_variant,
         budget=args.budget,
         clip_budget=args.clip_budget,
         nms_iou=preset.nms_iou,
@@ -240,7 +233,7 @@ def cmd_retrain_rerank(args) -> int:
         "retrained_from": os.path.basename(args.base), "rank_rate": args.rank_rate,
     })
     loss_log = args.loss_log or args.out + ".loss.jsonl"
-    write_loss_log(loss_log, [{"seed": args.seed, "preset": preset.name}] + history)
+    write_jsonl(loss_log, [{"seed": args.seed, "preset": preset.name}] + history)
     print(f"re-trained re-ranker for {cfg.epochs} epochs; checkpoint at {args.out}")
     return 0
 

@@ -57,15 +57,6 @@ class VideoMeta:
             )
 
 
-def clip_span(video: VideoMeta, k: int) -> TemporalSpan:
-    """Temporal extent of clip k, clamped to the video duration."""
-    if not 0 <= k < video.num_clips:
-        raise IndexError(f"clip index {k} out of range for {video.video_id} (N={video.num_clips})")
-    start = k * video.clip_length
-    end = min((k + 1) * video.clip_length, video.duration)
-    return TemporalSpan(start, end)
-
-
 @dataclass(frozen=True)
 class Moment:
     """A contiguous run of at least two clips within one video."""

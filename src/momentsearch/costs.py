@@ -5,9 +5,10 @@ distance between the query embedding and the moment's clip embeddings.
 Because it is a mean of per-clip terms, one distance per clip plus one
 prefix sum gives every moment's cost in O(1) (`cal_costs`).
 
-The other variants embed rows that depend on the moment: the aggregate
-baseline mean-pools the moment's raw clip features into one row, and the
-TEF variants append the moment's normalized endpoints to every row. Each
+The variant names how a moment's rows are formed: "cal" keeps one row per
+clip, "aggregate" mean-pools the moment's raw clip features into one row.
+A model trained with TEF (`ModelDims.use_tef`) appends the moment's
+normalized endpoints to every row; those rows depend on the moment, so each
 moment's cost is then the mean squared distance over its own rows.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from .core import Moment, VideoMeta, clip_spans
 from .model import ModelParams, compute_context, embed_clips
 
-VARIANTS = ("cal", "aggregate", "cal_tef", "aggregate_tef")
+VARIANTS = ("cal", "aggregate")
 
 
 def sq_distances(rows: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
@@ -67,8 +68,8 @@ def score_moments(
 ) -> np.ndarray:
     """Cost of each candidate (firsts[i], lasts[i]) of one video.
 
-    The non-TEF clip-alignment variant computes one distance per clip and
-    reuses it for every moment; the other variants pay per moment row.
+    "cal" under a non-TEF model computes one distance per clip and reuses it
+    for every moment; every other case pays per moment row.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -80,12 +81,12 @@ def score_moments(
     context = compute_context(feats)
     q = np.asarray(query_emb, dtype=np.float64)
 
-    if variant == "cal":
+    if variant == "cal" and not params.dims.use_tef:
         dists = sq_distances(embed_clips(feats, context, None, params), q)
         costs = cal_costs(dists, firsts, lasts)
     else:
         n = len(firsts)
-        if variant.startswith("aggregate"):
+        if variant == "aggregate":
             rows = np.stack([feats[first:last + 1].mean(axis=0)
                              for first, last in zip(firsts.tolist(), lasts.tolist())])
             seg = np.arange(n)
@@ -95,7 +96,7 @@ def score_moments(
             starts = np.cumsum(lengths) - lengths  # each moment's first row
             rows = feats[np.arange(len(seg)) - starts[seg] + firsts[seg]]
         pairs = ((clip_spans(video, firsts, lasts) / video.duration)[seg]
-                 if variant.endswith("_tef") else None)
+                 if params.dims.use_tef else None)
         dists = sq_distances(embed_clips(rows, context, pairs, params), q)
         costs = np.bincount(seg, weights=dists, minlength=n) / np.bincount(seg, minlength=n)
     counters.distance_evals += len(dists)

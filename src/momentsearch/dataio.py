@@ -36,7 +36,7 @@ def stable_u32(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Low-level binary helpers
+# Binary reading helpers, shared by every binary loader
 # ---------------------------------------------------------------------------
 
 
@@ -54,6 +54,13 @@ def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
     return data
 
 
+def read_array(f: BinaryIO, dtype: str, count: int, what: str, path: str) -> np.ndarray:
+    """Read `count` items of `dtype`; the byte length follows from the
+    dtype's itemsize. The returned array is read-only."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(_read_exact(f, int(count) * dtype.itemsize, what, path), dtype)
+
+
 def _decode(data: bytes, what: str, path: str) -> str:
     try:
         return data.decode("utf-8")
@@ -61,17 +68,18 @@ def _decode(data: bytes, what: str, path: str) -> str:
         raise FormatError(f"{path}: {what} is not UTF-8: {e}") from None
 
 
-def _expect_eof(f: BinaryIO, path: str) -> None:
+def expect_eof(f: BinaryIO, path: str) -> None:
     extra = f.read(1)
     if extra:
         raise FormatError(f"{path}: trailing bytes starting at {f.tell() - 1}")
 
 
-def _check_magic(f: BinaryIO, magic: bytes, path: str) -> None:
+def check_header(f: BinaryIO, magic: bytes, path: str) -> None:
+    """Read and check a file's magic bytes and format version."""
     got = _read_exact(f, len(magic), "magic", path)
     if got != magic:
         raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    version = int(np.frombuffer(_read_exact(f, 2, "version", path), "<u2")[0])
+    version = int(read_array(f, "<u2", 1, "version", path)[0])
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
 
@@ -94,11 +102,10 @@ def write_features(path: str, matrix: np.ndarray) -> None:
 
 def read_features(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        _check_magic(f, FEATURE_MAGIC, path)
-        rows, dim = np.frombuffer(_read_exact(f, 8, "shape", path), "<u4")
-        payload = _read_exact(f, int(rows) * int(dim) * 4, "payload", path)
-        _expect_eof(f, path)
-    m = np.frombuffer(payload, "<f4").reshape(int(rows), int(dim))
+        check_header(f, FEATURE_MAGIC, path)
+        rows, dim = read_array(f, "<u4", 2, "shape", path).tolist()
+        m = read_array(f, "<f4", rows * dim, "payload", path).reshape(rows, dim)
+        expect_eof(f, path)
     if not np.all(np.isfinite(m)):
         bad = int(np.flatnonzero(~np.isfinite(m))[0])
         raise FormatError(f"{path}: non-finite value at element {bad}")
@@ -134,27 +141,29 @@ def write_checkpoint(path: str, params: ModelParams, meta: Optional[dict] = None
 
 def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
     with open(path, "rb") as f:
-        _check_magic(f, CHECKPOINT_MAGIC, path)
-        count = int(np.frombuffer(_read_exact(f, 4, "tensor count", path), "<u4")[0])
+        check_header(f, CHECKPOINT_MAGIC, path)
+        count = int(read_array(f, "<u4", 1, "tensor count", path)[0])
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name_len = int(np.frombuffer(_read_exact(f, 2, "name length", path), "<u2")[0])
+            name_at = f.tell()
+            name_len = int(read_array(f, "<u2", 1, "name length", path)[0])
             name = _decode(_read_exact(f, name_len, "tensor name", path), "tensor name", path)
-            rank = int(np.frombuffer(_read_exact(f, 1, "rank", path), "u1")[0])
+            if name not in ModelParams.TENSOR_NAMES or name in tensors:
+                raise FormatError(f"{path}: {'repeated' if name in tensors else 'unknown'} "
+                                  f"tensor {name!r} at byte {name_at}")
+            rank = int(read_array(f, "u1", 1, "rank", path)[0])
             shape_at = f.tell()
-            shape = tuple(
-                int(x) for x in np.frombuffer(_read_exact(f, 4 * rank, "dims", path), "<u4")
-            )
-            payload = _read_exact(f, math.prod(shape) * 8, f"payload of {name}", path)
+            shape = tuple(read_array(f, "<u4", rank, "dims", path).tolist())
+            payload = read_array(f, "<f8", math.prod(shape), f"payload of {name}", path)
             try:
-                tensors[name] = np.frombuffer(payload, "<f8").reshape(shape).copy()
+                tensors[name] = payload.reshape(shape).copy()
             except ValueError as e:  # e.g. a zero dim beside dims too large for numpy
                 raise FormatError(
                     f"{path}: shape {shape} of {name} at byte {shape_at}: {e}") from None
-        cfg_len = int(np.frombuffer(_read_exact(f, 4, "config length", path), "<u4")[0])
+        cfg_len = int(read_array(f, "<u4", 1, "config length", path)[0])
         config_at = f.tell()
         blob = _decode(_read_exact(f, cfg_len, "config", path), "config", path)
-        _expect_eof(f, path)
+        expect_eof(f, path)
     try:
         config = json.loads(blob)
     except ValueError as e:
@@ -234,7 +243,8 @@ def read_manifest(path: str) -> list[VideoMeta]:
     return videos
 
 
-def write_queries(path: str, records: list[dict]) -> None:
+def write_jsonl(path: str, records: list[dict]) -> None:
+    """One sorted-key JSON record per line (queries files, loss logs)."""
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
             f.write(_dump_line(rec))
@@ -284,12 +294,6 @@ def read_results(path: str) -> tuple[dict, list[dict]]:
             raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
         seen.add(rec["query_id"])
     return header, body
-
-
-def write_loss_log(path: str, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(_dump_line(rec))
 
 
 def write_kv_report(path: str, items: dict) -> None:
@@ -507,7 +511,7 @@ def generate_synthetic(
         features[video_id] = feats
 
     save_corpus(out_dir, videos, features)
-    write_queries(os.path.join(out_dir, "queries.jsonl"), query_records)
+    write_jsonl(os.path.join(out_dir, "queries.jsonl"), query_records)
     write_features(os.path.join(out_dir, "readout.calf"), readout)
     with open(os.path.join(out_dir, "gen_meta.json"), "w", encoding="utf-8") as f:
         spec_dict = asdict(spec)

@@ -120,13 +120,6 @@ def aggregate_index_entries(n_clips: int, max_moment_clips: int, min_len: int = 
     return total
 
 
-def clip_index_entries(n_clips: int) -> int:
-    """Entries a clip-level index needs for one video: one per clip."""
-    if n_clips < 1:
-        raise ValueError("n_clips must be at least 1")
-    return n_clips
-
-
 # ---------------------------------------------------------------------------
 # Dataset presets
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 oracle upper bound, and the multi-judgment consensus criteria.
 
 Metrics consume plain (video_id, span) predictions, so they work directly
-on results files without touching feature data.
+on results files without touching feature data. Recall at K and median
+rank, alone or in a report, read one table of first correct ranks
+(`_first_correct_ranks`): a query without a correct prediction misses at
+every K and counts as universe+1 in the median.
 """
 
 from __future__ import annotations
@@ -27,27 +30,53 @@ class Prediction:
     cost: float = 0.0
 
 
-def _judgments_met(pred: Prediction, gt: GroundTruth, iou_thr: float, min_judgments: int) -> bool:
-    if pred.video_id != gt.video_id:
-        return False
-    hits = sum(1 for a in gt.annotations if temporal_iou(pred.span, a) >= iou_thr)
-    return hits >= min_judgments
-
-
-def query_hit(
+def _first_correct_ranks(
     ranked: Sequence[Prediction],
     gt: GroundTruth,
-    k: int,
-    iou_thr: float,
-    min_judgments: int = 1,
-) -> int:
-    """1 iff a top-k prediction overlaps enough annotations at the threshold."""
+    ious: Sequence[float],
+    min_judgments: int,
+) -> np.ndarray:
+    """Per IoU threshold, the 1-based rank of the first prediction in the
+    ground truth's video whose IoU reaches the threshold against at least
+    `min_judgments` annotations; 0 when no prediction does."""
     if min_judgments < 1:
         raise ValueError("min_judgments must be at least 1")
-    for pred in ranked[:k]:
-        if _judgments_met(pred, gt, iou_thr, min_judgments):
-            return 1
-    return 0
+    in_video = np.asarray([p.video_id == gt.video_id for p in ranked], dtype=bool)
+    spans = np.asarray([(p.span.start, p.span.end) for p in ranked], np.float64).reshape(-1, 2)
+    overlaps = np.stack([span_ious(spans, a.start, a.end)
+                         for a in gt.annotations])  # (annotations, predictions)
+    judged = (overlaps[None] >= np.asarray(ious, dtype=np.float64)[:, None, None]).sum(axis=1)
+    correct = in_video & (judged >= min_judgments)  # (ious, predictions)
+    # A trailing always-correct column sends argmax past the list when none is.
+    first = np.argmax(np.pad(correct, ((0, 0), (0, 1)), constant_values=True), axis=1) + 1
+    return np.where(first <= len(ranked), first, 0)
+
+
+def _rank_table(
+    results: dict[str, Sequence[Prediction]],
+    ground_truths: dict[str, GroundTruth],
+    ious: Sequence[float],
+    min_judgments: int,
+) -> np.ndarray:
+    """(queries, ious) table of `_first_correct_ranks`, in results order."""
+    if not results:
+        raise ValueError("no results to evaluate")
+    return np.asarray([_first_correct_ranks(ranked, ground_truths[qid], ious, min_judgments)
+                       for qid, ranked in results.items()], dtype=np.int64)
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    """Share of first correct ranks in 1..k; an absent one (0) misses."""
+    return float(np.mean((ranks > 0) & (ranks <= k)))
+
+
+def _median(ranks: np.ndarray, universe: int) -> float:
+    """Median first correct rank; an absent one counts as universe+1."""
+    ordered = np.sort(np.where(ranks > 0, ranks, universe + 1))
+    mid = len(ordered) // 2
+    if len(ordered) % 2 == 1:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
 
 
 def first_correct_rank(
@@ -58,10 +87,7 @@ def first_correct_rank(
     universe: int,
 ) -> int:
     """1-based rank of the first correct prediction; universe+1 when absent."""
-    for rank, pred in enumerate(ranked, start=1):
-        if _judgments_met(pred, gt, iou_thr, min_judgments):
-            return rank
-    return universe + 1
+    return int(_first_correct_ranks(ranked, gt, (iou_thr,), min_judgments)[0]) or universe + 1
 
 
 def recall_at_k(
@@ -71,14 +97,7 @@ def recall_at_k(
     iou_thr: float,
     min_judgments: int = 1,
 ) -> float:
-    if not results:
-        raise ValueError("no results to evaluate")
-    hits = []
-    for query_id, ranked in results.items():
-        if query_id not in ground_truths:
-            raise KeyError(f"no ground truth for query {query_id!r}")
-        hits.append(query_hit(ranked, ground_truths[query_id], k, iou_thr, min_judgments))
-    return float(np.mean(hits))
+    return _recall(_rank_table(results, ground_truths, (iou_thr,), min_judgments)[:, 0], k)
 
 
 def median_rank(
@@ -98,17 +117,8 @@ def median_rank(
         raise ValueError(
             f"median rank needs exhaustive rankings: top_k={declared_top_k} < universe={universe}"
         )
-    ranks = sorted(
-        first_correct_rank(ranked, ground_truths[qid], iou_thr, min_judgments, universe)
-        for qid, ranked in results.items()
-    )
-    n = len(ranks)
-    if n == 0:
-        raise ValueError("no results to evaluate")
-    mid = n // 2
-    if n % 2 == 1:
-        return float(ranks[mid])
-    return (ranks[mid - 1] + ranks[mid]) / 2.0
+    return _median(_rank_table(results, ground_truths, (iou_thr,), min_judgments)[:, 0],
+                   universe)
 
 
 def _oracle_reach(
@@ -239,37 +249,18 @@ def build_report(
     Median rank and the oracle bound are included only when their inputs
     (full-universe rankings / the corpus) are available.
     """
-    if not results:
-        raise ValueError("no results to evaluate")
+    ranks = _rank_table(results, ground_truths, ious, min_judgments)  # (queries, ious)
     report = MetricsReport(recalls={}, query_count=len(results), config=dict(config or {}))
-    # Rank cap: large enough that an absent correct moment misses every k.
-    cap = universe if universe is not None else max(
-        max(ks), max(len(r) for r in results.values())
-    )
-
-    rank_table = np.asarray([
-        [first_correct_rank(results[qid], ground_truths[qid], iou, min_judgments, cap)
-         for iou in ious]
-        for qid in results
-    ], dtype=np.int64)  # (queries, ious)
-
     exhaustive = (universe is not None and declared_top_k is not None
                   and declared_top_k >= universe)
     reach = None
     if corpus is not None and enum_cfg is not None:
         reach = _oracle_reach(corpus, ground_truths, enum_cfg, min_judgments)
     for col, iou in enumerate(ious):
-        ranks = rank_table[:, col]
         for k in ks:
-            report.recalls[(k, iou)] = float(np.mean(ranks <= k))
+            report.recalls[(k, iou)] = _recall(ranks[:, col], k)
         if exhaustive:
-            ordered = np.sort(ranks)
-            n = ordered.shape[0]
-            mid = n // 2
-            report.median_ranks[iou] = (
-                float(ordered[mid]) if n % 2 == 1
-                else (float(ordered[mid - 1]) + float(ordered[mid])) / 2.0
-            )
+            report.median_ranks[iou] = _median(ranks[:, col], universe)
         if reach is not None:
             report.oracle[iou] = float(np.mean(reach >= iou))
     report.validate()

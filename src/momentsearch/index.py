@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (
-    FORMAT_VERSION,
-    Corpus,
-    FormatError,
-    _check_magic,
-    _expect_eof,
-    _read_exact,
-)
+from .dataio import FORMAT_VERSION, Corpus, FormatError, check_header, expect_eof, read_array
 from .model import ModelParams, compute_context, embed_clips
 
 INDEX_MAGIC = b"CALX"
@@ -280,14 +273,14 @@ def save_index(index: ClipIndex, path: str) -> None:
 def load_index(path: str, video_ids: tuple[str, ...]):
     """Load an index; `video_ids` supplies the manifest-order id table."""
     with open(path, "rb") as f:
-        _check_magic(f, INDEX_MAGIC, path)
-        flavor = int(np.frombuffer(_read_exact(f, 1, "flavor", path), "u1")[0])
-        dim = int(np.frombuffer(_read_exact(f, 4, "dim", path), "<u4")[0])
-        count = int(np.frombuffer(_read_exact(f, 8, "entry count", path), "<u8")[0])
+        check_header(f, INDEX_MAGIC, path)
+        flavor = int(read_array(f, "u1", 1, "flavor", path)[0])
+        dim = int(read_array(f, "<u4", 1, "dim", path)[0])
+        count = int(read_array(f, "<u8", 1, "entry count", path)[0])
         if count == 0:
             raise FormatError(f"{path}: entry count at byte 11 is 0; an index needs entries")
-        raw = _read_exact(f, count * (2 + dim) * 4, "entries", path)
-        interleaved = np.frombuffer(raw, "<u4").reshape(count, 2 + dim)
+        entries = read_array(f, "<u4", count * (2 + dim), "entries", path)
+        interleaved = entries.reshape(count, 2 + dim)
         keys = interleaved[:, :2].astype(np.uint32)
         vectors = interleaved[:, 2:].copy().view("<f4")
         max_ordinal = int(keys[:, 0].max())
@@ -295,17 +288,13 @@ def load_index(path: str, video_ids: tuple[str, ...]):
             raise FormatError(f"{path}: entry references video ordinal {max_ordinal}, "
                               f"but only {len(video_ids)} ids were supplied")
         if flavor == FLAVOR_EXACT:
-            _expect_eof(f, path)
+            expect_eof(f, path)
             index = ClipIndex(video_ids, keys, vectors)
         elif flavor == FLAVOR_IVF:
-            p = int(np.frombuffer(_read_exact(f, 4, "partition count", path), "<u4")[0])
-            centroids = np.frombuffer(
-                _read_exact(f, p * dim * 4, "centroids", path), "<f4"
-            ).reshape(p, dim).copy()
-            offsets = np.frombuffer(
-                _read_exact(f, (p + 1) * 8, "offsets", path), "<u8"
-            ).copy()
-            _expect_eof(f, path)
+            p = int(read_array(f, "<u4", 1, "partition count", path)[0])
+            centroids = read_array(f, "<f4", p * dim, "centroids", path).reshape(p, dim).copy()
+            offsets = read_array(f, "<u8", p + 1, "offsets", path).copy()
+            expect_eof(f, path)
             if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or offsets[-1] != count:
                 raise FormatError(f"{path}: IVF partition offsets must start at 0, never "
                                   f"decrease and end at the entry count {count}")

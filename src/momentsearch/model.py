@@ -44,10 +44,6 @@ class ModelDims:
         return self.visual_in * 2 + (2 if self.use_tef else 0)
 
 
-# LSTM gate rows are packed in this order inside the 4H-tall matrices.
-GATE_ORDER = ("input", "forget", "output", "cell")
-
-
 @dataclass
 class ModelParams:
     """All learned tensors. Mutable only inside the training loop."""

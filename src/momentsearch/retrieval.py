@@ -110,15 +110,6 @@ def _rank(
                                   lasts[top].tolist(), costs[top].tolist())], counters
 
 
-def _check_variant(variant: str, params: ModelParams) -> None:
-    wants_tef = variant.endswith("_tef")
-    if wants_tef != params.dims.use_tef:
-        raise ValueError(
-            f"variant {variant!r} is incompatible with a model where use_tef="
-            f"{params.dims.use_tef}"
-        )
-
-
 def exhaustive_search(
     corpus: Corpus,
     query: Query,
@@ -127,7 +118,6 @@ def exhaustive_search(
     cfg: RetrievalConfig,
 ) -> RankedResult:
     """Score the full candidate universe with one model."""
-    _check_variant(cfg.variant, params)
     q_emb = embed_query(query.word_vectors, params)
     groups = ((v, corpus.features_for(v.video_id), *candidate_clips(v.num_clips, enum_cfg).T)
               for v in corpus.videos)
@@ -160,7 +150,6 @@ def two_stage_search(
         raise ValueError(f"unknown two-stage mode {mode!r}")
     rerank_params = rerank_params if rerank_params is not None else stage1_params
     rerank_variant = cfg.rerank_variant or cfg.variant
-    _check_variant(rerank_variant, rerank_params)
     counters: dict[str, int] = {}
 
     if mode == "approx":

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Moment, Query, clip_spans, span_ious
+from .costs import VARIANTS
 from .dataio import Corpus
 from .enumeration import EnumConfig, candidate_clips, enumerate_moments
 from .model import (
@@ -44,14 +45,14 @@ class TrainConfig:
     batch_triples: int = 128
     intra_iou_exclusion: float = 0.35
     seed: int = 0
-    variant: str = "cal"  # "cal" or "aggregate"; TEF comes from ModelDims.use_tef
+    variant: str = "cal"  # one of costs.VARIANTS; TEF comes from ModelDims.use_tef
 
     def __post_init__(self):
         if self.margin <= 0 or self.inter_weight < 0 or self.lr0 <= 0:
             raise ValueError("need margin > 0, inter_weight >= 0, lr0 > 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.variant not in ("cal", "aggregate"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown training variant {self.variant!r}")
 
 
@@ -63,8 +64,9 @@ class TrainingTriple:
     inter_negative: Moment
 
 
-def ranking_loss(x: float, y: float, b: float) -> float:
-    return max(0.0, x - y + b)
+def ranking_loss(x, y, b):
+    """Hinge max(0, x - y + b), elementwise over arrays."""
+    return np.maximum(0.0, x - y + b)
 
 
 class TrainDataset:
@@ -238,9 +240,9 @@ def _forward(x, seg, z_counts, words, mask, params: ModelParams, cfg: TrainConfi
     costs = np.bincount(seg, weights=d, minlength=n_moments) / z_counts
 
     c_pos, c_intra, c_inter = costs[0::3], costs[1::3], costs[2::3]
-    intra_arg = c_pos - c_intra + cfg.margin
-    inter_arg = c_pos - c_inter + cfg.margin
-    per_triple = np.maximum(0.0, intra_arg) + cfg.inter_weight * np.maximum(0.0, inter_arg)
+    intra_hinge = ranking_loss(c_pos, c_intra, cfg.margin)
+    inter_hinge = ranking_loss(c_pos, c_inter, cfg.margin)
+    per_triple = intra_hinge + cfg.inter_weight * inter_hinge
     # Fixed reassociation: summing in sorted order makes the total independent
     # of how the batch happens to be ordered.
     loss = float(np.sort(per_triple).sum())
@@ -252,7 +254,7 @@ def _forward(x, seg, z_counts, words, mask, params: ModelParams, cfg: TrainConfi
         "mlp": mlp_cache, "lstm": lstm_cache, "emb_rows": emb_rows,
         "h_t": h_t, "f_q": f_q, "diff": diff, "row_triple": row_triple,
         "seg": seg, "z_counts": z_counts, "batch": batch,
-        "intra_arg": intra_arg, "inter_arg": inter_arg,
+        "intra_hinge": intra_hinge, "inter_hinge": inter_hinge,
         "costs": costs, "per_triple": per_triple,
     }
     return loss, cache
@@ -306,8 +308,8 @@ def loss_and_grads(dataset: TrainDataset, triples: list[TrainingTriple],
     batch = cache["batch"]
 
     d_costs = np.zeros(3 * batch)
-    intra_on = (cache["intra_arg"] > 0).astype(np.float64)
-    inter_on = (cache["inter_arg"] > 0).astype(np.float64)
+    intra_on = (cache["intra_hinge"] > 0).astype(np.float64)
+    inter_on = (cache["inter_hinge"] > 0).astype(np.float64)
     d_costs[0::3] = intra_on + cfg.inter_weight * inter_on
     d_costs[1::3] = -intra_on
     d_costs[2::3] = -cfg.inter_weight * inter_on
@@ -393,15 +395,16 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def exponential_rank_weights(n: int, rate: float) -> np.ndarray:
-    """Normalized sampling weights over 1-based ranks 1..n.
+def exponential_rank_weights(ranks: np.ndarray, rate: float) -> np.ndarray:
+    """Normalized sampling weights exp(-rate * rank) over an array of ranks.
 
     Computed with the best rank shifted to zero so huge rates stay finite;
     the shift cancels in the normalization.
     """
-    if n < 1:
+    ranks = np.asarray(ranks, dtype=np.float64)
+    if ranks.size == 0:
         raise ValueError("need at least one rank")
-    w = np.exp(-rate * np.arange(n, dtype=np.float64))
+    w = np.exp(-rate * (ranks - ranks.min()))
     return w / w.sum()
 
 
@@ -423,10 +426,8 @@ def make_rank_sampler(
         keep = [(rank, m) for rank, m in enumerate(ranked, start=1)
                 if m.video_id != q.ground_truth.video_id]
         if keep:
-            moments = [m for _, m in keep]
-            ranks = np.asarray([r for r, _ in keep], dtype=np.float64)
-            raw = np.exp(-rank_rate * (ranks - ranks.min()))
-            eligible.append((moments, raw / raw.sum()))
+            eligible.append(([m for _, m in keep],
+                             exponential_rank_weights([r for r, _ in keep], rank_rate)))
         else:
             eligible.append(([], np.zeros(0)))
 

@@ -193,6 +193,41 @@ class TestEvalFixture:
         # truncated run (top_k < universe): no median-rank rows emitted
         assert not any(k.startswith("median_rank") for k in kv)
 
+    def test_approx_eval_recall_past_the_universe(self, pipeline, tmp_path):
+        """recall@K with K above the universe equals `recall_at_k`: a query
+        whose correct moment is missing from its list misses at every K."""
+        from momentsearch.core import TemporalSpan
+        from momentsearch.dataio import load_queries
+        from momentsearch.evaluation import Prediction, recall_at_k
+
+        corpus, spec = str(tmp_path / "corpus"), str(tmp_path / "gen.json")
+        index, results = str(tmp_path / "clips.calx"), str(tmp_path / "r.jsonl")
+        report = str(tmp_path / "report.txt")
+        with open(spec, "w") as f:  # same dims as the pipeline model
+            json.dump({"num_videos": 6, "clips_per_video": [8, 14], "visual_dim": 8,
+                       "word_dim": 6, "vocab_size": 24, "queries_per_video": 2,
+                       "signal_noise": 0.05, "seed": 3}, f)
+        queries = os.path.join(corpus, "queries.jsonl")
+        assert main(["gen", "--spec", spec, "--out", corpus]) == 0
+        assert main(["index", "--corpus", corpus, "--ckpt", pipeline["ckpt"],
+                     "--out", index]) == 0
+        assert main(["search", "--corpus", corpus, "--ckpt", pipeline["ckpt"],
+                     "--queries", queries, "--mode", "approx", "--index", index,
+                     "--preset", "didemo", "--top-k", "20", "--clip-budget", "20",
+                     "--out", results]) == 0
+        assert main(["eval", "--results", results, "--gt", queries, "--preset", "didemo",
+                     "--out", report]) == 0
+        header, body = read_results(results)
+        assert header["universe"] < 100
+        gts = {q.query_id: q.ground_truth for q in load_queries(queries, corpus)}
+        ranked = {rec["query_id"]: [Prediction(v, TemporalSpan(s, e), c)
+                                    for v, s, e, c in rec["ranked"]] for rec in body}
+        kv = read_kv_report(report)
+        for iou in (0.5, 0.7):
+            want = recall_at_k(ranked, gts, 100, iou, min_judgments=2)
+            assert want < 1.0
+            assert float(kv[f"recall@100_iou{iou:.2f}"]) == pytest.approx(want, abs=1e-6)
+
 
 class TestBenchAndReportCommands:
     def test_bench_and_report_show(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from momentsearch.core import (
     Query,
     TemporalSpan,
     VideoMeta,
-    clip_span,
     span_ious,
     temporal_iou,
 )
@@ -102,27 +101,6 @@ class TestSpanValidation:
             TemporalSpan(0.0, float("inf"))
         with pytest.raises(ValueError):
             TemporalSpan(float("nan"), 5.0)
-
-
-class TestClipSpan:
-    def test_first_clip(self):
-        v = VideoMeta("v", 30.0, 2.5, 12)
-        assert clip_span(v, 0) == TemporalSpan(0.0, 2.5)
-
-    def test_interior_clip(self):
-        v = VideoMeta("v", 30.0, 2.5, 12)
-        assert clip_span(v, 3) == TemporalSpan(7.5, 10.0)
-
-    def test_last_clip_clamped_to_duration(self):
-        v = VideoMeta("v", 29.0, 5.0, 6)
-        assert clip_span(v, 5) == TemporalSpan(25.0, 29.0)
-
-    def test_out_of_range(self):
-        v = VideoMeta("v", 30.0, 2.5, 12)
-        with pytest.raises(IndexError):
-            clip_span(v, 12)
-        with pytest.raises(IndexError):
-            clip_span(v, -1)
 
 
 class TestVideoMeta:

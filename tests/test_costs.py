@@ -192,7 +192,7 @@ class TestScoreAllMoments:
         dims = ModelDims(3, 4, hidden_mlp=5, embed=4, hidden_lstm=4, use_tef=True)
         params = init_params(dims, 3)
         q = rng.standard_normal(4)
-        grid, costs = self._score_all(video, feats, q, "cal_tef", cfg, params)
+        grid, costs = self._score_all(video, feats, q, "cal", cfg, params)
         # oracle: embed each moment's clips with its own endpoints, average
         from momentsearch.model import embed_clips, tef
 

@@ -15,6 +15,7 @@ from momentsearch.dataio import (
     generate_synthetic,
     load_corpus,
     load_queries,
+    read_array,
     read_checkpoint,
     read_features,
     read_kv_report,
@@ -173,6 +174,51 @@ class TestCheckpoints:
             f.write(data[:-len(blob) - 4] + struct.pack("<I", len(new_blob)) + new_blob)
         with pytest.raises(FormatError, match=r"m\.calw: .*config record|m\.calw: bad 'dims'"):
             read_checkpoint(path)
+
+    @staticmethod
+    def _insert_tensor_before(path, before, name, tensor):
+        """Insert one more tensor record ahead of tensor `before`, bump the
+        count, and return the inserted record's byte offset."""
+        data = open(path, "rb").read()
+        count, pos = struct.unpack_from("<I", data, 6)[0], 10
+        for _ in range(count):
+            name_len = struct.unpack_from("<H", data, pos)[0]
+            if data[pos + 2:pos + 2 + name_len].decode() == before:
+                break
+            rank = data[pos + 2 + name_len]
+            shape = struct.unpack_from(f"<{rank}I", data, pos + 3 + name_len)
+            pos += 3 + name_len + 4 * rank + 8 * math.prod(shape)
+        t = np.asarray(tensor, dtype="<f8")
+        record = (struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", t.ndim)
+                  + struct.pack(f"<{t.ndim}I", *t.shape) + t.tobytes())
+        with open(path, "wb") as f:
+            f.write(data[:6] + struct.pack("<I", count + 1) + data[10:pos] + record + data[pos:])
+        return pos
+
+    @pytest.mark.parametrize("name, kind, value", [("junk", "unknown", np.nan),
+                                                   ("mlp_b1", "repeated", 1.0)])
+    def test_unknown_or_repeated_tensor_rejected(self, tmp_path, name, kind, value):
+        # Both used to load silently: a NaN `junk` was never checked, and a
+        # second, finite `mlp_b1` replaced the first.
+        dims = ModelDims(3, 4, hidden_mlp=5, embed=4, hidden_lstm=6)
+        path = str(tmp_path / "m.calw")
+        write_checkpoint(path, init_params(dims, 0), {})
+        before = "mlp_w2" if kind == "repeated" else "mlp_b1"
+        at = self._insert_tensor_before(path, before, name, np.full(5, value))
+        with pytest.raises(FormatError, match=rf"m\.calw: {kind} tensor '{name}' at byte {at}$"):
+            read_checkpoint(path)
+
+
+def test_read_array_sizes_reads_by_itemsize(tmp_path):
+    path = str(tmp_path / "a.bin")
+    with open(path, "wb") as f:
+        f.write(np.arange(3, dtype="<u8").tobytes() + np.array([1.5], "<f4").tobytes())
+    with open(path, "rb") as f:
+        np.testing.assert_array_equal(read_array(f, "<u8", 3, "counts", path), [0, 1, 2])
+        assert read_array(f, "<f4", 1, "value", path).tolist() == [1.5]
+        with pytest.raises(FormatError, match=r"truncated while reading tail at byte 28 "
+                                              r"\(8 bytes declared\)"):
+            read_array(f, "<u4", 2, "tail", path)
 
 
 class TestLineFormats:

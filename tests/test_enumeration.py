@@ -7,7 +7,6 @@ from momentsearch.enumeration import (
     EnumConfig,
     aggregate_index_entries,
     candidate_clips,
-    clip_index_entries,
     enumerate_moments,
     get_preset,
     stride_clips,
@@ -182,10 +181,13 @@ class TestIndexAccounting:
             assert aggregate_index_entries(n, k, 2) == direct
 
     def test_clip_entries(self):
-        assert clip_index_entries(20) == 20
-        assert clip_index_entries(1) == 1
+        # A clip index holds one entry per clip of every video.
+        from conftest import identity_visual_params, make_corpus
+        from momentsearch.index import build_exact
+
+        corpus = make_corpus(np.random.default_rng(0), num_videos=3, num_clips=5)
+        assert build_exact(corpus, identity_visual_params(6)).num_entries == 15
         # corpus-scale totals: 1M videos of 20 clips
-        assert 1_000_000 * clip_index_entries(20) == 20_000_000
         assert 1_000_000 * aggregate_index_entries(20, 14, 1) == 189_000_000
 
 

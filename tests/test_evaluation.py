@@ -13,7 +13,6 @@ from momentsearch.evaluation import (
     first_correct_rank,
     median_rank,
     oracle_recall,
-    query_hit,
     recall_at_k,
     single_video_eval,
 )
@@ -60,22 +59,28 @@ def brute_force_hit(preds, gt, k, iou_thr, min_judgments):
 
 
 class TestQueryHit:
+    """A query hits at k when its first correct rank is at most k."""
+
     def test_rank1_exact_match(self):
         gt = GroundTruth("v", (span(0, 10),))
         preds = [Prediction("v", span(0, 10))]
         for k in (1, 5):
             for iou in (0.5, 0.7, 0.99):
-                assert query_hit(preds, gt, k, iou) == 1
+                assert first_correct_rank(preds, gt, iou, 1, universe=1) == 1
+                assert recall_at_k({"q": preds}, {"q": gt}, k, iou) == 1.0
 
     def test_wrong_video_is_zero(self):
         gt = GroundTruth("v", (span(0, 10),))
-        assert query_hit([Prediction("w", span(0, 10))], gt, 1, 0.5) == 0
+        preds = [Prediction("w", span(0, 10))]
+        assert first_correct_rank(preds, gt, 0.5, 1, universe=7) == 8
+        assert recall_at_k({"q": preds}, {"q": gt}, 1, 0.5) == 0.0
 
     def test_min_judgments_two_annotations(self):
         gt = GroundTruth("v", (span(0, 10), span(20, 30)))
         preds = [Prediction("v", span(0, 10))]
-        assert query_hit(preds, gt, 1, 0.5, min_judgments=1) == 1
-        assert query_hit(preds, gt, 1, 0.5, min_judgments=2) == 0
+        assert recall_at_k({"q": preds}, {"q": gt}, 1, 0.5, min_judgments=1) == 1.0
+        assert recall_at_k({"q": preds}, {"q": gt}, 1, 0.5, min_judgments=2) == 0.0
+        assert first_correct_rank(preds, gt, 0.5, 2, universe=1) == 2
 
     def test_matches_brute_force_on_random_fixtures(self):
         rng = np.random.default_rng(0)
@@ -85,8 +90,11 @@ class TestQueryHit:
             iou = float(rng.choice([0.3, 0.5, 0.7]))
             mj = int(rng.integers(1, 3))
             for qid in results:
-                assert query_hit(results[qid], gts[qid], k, iou, mj) == \
-                    brute_force_hit(results[qid], gts[qid], k, iou, mj)
+                preds, gt = results[qid], gts[qid]
+                hit = brute_force_hit(preds, gt, k, iou, mj)
+                assert recall_at_k({qid: preds}, {qid: gt}, k, iou, mj) == hit
+                assert (first_correct_rank(preds, gt, iou, mj, universe=len(preds)) <= k) \
+                    == hit
 
 
 class TestRecall:
@@ -373,6 +381,33 @@ class TestReports:
         report = build_report(results, gts, ks=(1, 5), ious=(0.5,))
         assert report.recalls[(1, 0.5)] == recall_at_k(results, gts, 1, 0.5)
         assert report.recalls[(5, 0.5)] == recall_at_k(results, gts, 5, 0.5)
+
+    @pytest.mark.parametrize("universe", [3, 8, 30])
+    def test_report_equals_recall_at_k_and_median_rank(self, universe):
+        # K runs past the universe: an absent correct moment must still miss.
+        rng = np.random.default_rng(universe)
+        ks, ious = (1, 5, 10, 50, 100), (0.3, 0.5, 0.7)
+        for _ in range(20):
+            results, gts = random_fixture(rng, n_queries=7, universe=universe)
+            results["q_empty"] = []
+            gts["q_empty"] = gts["q0"]
+            mj = int(rng.integers(1, 3))
+            report = build_report(results, gts, ks=ks, ious=ious, min_judgments=mj,
+                                  universe=universe, declared_top_k=universe)
+            for iou in ious:
+                for k in ks:
+                    assert report.recalls[(k, iou)] == recall_at_k(results, gts, k, iou, mj)
+                assert report.median_ranks[iou] == median_rank(results, gts, iou, mj,
+                                                               universe=universe)
+
+    def test_absent_correct_moment_misses_past_the_universe(self):
+        gts = {"q0": GroundTruth("v", (span(0, 10),)), "q1": GroundTruth("v", (span(0, 10),))}
+        results = {"q0": [Prediction("v", span(0, 10))], "q1": [Prediction("v", span(50, 60))]}
+        report = build_report(results, gts, ks=(1, 100), ious=(0.5,), universe=2,
+                              declared_top_k=2)
+        assert report.recalls[(100, 0.5)] == 0.5
+        assert report.median_ranks[0.5] == (1 + 3) / 2
+        assert first_correct_rank([], gts["q0"], 0.5, 1, universe=2) == 3
 
     def test_kv_round_trip_keys(self):
         rng = np.random.default_rng(11)

@@ -68,7 +68,12 @@ def reference_score_moments(video, video_features, query_emb, variant, params, f
     feats = np.asarray(video_features, dtype=np.float64)
     context = compute_context(feats)
     q = np.asarray(query_emb, dtype=np.float64)
-    if variant == "cal":
+    if params.dims.use_tef:
+        costs, n_dists = reference_tef_costs_for_moments(
+            video, feats, context, q, firsts, lasts, params, aggregate=variant == "aggregate"
+        )
+        counters.distance_evals += n_dists
+    elif variant == "cal":
         emb = embed_clips(feats, context, None, params)
         d = sq_distances(np.asarray(emb, dtype=np.float64), q)
         prefix = np.zeros(d.shape[0] + 1, dtype=np.float64)
@@ -84,11 +89,6 @@ def reference_score_moments(video, video_features, query_emb, variant, params, f
         emb = mlp_forward(inputs, params)
         costs = sq_distances(emb, q)
         counters.distance_evals += len(firsts)
-    else:
-        costs, n_dists = reference_tef_costs_for_moments(
-            video, feats, context, q, firsts, lasts, params, aggregate=variant == "aggregate_tef"
-        )
-        counters.distance_evals += n_dists
     counters.moments_scored += len(firsts)
     return costs
 
@@ -127,11 +127,17 @@ def reference_assemble_batch(dataset, triples, dims, variant):
 # Comparisons
 # ---------------------------------------------------------------------------
 
-# (variant, model input mode): cal and aggregate need a non-TEF model, the
-# TEF variants run with and without the visual slots.
-VARIANT_MODES = [("cal", "plain"), ("aggregate", "plain"),
-                 ("cal_tef", "tef"), ("cal_tef", "tef_only"),
-                 ("aggregate_tef", "tef"), ("aggregate_tef", "tef_only")]
+# (variant, model input mode): each variant under a non-TEF model, a TEF
+# model, and a TEF model with the visual slots masked. A case id adds "_tef"
+# to the variant when its model uses TEF.
+VARIANT_MODES = [
+    pytest.param("cal", "plain", id="cal-plain"),
+    pytest.param("aggregate", "plain", id="aggregate-plain"),
+    pytest.param("cal", "tef", id="cal_tef-tef"),
+    pytest.param("cal", "tef_only", id="cal_tef-tef_only"),
+    pytest.param("aggregate", "tef", id="aggregate_tef-tef"),
+    pytest.param("aggregate", "tef_only", id="aggregate_tef-tef_only"),
+]
 
 
 def _dims(mode, visual_in=5, word_in=4):
@@ -172,7 +178,6 @@ def test_aggregate_costs_match_per_moment_reference(preset_name, mode):
     # comparison is to 1e-12, not bytes; it was never bytes.
     enum_cfg = PRESETS[preset_name].enum
     params = init_params(_dims(mode), 2)
-    variant = "aggregate" if mode == "plain" else "aggregate_tef"
     rng = np.random.default_rng(8)
     for n in (2, 7, 12):
         cl = enum_cfg.clip_length
@@ -180,7 +185,7 @@ def test_aggregate_costs_match_per_moment_reference(preset_name, mode):
         feats = rng.standard_normal((n, 5))
         q = rng.standard_normal(6)
         grid = candidate_clips(n, enum_cfg)
-        got = score_moments(video, feats, q, variant, params, *grid.T)
+        got = score_moments(video, feats, q, "aggregate", params, *grid.T)
         ctx = compute_context(feats)
         want = []
         for first, last in grid.tolist():

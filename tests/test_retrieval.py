@@ -338,18 +338,10 @@ class TestTwoStage:
             ModelDims(8, 6, hidden_mlp=12, embed=6, hidden_lstm=8, use_tef=True), 99)
         index = build_exact(corpus, params)
         cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=10, budget=10,
-                              clip_budget=24, rerank_variant="cal_tef")
+                              clip_budget=24, rerank_variant="cal")
         ts = two_stage_search(corpus, index, queries[0], params, rerank, preset.enum,
                               cfg, mode="approx")
         assert ts.ranked  # TEF re-ranking path executes end to end
-
-    def test_tef_rerank_requires_tef_model(self, planted):
-        preset, corpus, queries, params = planted
-        index = build_exact(corpus, params)
-        cfg = RetrievalConfig(nms_iou=1.0, top_k=5, budget=5, rerank_variant="cal_tef")
-        with pytest.raises(ValueError):
-            two_stage_search(corpus, index, queries[0], params, None, preset.enum,
-                             cfg, mode="approx")
 
 
 # Enumeration settings for the reference comparisons below: the three
@@ -479,7 +471,7 @@ class TestBaselines:
         dims = ModelDims(8, 6, hidden_mlp=12, embed=6, hidden_lstm=8,
                          use_tef=True, tef_only=True)
         params = init_params(dims, 1)
-        cfg = RetrievalConfig(variant="cal_tef", nms_iou=1.0, top_k=500, budget=500)
+        cfg = RetrievalConfig(variant="cal", nms_iou=1.0, top_k=500, budget=500)
         res = baseline_scores(corpus, queries[0], "tef_only", preset.enum, cfg,
                               params=params)
         costs = {}

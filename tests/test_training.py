@@ -133,6 +133,14 @@ class TestRankingLoss:
         loss = ranking_loss(0.0, 1.0, 0.1) + 0.4 * ranking_loss(0.0, 0.05, 0.1)
         assert loss == pytest.approx(0.02)
 
+    def test_elementwise_over_arrays(self):
+        x = np.array([0.2, 0.5, 1.7, 0.0])
+        y = np.array([0.5, 0.2, 1.7, 0.05])
+        np.testing.assert_array_equal(
+            ranking_loss(x, y, 0.1),
+            [ranking_loss(float(a), float(b), 0.1) for a, b in zip(x, y)])
+        np.testing.assert_allclose(ranking_loss(x, y, 0.1), [0.0, 0.4, 0.1, 0.05])
+
 
 class TestGradientFidelity:
     """Analytic gradients against central finite differences; the single
@@ -390,10 +398,17 @@ class TestTrainLoop:
 
 class TestReranker:
     def test_rank_weights_limits(self):
-        w_inf = exponential_rank_weights(10, 50.0)
+        w_inf = exponential_rank_weights(np.arange(1, 11), 50.0)
         assert w_inf[0] == pytest.approx(1.0, abs=1e-12)
-        w_zero = exponential_rank_weights(10, 0.0)
+        w_zero = exponential_rank_weights(np.arange(1, 11), 0.0)
         np.testing.assert_allclose(w_zero, np.full(10, 0.1))
+        # Gaps in the ranks keep their weight ratios; an offset cancels.
+        ranks = np.array([3, 4, 9])
+        raw = np.exp(-0.5 * ranks)
+        np.testing.assert_allclose(exponential_rank_weights(ranks, 0.5), raw / raw.sum(),
+                                   rtol=1e-12)
+        with pytest.raises(ValueError):
+            exponential_rank_weights([], 0.5)
 
     def test_empirical_frequencies_match_exponential(self):
         dataset = tiny_dataset(21, num_videos=4, num_clips=6)
@@ -410,7 +425,7 @@ class TestReranker:
         for _ in range(draws):
             m = sampler(0, rng)
             counts[key[(m.video_id, m.first_clip, m.last_clip)]] += 1
-        expected = exponential_rank_weights(30, 0.02) * draws
+        expected = exponential_rank_weights(np.arange(1, 31), 0.02) * draws
         sigma = np.sqrt(expected * (1 - expected / draws))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
