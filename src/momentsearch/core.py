@@ -96,8 +96,15 @@ class Moment:
 def clip_spans(video: VideoMeta, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     """(n, 2) array of the (start, end) seconds of clip ranges [firsts[i], lasts[i]],
     computed with `Moment.from_clips`'s operations; the ranges are not validated."""
-    return np.stack([firsts * video.clip_length,
-                     np.minimum((lasts + 1) * video.clip_length, video.duration)], axis=1)
+    return grid_spans(video.clip_length, video.duration, firsts, lasts)
+
+
+def grid_spans(clip_length, duration, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """`clip_spans` on a clip grid given as values: `clip_length` and
+    `duration` are scalars or one value per range, so one call covers ranges
+    of many videos."""
+    return np.stack([firsts * clip_length,
+                     np.minimum((lasts + 1) * clip_length, duration)], axis=1)
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,9 @@ class Corpus:
         if len(self._by_id) != len(self.videos):
             raise ValueError("duplicate video ids in corpus")
         self.features = features
+        # Query-independent search state (`retrieval.PreparedCorpus`), built
+        # by the first search that needs it.
+        self.prepared = None
         for v in self.videos:
             feats = features[v.video_id]
             if feats.shape[0] != v.num_clips:

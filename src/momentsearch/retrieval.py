@@ -6,13 +6,25 @@ Three paths produce a ranked list of moments for a query:
   near-duplicates per video, merge.
 * two-stage (moment budget): rank all moments with the cheap stage-one
   model, keep the top `budget`, re-score those with the re-ranking model.
+  When the re-ranking model and variant are stage one's own (clip-alignment,
+  non-TEF), stage one's costs are final and stage two only suppresses and
+  merges them.
 * approximate (clip budget): retrieve the top clips from the index, then
   re-score the candidates of the touched videos that contain a retrieved
   clip.
 
-Candidates travel as per-video (first_clip, last_clip) integer arrays
-taken from `enumeration.candidate_clips`; costs are arrays aligned with
-them, and `Moment` objects are built only for the rows a ranking returns.
+Exhaustive search reads a `PreparedCorpus`, the query-independent part of
+the work, built on the first search of a corpus and kept on it
+(`Corpus.prepared`): the video-id ranks, one flat candidate table under one
+`EnumConfig`, and, for the clip-alignment variant under a non-TEF model,
+every video's clip embeddings under one model. A clip-alignment query then
+takes one distance pass over the corpus's clip matrix and one prefix sum
+per video. TEF and aggregate rows depend on the moment, so those variants
+score each video's rows of the same table per query.
+
+Candidates travel as (video ordinal, first_clip, last_clip) integer arrays;
+costs are arrays aligned with them. A ranked list stays in that form
+(`RankedMoments`) and builds a `Moment` only for an item that is read.
 Non-maximum suppression runs only at the final ranking stage. All merges
 apply the deterministic (cost, video_id, first_clip, last_clip) tie-break,
 a total order, so rankings are reproducible across runs and do not depend
@@ -22,17 +34,18 @@ on the order in which videos are scored.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Moment, Query, clip_spans
-from .costs import CostCounters, ScoredMoment, score_moments
+from .core import Moment, Query, VideoMeta, grid_spans
+from .costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
 from .index import ClipIndex, IvfIndex
-from .model import ModelParams, embed_query
+from .model import ModelParams, compute_context, embed_clips, embed_query
 
 log = logging.getLogger(__name__)
 
@@ -59,55 +72,251 @@ class RetrievalConfig:
             raise ValueError(f"dilation_clips must be non-negative, got {self.dilation_clips}")
 
 
-@dataclass
+class RankedMoments(Sequence):
+    """A read-only ranked list of `ScoredMoment`s held as one array of
+    (cost, key) records, where key = (ordinal * width + first) * width +
+    last locates the item's (video ordinal, first_clip, last_clip) in a grid
+    whose width exceeds every clip index of the list. The `ScoredMoment` of
+    an item is built when the item is read; a slice is another
+    `RankedMoments`. It equals any sequence holding equal items in the same
+    order.
+
+    A caller may keep many results (a benchmark keeps every first-pass one),
+    so an item takes 12 bytes, or 16 where the key outgrows int32."""
+
+    __slots__ = ("_videos", "_width", "_items")
+
+    # One dtype object per key width: each array holds a reference to its dtype.
+    _ITEMS = {key: np.dtype([("cost", np.float64), ("key", key)]) for key in (np.int32, np.int64)}
+
+    def __init__(self, videos: Sequence[VideoMeta], ordinal, firsts, lasts, costs):
+        self._videos = videos  # indexed by ordinal; shared, never copied
+        ordinal, firsts, lasts = (np.asarray(a, dtype=np.int64) for a in (ordinal, firsts, lasts))
+        self._width = width = int(lasts.max(initial=0)) + 1
+        key = (ordinal * width + firsts) * width + lasts
+        narrow = key.max(initial=0) <= np.iinfo(np.int32).max
+        self._items = np.empty(len(key), dtype=self._ITEMS[np.int32 if narrow else np.int64])
+        self._items["cost"], self._items["key"] = costs, key
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ordinal, firsts, lasts, costs) arrays of the items, in rank order."""
+        video_clip, lasts = np.divmod(self._items["key"].astype(np.int64), self._width)
+        return (*np.divmod(video_clip, self._width), lasts, self._items["cost"])
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RankedMoments(self._videos, *(a[i] for a in self.arrays()))
+        return self._scored(*self._items[i].tolist())
+
+    def __iter__(self):
+        return (self._scored(*item) for item in self._items.tolist())
+
+    def _scored(self, cost: float, key: int) -> ScoredMoment:
+        video_clip, last = divmod(key, self._width)
+        ordinal, first = divmod(video_clip, self._width)
+        return ScoredMoment(Moment.from_clips(self._videos[ordinal], first, last), cost)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RankedMoments({list(self)!r})"
+
+
+@dataclass(slots=True)
 class RankedResult:
     query_id: str
-    ranked: list[ScoredMoment]
+    ranked: Sequence[ScoredMoment]
     stage_counters: dict[str, int] = field(default_factory=dict)
 
 
-def nms(spans: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Greedy suppression within one video; returns the kept row positions.
+# ---------------------------------------------------------------------------
+# The prepared corpus
+# ---------------------------------------------------------------------------
 
-    `spans` is an (n, 2) array of (start, end) seconds sorted cheapest
-    first. A row is dropped iff its IoU with a kept cheaper row exceeds the
-    threshold, computed with `core.temporal_iou`'s operations. IoU never
-    exceeds 1, so a threshold of 1 or more keeps every row.
+# The tensors that map a clip to its embedding; the LSTM and projection only
+# embed queries.
+_CLIP_TENSORS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
+_DISTANCE_BLOCK_ROWS = 512
+
+
+def _clip_model_key(params: ModelParams) -> tuple:
+    """What a clip embedding depends on, bit for bit. Training updates
+    `ModelParams` in place, so object identity would miss a change."""
+    return (params.dims, *((t.dtype.str, t.tobytes())
+                           for t in (getattr(params, n) for n in _CLIP_TENSORS)))
+
+
+class CandidateTable:
+    """Every candidate of a corpus under one `EnumConfig`: `candidate_clips`
+    rows of each video concatenated in corpus order, as flat (ordinal,
+    first, last) arrays, with `bounds[o]:bounds[o + 1]` the rows of video o.
+
+    `cal_costs` prices every row under a non-TEF model. Its clip embeddings,
+    those of the videos with at least one candidate, are computed per video,
+    as `score_moments` does, and kept for the last model seen. A query's
+    distances land in a zero-padded (videos, max clips + 1) table whose
+    row-wise prefix sums give each row's cost with `costs.cal_costs`'
+    operations, so the costs are the per-video costs bit for bit.
+    """
+
+    def __init__(self, videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
+                 enum_cfg: EnumConfig):
+        self.videos, self.features, self.enum_cfg = videos, features, enum_cfg
+        grids = [candidate_clips(v.num_clips, enum_cfg) for v in videos]
+        counts = np.asarray([len(g) for g in grids], dtype=np.int64)
+        self.bounds = np.concatenate([[0], np.cumsum(counts)])
+        self.ordinal = np.repeat(np.arange(len(videos), dtype=np.int32), counts)
+        rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
+        self.firsts, self.lasts = rows[:, 0].copy(), rows[:, 1].copy()
+        self.scored = np.flatnonzero(counts)  # videos with candidates
+        num_clips = np.asarray([videos[o].num_clips for o in self.scored], dtype=np.int64)
+        self._padded_shape = (len(videos), int(num_clips.max(initial=0)) + 1)
+        # Flat padded slot of each scored clip, in clip-matrix order.
+        starts = np.cumsum(num_clips) - num_clips
+        within = np.arange(int(num_clips.sum())) - np.repeat(starts, num_clips)
+        self._clip_slots = np.repeat(self.scored * self._padded_shape[1] + 1, num_clips) + within
+        # Counts as int objects that every result's counters share.
+        self.size, self.clips_scored = len(self.ordinal), len(self._clip_slots)
+        self._model_key = None
+        self._clip_matrix = None
+
+    def groups(self) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+        """(ordinal, firsts, lasts) of each video with candidates."""
+        for o in self.scored.tolist():
+            s, e = self.bounds[o], self.bounds[o + 1]
+            yield o, self.firsts[s:e], self.lasts[s:e]
+
+    def _clip_embeddings(self, params: ModelParams) -> np.ndarray:
+        key = _clip_model_key(params)
+        if key != self._model_key:
+            self._clip_matrix = None  # release the old matrix before building the new one
+            matrix = np.empty((self.clips_scored, params.dims.embed))
+            row = 0
+            for o in self.scored.tolist():
+                feats = np.asarray(self.features[self.videos[o].video_id], dtype=np.float64)
+                matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None,
+                                                           params)
+                row += len(feats)
+            self._clip_matrix, self._model_key = matrix, key
+        return self._clip_matrix
+
+    def cal_costs(self, params: ModelParams, q_emb: np.ndarray) -> np.ndarray:
+        """Clip-alignment cost of every row under a non-TEF model."""
+        matrix = self._clip_embeddings(params)
+        q = np.asarray(q_emb, dtype=np.float64)
+        padded = np.zeros(self._padded_shape)
+        # Distances are row-wise, so blocks give the bytes of one pass while
+        # bounding the difference matrix `sq_distances` allocates.
+        for s in range(0, len(matrix), _DISTANCE_BLOCK_ROWS):
+            block = slice(s, s + _DISTANCE_BLOCK_ROWS)
+            padded.reshape(-1)[self._clip_slots[block]] = sq_distances(matrix[block], q)
+        prefix = np.cumsum(padded, axis=1)
+        return ((prefix[self.ordinal, self.lasts + 1] - prefix[self.ordinal, self.firsts])
+                / (self.lasts - self.firsts + 1))
+
+
+class PreparedCorpus:
+    """The query-independent state of one corpus that search reads: its
+    videos, each video's lexicographic id rank (the tie-break), and one
+    `CandidateTable`, rebuilt when another `EnumConfig` asks for it. The
+    table keeps the clip embeddings of one model. So a corpus holds one
+    entry however many models or enumerations run against it; it lives as
+    long as the corpus, on `Corpus.prepared`."""
+
+    def __init__(self, corpus: Corpus):
+        self.videos = corpus.videos
+        self.features = corpus.features
+        ids = [v.video_id for v in self.videos]
+        self.ordinal_of = {video_id: o for o, video_id in enumerate(ids)}
+        self.id_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
+        self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
+        self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
+        self._table: Optional[CandidateTable] = None
+
+    def table(self, enum_cfg: EnumConfig) -> CandidateTable:
+        if self._table is None or self._table.enum_cfg != enum_cfg:
+            self._table = None  # release the old table before building the new one
+            self._table = CandidateTable(self.videos, self.features, enum_cfg)
+        return self._table
+
+
+def prepared(corpus: Corpus) -> PreparedCorpus:
+    """The corpus's `PreparedCorpus`, built on first use."""
+    if corpus.prepared is None:
+        corpus.prepared = PreparedCorpus(corpus)
+    return corpus.prepared
+
+
+# ---------------------------------------------------------------------------
+# Ranking
+# ---------------------------------------------------------------------------
+
+
+def nms(spans: np.ndarray, iou_threshold: float, ends: Optional[np.ndarray] = None
+        ) -> np.ndarray:
+    """Greedy suppression within each video; returns the kept row positions.
+
+    `spans` is an (n, 2) array of (start, end) seconds whose rows come in
+    one block per video, each block sorted cheapest first; `ends[i]` is one
+    past the last row of row i's block (by default all rows are one video).
+    A row is dropped iff its IoU with a kept cheaper row of its video
+    exceeds the threshold, computed with `core.temporal_iou`'s operations.
+    IoU never exceeds 1, so a threshold of 1 or more keeps every row.
     """
     keep = np.ones(len(spans), dtype=bool)
     if iou_threshold < 1:
-        for i in range(len(spans)):
+        ends = [len(spans)] * len(spans) if ends is None else ends.tolist()
+        for i, end in enumerate(ends):
             if keep[i]:
-                (s, e), (s_i, e_i) = spans[i + 1:].T, spans[i]
+                (s, e), (s_i, e_i) = spans[i + 1:end].T, spans[i]
                 inter = np.minimum(e, e_i) - np.maximum(s, s_i)
                 union = np.maximum(e, e_i) - np.minimum(s, s_i)
-                keep[i + 1:] &= (inter <= 0) | (inter / union <= iou_threshold)
+                keep[i + 1:end] &= (inter <= 0) | (inter / union <= iou_threshold)
     return np.flatnonzero(keep)
 
 
+def _select(
+    prep: PreparedCorpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
+    costs: np.ndarray, nms_iou: float, top_k: int,
+) -> RankedMoments:
+    """Suppress near-duplicates within each video, cheapest first, then keep
+    the top_k candidate rows by (cost, video_id, first, last)."""
+    rows = np.arange(len(costs))
+    if nms_iou >= 1 and top_k < len(rows):
+        # Nothing is suppressed, so only rows no dearer than the top_k-th
+        # cost can place; NaN costs sort last.
+        rows = rows[~(costs > np.partition(costs, top_k - 1)[top_k - 1])]
+    rows = rows[np.lexsort((lasts[rows], firsts[rows], costs[rows], ordinal[rows]))]
+    video = ordinal[rows]
+    spans = grid_spans(prep.clip_length[video], prep.duration[video], firsts[rows], lasts[rows])
+    rows = rows[nms(spans, nms_iou, np.searchsorted(video, video, side="right"))]
+    top = rows[np.lexsort((lasts[rows], firsts[rows], prep.id_rank[ordinal[rows]],
+                           costs[rows]))][:top_k]
+    return RankedMoments(prep.videos, ordinal[top], firsts[top], lasts[top], costs[top])
+
+
 def _rank(
-    groups, q_emb: np.ndarray, variant: str, params: ModelParams, nms_iou: float, top_k: int,
-) -> tuple[list[ScoredMoment], CostCounters]:
-    """Score each (video, features, firsts, lasts) group, suppress within the
-    video cheapest first, and merge by (cost, video_id, first, last); returns
-    (top_k ranked, counters). Only the returned rows become `Moment`s.
-    """
+    prep: PreparedCorpus, groups, q_emb: np.ndarray, variant: str, params: ModelParams,
+    nms_iou: float, top_k: int,
+) -> tuple[RankedMoments, CostCounters]:
+    """Score each (ordinal, firsts, lasts) group with `score_moments`, then
+    `_select`; returns (top_k ranked, counters)."""
     counters = CostCounters()
-    videos, rows = [], []
-    for video, feats, firsts, lasts in groups:
-        costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
-        order = np.lexsort((lasts, firsts, costs))
-        kept = order[nms(clip_spans(video, firsts[order], lasts[order]), nms_iou)]
-        rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
-        videos.append(video)
-    if not videos:
-        return [], counters
-    ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(*rows))
-    id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
-    top = np.lexsort((lasts, firsts, id_rank[ordinal], costs))[:top_k]
-    return [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
-            for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
-                                  lasts[top].tolist(), costs[top].tolist())], counters
+    rows = [(np.full(len(firsts), o), firsts, lasts,
+             score_moments(prep.videos[o], prep.features[prep.videos[o].video_id], q_emb,
+                           variant, params, firsts, lasts, counters))
+            for o, firsts, lasts in groups]
+    empty = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
+    ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(empty, *rows))
+    return _select(prep, ordinal, firsts, lasts, costs, nms_iou, top_k), counters
 
 
 def exhaustive_search(
@@ -119,9 +328,15 @@ def exhaustive_search(
 ) -> RankedResult:
     """Score the full candidate universe with one model."""
     q_emb = embed_query(query.word_vectors, params)
-    groups = ((v, corpus.features_for(v.video_id), *candidate_clips(v.num_clips, enum_cfg).T)
-              for v in corpus.videos)
-    ranked, counters = _rank(groups, q_emb, cfg.variant, params, cfg.nms_iou, cfg.top_k)
+    prep = prepared(corpus)
+    table = prep.table(enum_cfg)
+    if cfg.variant == "cal" and not params.dims.use_tef:
+        ranked = _select(prep, table.ordinal, table.firsts, table.lasts,
+                         table.cal_costs(params, q_emb), cfg.nms_iou, cfg.top_k)
+        counters = CostCounters(table.clips_scored, table.size)
+    else:
+        ranked, counters = _rank(prep, table.groups(), q_emb, cfg.variant, params, cfg.nms_iou,
+                                 cfg.top_k)
     return RankedResult(query.query_id, ranked, {
         "stage1_distances": counters.distance_evals,
         "stage1_moments": counters.moments_scored,
@@ -144,13 +359,18 @@ def two_stage_search(
     candidate set from moments containing a retrieved clip; "moment" keeps
     the `budget` cheapest moments under the stage-one cost. Stage two
     re-scores candidates with the re-ranking model (the stage-one model
-    when none is given), applies per-video suppression, and merges.
+    when none is given), applies per-video suppression, and merges. In
+    moment mode with the stage-one model and clip-alignment variant under a
+    non-TEF model, the stage-one costs are those stage two would compute, so
+    stage two ranks them without re-scoring (`stage2_distances` 0).
     """
     if mode not in ("approx", "moment"):
         raise ValueError(f"unknown two-stage mode {mode!r}")
+    same_model = rerank_params is None or rerank_params is stage1_params
     rerank_params = rerank_params if rerank_params is not None else stage1_params
     rerank_variant = cfg.rerank_variant or cfg.variant
     counters: dict[str, int] = {}
+    prep = prepared(corpus)
 
     if mode == "approx":
         if index is None:
@@ -166,39 +386,47 @@ def two_stage_search(
         counters["stage1_distances"] = stats.distance_evals
         if not hits:
             log.warning("%s: empty stage-one retrieval", query.query_id)
-            return RankedResult(query.query_id, [], counters)
-        retrieved: dict[str, list[int]] = {}
+            return RankedResult(query.query_id, RankedMoments(prep.videos, [], [], [], []),
+                                counters)
+        retrieved: dict[int, list[int]] = {}
         for h in hits:
-            retrieved.setdefault(h.video_id, []).append(h.clip_idx)
+            retrieved.setdefault(prep.ordinal_of[h.video_id], []).append(h.clip_idx)
         # Keep (f, l) iff a retrieved clip lies in [f - d, l + d]: a prefix
         # count of retrieved clips, read at the window clamped to the video.
         d = cfg.dilation_clips
-        candidates = {}  # video_id -> (first, last) rows
-        for video_id, clips in retrieved.items():
-            n = corpus.video(video_id).num_clips
+        groups = []  # (ordinal, firsts, lasts)
+        for o, clips in retrieved.items():
+            n = prep.videos[o].num_clips
             grid = candidate_clips(n, enum_cfg)
             count = np.cumsum(np.bincount(np.asarray(clips) + 1, minlength=n + 1))
             hit = (count[np.minimum(grid[:, 1] + d, n - 1) + 1]
                    > count[np.maximum(grid[:, 0] - d, 0)])
             if hit.any():
-                candidates[video_id] = grid[hit]
+                groups.append((o, *grid[hit].T))
     else:
         if cfg.budget < cfg.top_k:
             raise ValueError("stage-one budget must be at least top_k")
         # NMS at IoU 1 drops nothing, so stage one is the exhaustive ranking
-        # cut at the budget; its rows go to stage two in stage-one order.
+        # cut at the budget.
         stage1 = exhaustive_search(corpus, query, stage1_params, enum_cfg,
                                    replace(cfg, nms_iou=1.0, top_k=cfg.budget))
         counters.update(stage1.stage_counters)
-        candidates = {}
-        for s in stage1.ranked:
-            candidates.setdefault(s.moment.video_id, []).append(
-                (s.moment.first_clip, s.moment.last_clip))
+        ordinal, firsts, lasts, costs = stage1.ranked.arrays()
+        if same_model and cfg.variant == rerank_variant == "cal" \
+                and not stage1_params.dims.use_tef:
+            counters["stage2_distances"] = 0
+            counters["stage2_moments"] = len(costs)
+            ranked = _select(prep, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
+            return RankedResult(query.query_id, ranked, counters)
+        # Each video's rows go to stage two in stage-one order, videos in
+        # order of first appearance: the batches a re-scoring model embeds.
+        by_video: dict[int, list[int]] = {}
+        for i, o in enumerate(ordinal.tolist()):
+            by_video.setdefault(o, []).append(i)
+        groups = [(o, firsts[i], lasts[i]) for o, i in by_video.items()]
 
     q2 = embed_query(query.word_vectors, rerank_params)
-    groups = ((corpus.video(vid), corpus.features_for(vid), *np.asarray(rows).T)
-              for vid, rows in candidates.items())
-    ranked, stage2_counters = _rank(groups, q2, rerank_variant, rerank_params,
+    ranked, stage2_counters = _rank(prep, groups, q2, rerank_variant, rerank_params,
                                     cfg.nms_iou, cfg.top_k)
     counters["stage2_distances"] = stage2_counters.distance_evals
     counters["stage2_moments"] = stage2_counters.moments_scored
@@ -251,12 +479,12 @@ def baseline_scores(
 ) -> RankedResult:
     """Chance / moment-prior / endpoint-only reference rankings.
 
-    Chance and the prior rank every video's `candidate_clips` rows without
-    suppression; only the top_k become `Moment`s. Chance costs a row its rank
-    in a seeded permutation; the prior costs it minus the histogram
-    probability of its normalized span, ties broken by a seeded uniform draw,
-    then (video_id, first, last). The endpoint-only baseline is a full
-    exhaustive run with a visually-masked model.
+    Chance and the prior rank the rows of the corpus's candidate table
+    without suppression. Chance costs a row its rank in a seeded
+    permutation; the prior costs it minus the histogram probability of its
+    normalized span, ties broken by a seeded uniform draw, then (video_id,
+    first, last). The endpoint-only baseline is a full exhaustive run with
+    a visually-masked model.
     """
     if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
@@ -268,24 +496,21 @@ def baseline_scores(
         raise ValueError("moment_prior baseline needs a fitted prior")
 
     rng = np.random.default_rng([seed, stable_u32(query.query_id)])
-    videos = corpus.videos
-    grids = [candidate_clips(v.num_clips, enum_cfg) for v in videos]
-    ordinal = np.repeat(np.arange(len(videos)), [len(g) for g in grids])
-    firsts, lasts = np.concatenate([np.empty((0, 2), np.int64), *grids]).T
+    prep = prepared(corpus)
+    table = prep.table(enum_cfg)
+    ordinal, firsts, lasts = table.ordinal, table.firsts, table.lasts
     if kind == "chance":
-        top = rng.permutation(len(ordinal))[:cfg.top_k]
+        top = rng.permutation(table.size)[:cfg.top_k]
         costs = np.arange(len(top), dtype=np.float64)
     else:
-        jitter = rng.random(len(ordinal))
-        norm = [clip_spans(v, *g.T) / v.duration for v, g in zip(videos, grids)]
-        p = prior.probabilities[prior.cells(np.concatenate([np.empty((0, 2)), *norm]))]
-        id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
-        top = np.lexsort((lasts, firsts, id_rank[ordinal], jitter, -p))[:cfg.top_k]
+        jitter = rng.random(table.size)
+        duration = prep.duration[ordinal]
+        norm = grid_spans(prep.clip_length[ordinal], duration, firsts, lasts) / duration[:, None]
+        p = prior.probabilities[prior.cells(norm)]
+        top = np.lexsort((lasts, firsts, prep.id_rank[ordinal], jitter, -p))[:cfg.top_k]
         costs = -p[top]
-    ranked = [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
-              for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
-                                    lasts[top].tolist(), costs.tolist())]
-    return RankedResult(query.query_id, ranked, {"stage1_moments": len(ordinal)})
+    ranked = RankedMoments(prep.videos, ordinal[top], firsts[top], lasts[top], costs)
+    return RankedResult(query.query_id, ranked, {"stage1_moments": table.size})
 
 
 # ---------------------------------------------------------------------------

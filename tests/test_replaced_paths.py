@@ -1,6 +1,7 @@
-"""The per-variant cost code and the per-moment batch assembly that
-`costs.score_moments` and `training._assemble_batch` replaced, kept here
-verbatim as references: the merged paths must give the same bytes.
+"""The per-variant cost code, the per-moment batch assembly and the
+per-video ranking route that `costs.score_moments`,
+`training._assemble_batch` and the prepared-corpus search replaced, kept
+here verbatim as references: the merged paths must give the same bytes.
 
 Costs are compared by `float.hex`, batch tensors by `np.array_equal`.
 """
@@ -9,16 +10,25 @@ import numpy as np
 import pytest
 
 from momentsearch.core import Moment, VideoMeta, clip_spans
-from momentsearch.costs import CostCounters, score_moments, sq_distances
-from momentsearch.enumeration import PRESETS, candidate_clips
+from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
+from momentsearch.dataio import Corpus
+from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
 from momentsearch.model import (
     ModelDims,
     assemble_visual_inputs,
     compute_context,
     embed_clips,
+    embed_query,
     init_params,
     mlp_forward,
     tef,
+)
+from momentsearch.retrieval import (
+    RankedMoments,
+    RetrievalConfig,
+    exhaustive_search,
+    nms,
+    two_stage_search,
 )
 from momentsearch.training import TrainConfig, TrainDataset, _assemble_batch, sample_triples
 from conftest import varied_corpus
@@ -91,6 +101,56 @@ def reference_score_moments(video, video_features, query_emb, variant, params, f
         counters.distance_evals += len(firsts)
     counters.moments_scored += len(firsts)
     return costs
+
+
+def reference_rank(groups, q_emb, variant, params, nms_iou, top_k):
+    """Score each (video, features, firsts, lasts) group, suppress within the
+    video cheapest first, and merge by (cost, video_id, first, last)."""
+    counters = CostCounters()
+    videos, rows = [], []
+    for video, feats, firsts, lasts in groups:
+        costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
+        order = np.lexsort((lasts, firsts, costs))
+        kept = order[nms(clip_spans(video, firsts[order], lasts[order]), nms_iou)]
+        rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
+        videos.append(video)
+    if not videos:
+        return [], counters
+    ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(*rows))
+    id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
+    top = np.lexsort((lasts, firsts, id_rank[ordinal], costs))[:top_k]
+    return [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
+            for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
+                                  lasts[top].tolist(), costs[top].tolist())], counters
+
+
+def reference_exhaustive(corpus, query, params, enum_cfg, cfg):
+    """Every video's candidates scored per query, then `reference_rank`."""
+    q_emb = embed_query(query.word_vectors, params)
+    groups = ((v, corpus.features_for(v.video_id), *candidate_clips(v.num_clips, enum_cfg).T)
+              for v in corpus.videos)
+    ranked, counters = reference_rank(groups, q_emb, cfg.variant, params, cfg.nms_iou,
+                                      cfg.top_k)
+    return ranked, {"stage1_distances": counters.distance_evals,
+                    "stage1_moments": counters.moments_scored}
+
+
+def reference_two_stage_moment(corpus, query, params, enum_cfg, cfg):
+    """Moment-budget two-stage search that re-scores stage one's moments."""
+    stage1, counters = reference_exhaustive(
+        corpus, query, params, enum_cfg, RetrievalConfig(
+            variant=cfg.variant, nms_iou=1.0, top_k=cfg.budget, budget=cfg.budget))
+    candidates = {}
+    for s in stage1:
+        candidates.setdefault(s.moment.video_id, []).append(
+            (s.moment.first_clip, s.moment.last_clip))
+    q2 = embed_query(query.word_vectors, params)
+    groups = ((corpus.video(vid), corpus.features_for(vid), *np.asarray(rows).T)
+              for vid, rows in candidates.items())
+    ranked, stage2 = reference_rank(groups, q2, cfg.rerank_variant or cfg.variant, params,
+                                    cfg.nms_iou, cfg.top_k)
+    return ranked, {**counters, "stage2_distances": stage2.distance_evals,
+                    "stage2_moments": stage2.moments_scored}
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -210,3 +270,88 @@ def test_assemble_batch_equals_per_moment_reference(preset_name, variant, mode):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+# The three presets, plus a minimum length above some videos' clip counts,
+# so that some videos have no candidate.
+RANKING_ENUMS = {
+    **{name: preset.enum for name, preset in PRESETS.items()},
+    "min-above-clips": EnumConfig(clip_length=3.0, max_moment_clips=9, stride_ratio=0.3,
+                                  min_moment_clips=6),
+}
+
+
+def shuffled_corpus(seed, clip_length, num_videos=24, max_clips=39):
+    """`varied_corpus` videos of 2-39 clips whose ids are not in corpus order."""
+    corpus, queries = varied_corpus(np.random.default_rng(seed), clip_length,
+                                    num_videos=num_videos, max_clips=max_clips)
+    ids = [f"v{i:03d}" for i in np.random.default_rng(seed + 1).permutation(num_videos)]
+    videos = [VideoMeta(new, v.duration, v.clip_length, v.num_clips)
+              for new, v in zip(ids, corpus.videos)]
+    features = {new: corpus.features_for(v.video_id) for new, v in zip(ids, corpus.videos)}
+    return Corpus(videos, features), queries
+
+
+def _ranked_hex(ranked):
+    return [(s.moment, s.cost.hex()) for s in ranked]
+
+
+@pytest.mark.parametrize("enum_name", sorted(RANKING_ENUMS))
+@pytest.mark.parametrize("variant, mode", VARIANT_MODES)
+def test_exhaustive_search_equals_per_video_route(enum_name, variant, mode):
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, queries = shuffled_corpus(3, enum_cfg.clip_length)
+    params = init_params(_dims(mode, visual_in=3, word_in=2), 4)
+    universe = corpus.total_candidates(enum_cfg)
+    preset_nms = PRESETS[enum_name].nms_iou if enum_name in PRESETS else 0.6
+    for nms_iou in sorted({preset_nms, 0.5, 1.0}):
+        for top_k in (7, universe + 3):
+            cfg = RetrievalConfig(variant=variant, nms_iou=nms_iou, top_k=top_k)
+            for q in queries[:4]:
+                got = exhaustive_search(corpus, q, params, enum_cfg, cfg)
+                want, counters = reference_exhaustive(corpus, q, params, enum_cfg, cfg)
+                assert _ranked_hex(got.ranked) == _ranked_hex(want)
+                assert got.stage_counters == counters
+
+
+@pytest.mark.parametrize("enum_name", sorted(RANKING_ENUMS))
+def test_moment_two_stage_ranks_stage_one_costs_as_rescoring_would(enum_name):
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, queries = shuffled_corpus(5, enum_cfg.clip_length)
+    params = init_params(_dims("plain", visual_in=3, word_in=2), 6)
+    for nms_iou in (1.0, 0.5):
+        for budget, top_k in ((30, 20), (corpus.total_candidates(enum_cfg), 50)):
+            cfg = RetrievalConfig(nms_iou=nms_iou, top_k=top_k, budget=budget)
+            for q in queries[:4]:
+                got = two_stage_search(corpus, None, q, params, None, enum_cfg, cfg,
+                                       mode="moment")
+                want, counters = reference_two_stage_moment(corpus, q, params, enum_cfg, cfg)
+                assert _ranked_hex(got.ranked) == _ranked_hex(want)
+                # Stage one's costs are final: stage two evaluates no distance.
+                assert got.stage_counters == {**counters, "stage2_distances": 0}
+
+
+def test_ranked_moments_read_as_their_materialized_list():
+    enum_cfg = PRESETS["charades-sta"].enum
+    corpus, queries = shuffled_corpus(9, enum_cfg.clip_length)
+    params = init_params(_dims("plain", visual_in=3, word_in=2), 2)
+    ranked = exhaustive_search(corpus, queries[0], params, enum_cfg,
+                               RetrievalConfig(nms_iou=0.6, top_k=37)).ranked
+    assert isinstance(ranked, RankedMoments)
+    items = list(ranked)
+    n = len(items)
+    assert len(ranked) == n == 37
+    assert [ranked[i] for i in range(-n, n)] == items[-n:] + items
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ranked[bad]
+    for cut in (slice(None), slice(3, 11), slice(-5, None), slice(None, None, -2),
+                slice(2, 30, 7), slice(40, 50)):
+        part = ranked[cut]
+        assert isinstance(part, RankedMoments)
+        assert list(part) == items[cut]
+        assert part == items[cut]
+    assert ranked == items and ranked == tuple(items) and ranked != items[1:]
+    assert [s.cost for s in ranked] == [s.cost for s in items]
+    empty = ranked[n:]
+    assert len(empty) == 0 and empty == [] and list(empty) == []

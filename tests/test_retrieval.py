@@ -15,6 +15,7 @@ from momentsearch.retrieval import (
     exhaustive_search,
     fit_moment_prior,
     nms,
+    prepared,
     restrict_corpus,
     two_stage_search,
 )
@@ -88,6 +89,23 @@ class TestNms:
                 for j in range(i + 1, len(kept)):
                     assert temporal_iou(kept[i].span, kept[j].span) <= thr
 
+    def test_blocks_suppress_only_within_their_video(self, rng):
+        from momentsearch.core import clip_spans
+
+        enum = get_preset("charades-sta").enum
+        blocks, want = [], []
+        for n in (2, 9, 16, 5):
+            grid = candidate_clips(n, enum)
+            spans = clip_spans(VideoMeta(f"v{n}", n * 3.0, 3.0, n),
+                               *grid[np.argsort(rng.random(len(grid)))].T)
+            want.extend(sum(map(len, blocks)) + nms(spans, 0.4))
+            blocks.append(spans)
+        sizes = [len(b) for b in blocks]
+        ends = np.repeat(np.cumsum(sizes), sizes)
+        assert nms(np.concatenate(blocks), 0.4, ends).tolist() == want
+        # Every video has the candidate [0, 6): without the blocks one video suppresses another.
+        assert len(nms(np.concatenate(blocks), 0.4)) < len(want)
+
     @settings(max_examples=60, deadline=None)
     @given(preset_name=st.sampled_from(["charades-sta", "activitynet"]),
            num_clips=st.integers(2, 80), short_by=st.floats(0.0, 0.95),
@@ -128,7 +146,7 @@ class TestExhaustive:
         # identity-strength signal: score with an oracle-configured model that
         # reproduces raw features, querying with the planted latent directly
         from conftest import identity_visual_params
-        from momentsearch.retrieval import _rank
+        from momentsearch.retrieval import _rank, prepared
 
         params = identity_visual_params(visual_in=8)
         import os
@@ -139,9 +157,10 @@ class TestExhaustive:
         readout = (spec_rng.standard_normal((8, 6)) / np.sqrt(6)).astype(np.float32)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            groups = ((v, corpus.features_for(v.video_id),
-                       *candidate_clips(v.num_clips, preset.enum).T) for v in corpus.videos)
-            ranked, _ = _rank(groups, latent, "cal", params, preset.nms_iou, 10)
+            groups = [(o, *candidate_clips(v.num_clips, preset.enum).T)
+                      for o, v in enumerate(corpus.videos)]
+            ranked, _ = _rank(prepared(corpus), groups, latent, "cal", params,
+                              preset.nms_iou, 10)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
@@ -156,8 +175,9 @@ class TestExhaustive:
         enum = get_preset("charades-sta").enum
         grid = candidate_clips(10, enum)
         videos = [VideoMeta(vid, 30.0, 3.0, 10) for vid in ("vb", "va")]
-        ranked, _ = retrieval._rank([(v, None, *grid.T) for v in videos], None, "cal", None,
-                                    0.3, len(grid) * 2)
+        corpus = Corpus(videos, {v.video_id: np.zeros((10, 1)) for v in videos})
+        ranked, _ = retrieval._rank(retrieval.prepared(corpus), [(o, *grid.T) for o in (0, 1)],
+                                    None, "cal", None, 0.3, len(grid) * 2)
         # every cost ties: suppression walks each video in (first, last) order
         kept = greedy_nms_reference(
             [Moment.from_clips(videos[0], f, l).span for f, l in grid.tolist()], 0.3)
@@ -497,3 +517,117 @@ class TestSingleVideo:
         mini = restrict_corpus(corpus, vid)
         assert len(mini) == 1
         assert mini.videos[0].video_id == vid
+
+
+def _keys(result):
+    return [(s.moment, s.cost.hex()) for s in result.ranked]
+
+
+def _fresh(corpus):
+    """A new corpus object over the same videos and features: nothing prepared."""
+    return Corpus(list(corpus.videos), dict(corpus.features))
+
+
+class TestPreparedCorpus:
+    def test_empty_corpus_ranks_nothing(self):
+        enum_cfg = get_preset("charades-sta").enum
+        params = init_params(ModelDims(3, 2, hidden_mlp=4, embed=3, hidden_lstm=2), 0)
+        query = Query("q", np.ones((2, 2)))
+        for variant in ("cal", "aggregate"):
+            cfg = RetrievalConfig(variant=variant, nms_iou=0.5, top_k=5, budget=5)
+            ex = exhaustive_search(Corpus([], {}), query, params, enum_cfg, cfg)
+            assert ex.ranked == []
+            assert ex.stage_counters == {"stage1_distances": 0, "stage1_moments": 0}
+            ts = two_stage_search(Corpus([], {}), None, query, params, None, enum_cfg, cfg,
+                                  mode="moment")
+            assert ts.ranked == []
+
+    def test_videos_without_candidates_evaluate_no_distance(self, rng):
+        enum_cfg = REFERENCE_ENUMS["min-above-clips"]  # moments of at least 6 clips
+        videos = [VideoMeta(vid, n * 3.0, 3.0, n) for vid, n in (("a", 4), ("b", 10), ("c", 5))]
+        corpus = Corpus(videos, {v.video_id: rng.standard_normal((v.num_clips, 3))
+                                 for v in videos})
+        params = init_params(ModelDims(3, 2, hidden_mlp=4, embed=3, hidden_lstm=2), 0)
+        query = Query("q", rng.standard_normal((2, 2)))
+        cfg = RetrievalConfig(nms_iou=1.0, top_k=100)
+        res = exhaustive_search(corpus, query, params, enum_cfg, cfg)
+        assert res.stage_counters == {"stage1_distances": 10,
+                                      "stage1_moments": len(candidate_clips(10, enum_cfg))}
+        assert {s.moment.video_id for s in res.ranked} == {"b"}
+        short = Corpus([videos[0], videos[2]], {v: corpus.features_for(v) for v in ("a", "c")})
+        res = exhaustive_search(short, query, params, enum_cfg, cfg)
+        assert res.ranked == []
+        assert res.stage_counters == {"stage1_distances": 0, "stage1_moments": 0}
+
+    def test_single_video_search_prepares_each_restricted_corpus(self, planted):
+        preset, corpus, queries, params = planted
+        universe = corpus.total_candidates(preset.enum)
+        full_prep = prepared(corpus)
+        for nms_iou in (1.0, 0.5):
+            cfg = RetrievalConfig(nms_iou=nms_iou, top_k=universe, budget=universe)
+            for q in queries[:4]:
+                vid = q.ground_truth.video_id
+                mini = restrict_corpus(corpus, vid)
+                assert mini.prepared is None
+                res = exhaustive_search(mini, q, params, preset.enum, cfg)
+                assert mini.prepared is not None
+                full = exhaustive_search(corpus, q, params, preset.enum, cfg)
+                assert _keys(res) == [k for k in _keys(full) if k[0].video_id == vid]
+        assert corpus.prepared is full_prep
+
+    def test_model_updated_in_place_is_not_served_stale(self, planted):
+        from momentsearch.training import TrainConfig, sgd_step
+
+        preset, corpus, queries, params = planted
+        corpus, params = _fresh(corpus), params.copy()
+        cfg = RetrievalConfig(nms_iou=0.5, top_k=40)
+        before = exhaustive_search(corpus, queries[0], params, preset.enum, cfg)
+        tensors = params.tensors()
+        sgd_step(params, {n: np.ones_like(t) for n, t in tensors.items()},
+                 {n: np.zeros_like(t) for n, t in tensors.items()}, 0, TrainConfig(lr0=0.01))
+        after_step = exhaustive_search(corpus, queries[0], params, preset.enum, cfg)
+        assert _keys(after_step) != _keys(before)
+        params.mlp_w1[0, 0] += 0.5
+        for q in queries[:3]:
+            assert _keys(exhaustive_search(corpus, q, params, preset.enum, cfg)) == \
+                _keys(exhaustive_search(_fresh(corpus), q, params, preset.enum, cfg))
+
+    def test_second_enumeration_on_the_same_corpus(self, planted):
+        preset, corpus, queries, params = planted
+        corpus = _fresh(corpus)
+        other = EnumConfig(clip_length=2.5, max_moment_clips=7, stride_ratio=0.3)
+        for enum_cfg in (preset.enum, other, preset.enum):
+            cfg = RetrievalConfig(nms_iou=0.6, top_k=60)
+            for q in queries[:2]:
+                res = exhaustive_search(corpus, q, params, enum_cfg, cfg)
+                assert _keys(res) == \
+                    _keys(exhaustive_search(_fresh(corpus), q, params, enum_cfg, cfg))
+                assert res.stage_counters["stage1_moments"] == corpus.total_candidates(enum_cfg)
+
+    def test_alternating_models_keep_one_prepared_entry(self):
+        import tracemalloc
+
+        from conftest import make_corpus
+
+        corpus = make_corpus(np.random.default_rng(4), num_videos=50, num_clips=20,
+                             visual_dim=6)
+        enum_cfg = get_preset("didemo").enum
+        dims = ModelDims(6, 4, hidden_mlp=16, embed=64, hidden_lstm=4)
+        models = (init_params(dims, 1), init_params(dims, 2))
+        query = Query("q", np.random.default_rng(5).standard_normal((3, 4)))
+        cfg = RetrievalConfig(nms_iou=1.0, top_k=20)
+        prep = prepared(corpus)
+        tracemalloc.start()
+        try:
+            for params in models * 2:
+                assert _keys(exhaustive_search(corpus, query, params, enum_cfg, cfg)) == \
+                    _keys(exhaustive_search(_fresh(corpus), query, params, enum_cfg, cfg))
+            settled = tracemalloc.get_traced_memory()[0]
+            for params in models * 5:
+                exhaustive_search(corpus, query, params, enum_cfg, cfg)
+            grown = tracemalloc.get_traced_memory()[0] - settled
+        finally:
+            tracemalloc.stop()
+        assert corpus.prepared is prep
+        # One clip matrix (50 videos x 20 clips x 64 x 8 bytes) is 512 KB.
+        assert grown < corpus.total_clips * dims.embed * 8 // 4
