@@ -7,9 +7,10 @@ Compares three retrieval routes on one synthetic corpus:
   distance pass, one prefix sum and each video's cheapest span, a
   per-video best-span proxy. On the 10,000-video corpus (2 vCPUs, one
   BLAS thread) it reads 0.08-0.09 s per query; `exhaustive_search` takes
-  3.6-3.9 s once its first query (4.4 s) has built the corpus's clip
-  matrix and candidate table, most of it in per-video suppression at
-  IoU 0.6.
+  1.2-1.3 s once its first query (2.1 s) has built the corpus's clip
+  matrix and candidate table. Most of that is the sort of all 1.15M rows
+  cheapest first within each video and the suppression sweep at IoU 0.6
+  (0.67 s and 0.4 s of a 1.2 s query under cProfile).
 * aggregate, exhaustive scan: one indexed entry and one distance per
   candidate span (all lengths 1..K), the cost of indexing pooled moment
   features. It times the distance pass and a top-200 selection.

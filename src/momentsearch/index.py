@@ -5,12 +5,13 @@ are stored as float32; all comparisons use squared Euclidean distance, so
 ordering matches the alignment cost without square roots. Ties are broken
 by (video_id, clip_idx).
 
-Searches are read-only after build; each search returns its own
-SearchStats.
+Searches are read-only after build; each search returns its hits as a
+`ClipHits` sequence and its own SearchStats.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,48 @@ class ClipHit:
     sq_distance: float
 
 
+class ClipHits(Sequence):
+    """A read-only ranked sequence of `ClipHit`s held as (video ordinal,
+    clip, distance) arrays, the ordinals indexing `video_ids`. The `ClipHit`
+    of an item is built when the item is read; it equals any sequence
+    holding equal items in the same order."""
+
+    __slots__ = ("video_ids", "_ordinal", "_clip", "_distance")
+
+    def __init__(self, video_ids: tuple[str, ...], ordinal: np.ndarray, clip: np.ndarray,
+                 distance: np.ndarray):
+        self.video_ids = video_ids  # shared with the index, never copied
+        self._ordinal, self._clip, self._distance = ordinal, clip, distance
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(video ordinal, clip, squared distance) arrays, in rank order."""
+        return self._ordinal, self._clip, self._distance
+
+    def __len__(self) -> int:
+        return len(self._ordinal)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ClipHits(self.video_ids, self._ordinal[i], self._clip[i], self._distance[i])
+        return ClipHit(self.video_ids[int(self._ordinal[i])], int(self._clip[i]),
+                       float(self._distance[i]))
+
+    def __iter__(self):
+        for o, clip, distance in zip(self._ordinal.tolist(), self._clip.tolist(),
+                                     self._distance.tolist()):
+            yield ClipHit(self.video_ids[o], clip, distance)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ClipHits({list(self)!r})"
+
+
 class ClipIndex:
     """Flat store over clip embeddings; subclass adds IVF partitioning."""
 
@@ -64,21 +107,19 @@ class ClipIndex:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def _rank_hits(self, idx: np.ndarray, dists: np.ndarray, top_c: int) -> list[ClipHit]:
+    def _rank_hits(self, idx: np.ndarray, dists: np.ndarray, top_c: int) -> ClipHits:
+        if top_c < len(dists):
+            # Only entries no farther than the top_c-th distance can place;
+            # NaN distances sort last.
+            near = np.flatnonzero(~(dists > np.partition(dists, top_c - 1)[top_c - 1]))
+            idx, dists = idx[near], dists[near]
         order = np.lexsort((
             self.keys[idx, 1],
             self._id_rank[idx],
             dists,
         ))[:top_c]
-        hits = []
-        for pos in order:
-            entry = idx[pos]
-            hits.append(ClipHit(
-                video_id=self.video_ids[int(self.keys[entry, 0])],
-                clip_idx=int(self.keys[entry, 1]),
-                sq_distance=float(dists[pos]),
-            ))
-        return hits
+        entry = idx[order]
+        return ClipHits(self.video_ids, self.keys[entry, 0], self.keys[entry, 1], dists[order])
 
     def search(self, query_emb: np.ndarray, top_c: int, nprobe: int = 0):
         """Scan every entry; returns (hits, stats). `nprobe` is ignored."""

@@ -11,7 +11,13 @@ Three paths produce a ranked list of moments for a query:
   merges them.
 * approximate (clip budget): retrieve the top clips from the index, then
   re-score the candidates of the touched videos that contain a retrieved
-  clip.
+  clip. The hits arrive as arrays (`index.ClipHits`), and the candidates
+  form in one pass over the touched videos: a padded prefix count of the
+  retrieved clips, read at each `candidate_clips` row's dilated window.
+  Under a clip-alignment, non-TEF re-ranker each touched video's clips are
+  embedded by their own `embed_clips` call, and one distance pass and one
+  padded prefix sum, the gather exhaustive search uses, price every
+  candidate. Other re-rankers score each video with `score_moments`.
 
 Exhaustive search reads a `PreparedCorpus`, the query-independent part of
 the work, built on the first search of a corpus and kept on it
@@ -25,7 +31,8 @@ score each video's rows of the same table per query.
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays;
 costs are arrays aligned with them. A ranked list stays in that form
 (`RankedMoments`) and builds a `Moment` only for an item that is read.
-Non-maximum suppression runs only at the final ranking stage. All merges
+Non-maximum suppression runs only at the final ranking stage, as one sweep
+over the rows of every video at once (`nms`). All merges
 apply the deterministic (cost, video_id, first_clip, last_clip) tie-break,
 a total order, so rankings are reproducible across runs and do not depend
 on the order in which videos are scored.
@@ -44,7 +51,7 @@ from .core import Moment, Query, VideoMeta, grid_spans
 from .costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
-from .index import ClipIndex, IvfIndex
+from .index import ClipHits, ClipIndex, IvfIndex
 from .model import ModelParams, compute_context, embed_clips, embed_query
 
 log = logging.getLogger(__name__)
@@ -154,17 +161,55 @@ def _clip_model_key(params: ModelParams) -> tuple:
                            for t in (getattr(params, n) for n in _CLIP_TENSORS)))
 
 
+def _embed_videos(videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
+                  ordinals: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The clip embeddings of videos `ordinals`, stacked in that order; one
+    `embed_clips` call per video, as `score_moments` makes. One GEMM over
+    many videos would round differently."""
+    sizes = [videos[o].num_clips for o in ordinals.tolist()]
+    matrix = np.empty((sum(sizes), params.dims.embed))
+    row = 0
+    for o, size in zip(ordinals.tolist(), sizes):
+        feats = np.asarray(features[videos[o].video_id], dtype=np.float64)
+        matrix[row:row + size] = embed_clips(feats, compute_context(feats), None, params)
+        row += size
+    return matrix
+
+
+def _clip_slots(rows: np.ndarray, num_clips: np.ndarray, width: int) -> np.ndarray:
+    """Flat slot of each clip of stacked videos in a (·, width) table whose
+    row rows[b] holds a zero, then video b's num_clips[b] clip values."""
+    starts = np.cumsum(num_clips) - num_clips
+    within = np.arange(int(num_clips.sum())) - np.repeat(starts, num_clips)
+    return np.repeat(rows * width + 1, num_clips) + within
+
+
+def _padded_cal_costs(matrix: np.ndarray, q_emb: np.ndarray, slots: np.ndarray, shape: tuple,
+                      rows: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """Clip-alignment cost of clip ranges [firsts[i], lasts[i]] of table
+    rows rows[i]. The query's distance to each clip embedding (`matrix`)
+    lands in its slot (`_clip_slots`) of a zero-padded table of `shape`;
+    row-wise prefix sums then give each cost with `costs.cal_costs`'
+    operations, so the costs are the per-video costs bit for bit."""
+    q = np.asarray(q_emb, dtype=np.float64)
+    padded = np.zeros(shape)
+    # Distances are row-wise, so blocks give the bytes of one pass while
+    # bounding the difference matrix `sq_distances` allocates.
+    for s in range(0, len(matrix), _DISTANCE_BLOCK_ROWS):
+        block = slice(s, s + _DISTANCE_BLOCK_ROWS)
+        padded.reshape(-1)[slots[block]] = sq_distances(matrix[block], q)
+    prefix = np.cumsum(padded, axis=1)
+    return (prefix[rows, lasts + 1] - prefix[rows, firsts]) / (lasts - firsts + 1)
+
+
 class CandidateTable:
     """Every candidate of a corpus under one `EnumConfig`: `candidate_clips`
     rows of each video concatenated in corpus order, as flat (ordinal,
     first, last) arrays, with `bounds[o]:bounds[o + 1]` the rows of video o.
 
-    `cal_costs` prices every row under a non-TEF model. Its clip embeddings,
-    those of the videos with at least one candidate, are computed per video,
-    as `score_moments` does, and kept for the last model seen. A query's
-    distances land in a zero-padded (videos, max clips + 1) table whose
-    row-wise prefix sums give each row's cost with `costs.cal_costs`'
-    operations, so the costs are the per-video costs bit for bit.
+    `cal_costs` prices every row under a non-TEF model with
+    `_padded_cal_costs`. Its clip embeddings, those of the videos with at
+    least one candidate, are kept for the last model seen.
     """
 
     def __init__(self, videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
@@ -179,10 +224,7 @@ class CandidateTable:
         self.scored = np.flatnonzero(counts)  # videos with candidates
         num_clips = np.asarray([videos[o].num_clips for o in self.scored], dtype=np.int64)
         self._padded_shape = (len(videos), int(num_clips.max(initial=0)) + 1)
-        # Flat padded slot of each scored clip, in clip-matrix order.
-        starts = np.cumsum(num_clips) - num_clips
-        within = np.arange(int(num_clips.sum())) - np.repeat(starts, num_clips)
-        self._clip_slots = np.repeat(self.scored * self._padded_shape[1] + 1, num_clips) + within
+        self._clip_slots = _clip_slots(self.scored, num_clips, self._padded_shape[1])
         # Counts as int objects that every result's counters share.
         self.size, self.clips_scored = len(self.ordinal), len(self._clip_slots)
         self._model_key = None
@@ -198,29 +240,14 @@ class CandidateTable:
         key = _clip_model_key(params)
         if key != self._model_key:
             self._clip_matrix = None  # release the old matrix before building the new one
-            matrix = np.empty((self.clips_scored, params.dims.embed))
-            row = 0
-            for o in self.scored.tolist():
-                feats = np.asarray(self.features[self.videos[o].video_id], dtype=np.float64)
-                matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None,
-                                                           params)
-                row += len(feats)
-            self._clip_matrix, self._model_key = matrix, key
+            self._clip_matrix = _embed_videos(self.videos, self.features, self.scored, params)
+            self._model_key = key
         return self._clip_matrix
 
     def cal_costs(self, params: ModelParams, q_emb: np.ndarray) -> np.ndarray:
         """Clip-alignment cost of every row under a non-TEF model."""
-        matrix = self._clip_embeddings(params)
-        q = np.asarray(q_emb, dtype=np.float64)
-        padded = np.zeros(self._padded_shape)
-        # Distances are row-wise, so blocks give the bytes of one pass while
-        # bounding the difference matrix `sq_distances` allocates.
-        for s in range(0, len(matrix), _DISTANCE_BLOCK_ROWS):
-            block = slice(s, s + _DISTANCE_BLOCK_ROWS)
-            padded.reshape(-1)[self._clip_slots[block]] = sq_distances(matrix[block], q)
-        prefix = np.cumsum(padded, axis=1)
-        return ((prefix[self.ordinal, self.lasts + 1] - prefix[self.ordinal, self.firsts])
-                / (self.lasts - self.firsts + 1))
+        return _padded_cal_costs(self._clip_embeddings(params), q_emb, self._clip_slots,
+                                 self._padded_shape, self.ordinal, self.firsts, self.lasts)
 
 
 class PreparedCorpus:
@@ -238,6 +265,7 @@ class PreparedCorpus:
         self.ordinal_of = {video_id: o for o, video_id in enumerate(ids)}
         self.id_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
         self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
+        self.num_clips = np.asarray([v.num_clips for v in self.videos], dtype=np.int64)
         self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
         self._table: Optional[CandidateTable] = None
 
@@ -270,17 +298,36 @@ def nms(spans: np.ndarray, iou_threshold: float, ends: Optional[np.ndarray] = No
     A row is dropped iff its IoU with a kept cheaper row of its video
     exceeds the threshold, computed with `core.temporal_iou`'s operations.
     IoU never exceeds 1, so a threshold of 1 or more keeps every row.
+
+    The blocks are padded into one (blocks, longest block) table and the
+    greedy loop runs over row positions: at position i, every block whose
+    row i is still kept suppresses its later rows at once. Each row meets
+    the same kept rows in the same order as in a loop over one block at a
+    time, so every decision is that loop's.
     """
-    keep = np.ones(len(spans), dtype=bool)
-    if iou_threshold < 1:
-        ends = [len(spans)] * len(spans) if ends is None else ends.tolist()
-        for i, end in enumerate(ends):
-            if keep[i]:
-                (s, e), (s_i, e_i) = spans[i + 1:end].T, spans[i]
-                inter = np.minimum(e, e_i) - np.maximum(s, s_i)
-                union = np.maximum(e, e_i) - np.minimum(s, s_i)
-                keep[i + 1:end] &= (inter <= 0) | (inter / union <= iou_threshold)
-    return np.flatnonzero(keep)
+    n = len(spans)
+    if iou_threshold >= 1 or n == 0:
+        return np.arange(n)
+    if ends is None:
+        ends = np.full(n, n)
+    block_ends = np.flatnonzero(ends == np.arange(1, n + 1)) + 1  # row i closes its block
+    sizes = np.diff(block_ends, prepend=0)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(n) - np.repeat(block_ends - sizes, sizes)
+    # Padding rows are (0, 0) spans that start unkept; against a real row
+    # their union is positive, so the sweep divides by no zero.
+    s, e = np.zeros((2, len(sizes), int(sizes.max())))
+    s[block, pos], e[block, pos] = spans[:, 0], spans[:, 1]
+    keep = np.zeros(s.shape, dtype=bool)
+    keep[block, pos] = True
+    for i in range(s.shape[1] - 1):
+        active = np.flatnonzero(keep[:, i])
+        s_i, e_i = s[active, i, None], e[active, i, None]
+        s_j, e_j = s[active, i + 1:], e[active, i + 1:]
+        inter = np.minimum(e_j, e_i) - np.maximum(s_j, s_i)
+        union = np.maximum(e_j, e_i) - np.minimum(s_j, s_i)
+        keep[active, i + 1:] &= (inter <= 0) | (inter / union <= iou_threshold)
+    return np.flatnonzero(keep[block, pos])
 
 
 def _select(
@@ -343,6 +390,31 @@ def exhaustive_search(
     })
 
 
+def _hit_candidates(prep: PreparedCorpus, hits: ClipHits, enum_cfg: EnumConfig, dilation: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates (f, l) of the videos holding a hit that have a hit
+    clip in [f - dilation, l + dilation]: (touched video ordinals, ascending;
+    each row's position among them; firsts; lasts), each video's rows in
+    `candidate_clips` order."""
+    hit_ordinal, clips, _ = hits.arrays()
+    # Hits name videos by the index's ordinals; map each touched one by id.
+    index_ordinal, hit_at = np.unique(hit_ordinal, return_inverse=True)
+    mapped = [prep.ordinal_of[hits.video_ids[o]] for o in index_ordinal.tolist()]
+    videos, video_at = np.unique(np.asarray(mapped, dtype=np.int64), return_inverse=True)
+    num_clips = prep.num_clips[videos]
+    width = int(num_clips.max()) + 1
+    # count[t, k]: hits among the first k clips of touched video t.
+    count = np.bincount(video_at[hit_at] * width + clips + 1, minlength=len(videos) * width)
+    count = count.reshape(len(videos), width).cumsum(axis=1)
+    grids = [candidate_clips(n, enum_cfg) for n in num_clips.tolist()]
+    row = np.repeat(np.arange(len(videos)), [len(g) for g in grids])
+    firsts, lasts = np.concatenate(grids).T
+    # The window [f - d, l + d] clamped to the video holds a hit.
+    hit = (count[row, np.minimum(lasts + dilation, num_clips[row] - 1) + 1]
+           > count[row, np.maximum(firsts - dilation, 0)])
+    return videos, row[hit], firsts[hit], lasts[hit]
+
+
 def two_stage_search(
     corpus: Corpus,
     index: Optional[ClipIndex],
@@ -388,21 +460,23 @@ def two_stage_search(
             log.warning("%s: empty stage-one retrieval", query.query_id)
             return RankedResult(query.query_id, RankedMoments(prep.videos, [], [], [], []),
                                 counters)
-        retrieved: dict[int, list[int]] = {}
-        for h in hits:
-            retrieved.setdefault(prep.ordinal_of[h.video_id], []).append(h.clip_idx)
-        # Keep (f, l) iff a retrieved clip lies in [f - d, l + d]: a prefix
-        # count of retrieved clips, read at the window clamped to the video.
-        d = cfg.dilation_clips
-        groups = []  # (ordinal, firsts, lasts)
-        for o, clips in retrieved.items():
-            n = prep.videos[o].num_clips
-            grid = candidate_clips(n, enum_cfg)
-            count = np.cumsum(np.bincount(np.asarray(clips) + 1, minlength=n + 1))
-            hit = (count[np.minimum(grid[:, 1] + d, n - 1) + 1]
-                   > count[np.maximum(grid[:, 0] - d, 0)])
-            if hit.any():
-                groups.append((o, *grid[hit].T))
+        videos, row, firsts, lasts = _hit_candidates(prep, hits, enum_cfg, cfg.dilation_clips)
+        q2 = embed_query(query.word_vectors, rerank_params)
+        if rerank_variant == "cal" and not rerank_params.dims.use_tef:
+            scored = np.flatnonzero(np.bincount(row, minlength=len(videos)))  # with candidates
+            num_clips = prep.num_clips[videos[scored]]
+            shape = (len(videos), int(num_clips.max(initial=0)) + 1)
+            slots = _clip_slots(scored, num_clips, shape[1])
+            costs = _padded_cal_costs(
+                _embed_videos(prep.videos, prep.features, videos[scored], rerank_params), q2,
+                slots, shape, row, firsts, lasts)
+            counters["stage2_distances"] = len(slots)
+            counters["stage2_moments"] = len(costs)
+            ranked = _select(prep, videos[row], firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
+            return RankedResult(query.query_id, ranked, counters)
+        bounds = np.searchsorted(row, np.arange(len(videos) + 1)).tolist()
+        groups = [(o, firsts[s:e], lasts[s:e])
+                  for o, s, e in zip(videos.tolist(), bounds, bounds[1:]) if e > s]
     else:
         if cfg.budget < cfg.top_k:
             raise ValueError("stage-one budget must be at least top_k")
@@ -424,8 +498,8 @@ def two_stage_search(
         for i, o in enumerate(ordinal.tolist()):
             by_video.setdefault(o, []).append(i)
         groups = [(o, firsts[i], lasts[i]) for o, i in by_video.items()]
+        q2 = embed_query(query.word_vectors, rerank_params)
 
-    q2 = embed_query(query.word_vectors, rerank_params)
     ranked, stage2_counters = _rank(prep, groups, q2, rerank_variant, rerank_params,
                                     cfg.nms_iou, cfg.top_k)
     counters["stage2_distances"] = stage2_counters.distance_evals

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momentsearch.core import GroundTruth, Query, TemporalSpan, VideoMeta
+from momentsearch.core import GroundTruth, Query, TemporalSpan, VideoMeta, temporal_iou
 from momentsearch.dataio import Corpus
 from momentsearch.model import ModelDims, ModelParams
 
@@ -35,6 +35,15 @@ def identity_visual_params(visual_in: int, word_in: int = 4, hidden_lstm: int = 
         proj_w=np.zeros((v, h)),
         proj_b=np.zeros(v),
     )
+
+
+def greedy_nms_reference(spans: list[TemporalSpan], iou_threshold: float) -> list[int]:
+    """Keep a span iff its IoU with every kept, cheaper span is at most the threshold."""
+    kept = []
+    for i, span in enumerate(spans):
+        if all(temporal_iou(span, spans[k]) <= iou_threshold for k in kept):
+            kept.append(i)
+    return kept
 
 
 def make_corpus(

@@ -1,9 +1,12 @@
-"""The per-variant cost code, the per-moment batch assembly and the
-per-video ranking route that `costs.score_moments`,
-`training._assemble_batch` and the prepared-corpus search replaced, kept
-here verbatim as references: the merged paths must give the same bytes.
+"""The per-variant cost code, the per-moment batch assembly, the
+per-video ranking routes and the list-building index search that
+`costs.score_moments`, `training._assemble_batch`, the prepared-corpus and
+batched approximate search and `index.ClipHits` replaced, kept here as
+references: the merged paths must give the same bytes. Suppression in the
+references is the greedy `temporal_iou` loop, not the product's `nms`.
 
-Costs are compared by `float.hex`, batch tensors by `np.array_equal`.
+Costs and distances are compared by `float.hex`, batch tensors by
+`np.array_equal`.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from momentsearch.core import Moment, VideoMeta, clip_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch.dataio import Corpus
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
+from momentsearch.index import ClipHit, ClipHits, ClipIndex, IvfIndex, build_exact, build_ivf
 from momentsearch.model import (
     ModelDims,
     assemble_visual_inputs,
@@ -27,11 +31,10 @@ from momentsearch.retrieval import (
     RankedMoments,
     RetrievalConfig,
     exhaustive_search,
-    nms,
     two_stage_search,
 )
 from momentsearch.training import TrainConfig, TrainDataset, _assemble_batch, sample_triples
-from conftest import varied_corpus
+from conftest import greedy_nms_reference, varied_corpus
 
 # ---------------------------------------------------------------------------
 # References
@@ -111,7 +114,9 @@ def reference_rank(groups, q_emb, variant, params, nms_iou, top_k):
     for video, feats, firsts, lasts in groups:
         costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
         order = np.lexsort((lasts, firsts, costs))
-        kept = order[nms(clip_spans(video, firsts[order], lasts[order]), nms_iou)]
+        spans = [Moment.from_clips(video, f, l).span
+                 for f, l in zip(firsts[order].tolist(), lasts[order].tolist())]
+        kept = order[np.asarray(greedy_nms_reference(spans, nms_iou), dtype=np.int64)]
         rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
         videos.append(video)
     if not videos:
@@ -151,6 +156,68 @@ def reference_two_stage_moment(corpus, query, params, enum_cfg, cfg):
                                     cfg.nms_iou, cfg.top_k)
     return ranked, {**counters, "stage2_distances": stage2.distance_evals,
                     "stage2_moments": stage2.moments_scored}
+
+
+def reference_approx(corpus, index, query, params, rerank_params, enum_cfg, cfg):
+    """Clip-budget two-stage search one video at a time: the `ClipHit` loop
+    groups the retrieved clips by video id, each video's `candidate_clips`
+    template keeps the moments whose dilated window holds one, and
+    `reference_rank` re-scores them."""
+    q1 = embed_query(query.word_vectors, params)
+    counters = {}
+    if isinstance(index, IvfIndex):
+        hits, stats = index.search(q1, top_c=cfg.clip_budget,
+                                   nprobe=min(cfg.nprobe, index.num_partitions))
+        counters["stage1_centroid_distances"] = stats.centroid_evals
+        counters["stage1_partitions_probed"] = stats.partitions_probed
+    else:
+        hits, stats = index.search(q1, top_c=cfg.clip_budget)
+    counters["stage1_distances"] = stats.distance_evals
+    retrieved = {}
+    for h in hits:
+        retrieved.setdefault(h.video_id, []).append(h.clip_idx)
+    d = cfg.dilation_clips
+    groups = []
+    for video_id, clips in retrieved.items():
+        video = corpus.video(video_id)
+        n = video.num_clips
+        grid = candidate_clips(n, enum_cfg)
+        count = np.cumsum(np.bincount(np.asarray(clips) + 1, minlength=n + 1))
+        hit = count[np.minimum(grid[:, 1] + d, n - 1) + 1] > count[np.maximum(grid[:, 0] - d, 0)]
+        if hit.any():
+            groups.append((video, corpus.features_for(video_id), *grid[hit].T))
+    rerank = rerank_params if rerank_params is not None else params
+    ranked, stage2 = reference_rank(groups, embed_query(query.word_vectors, rerank),
+                                    cfg.rerank_variant or cfg.variant, rerank, cfg.nms_iou,
+                                    cfg.top_k)
+    return ranked, {**counters, "stage2_distances": stage2.distance_evals,
+                    "stage2_moments": stage2.moments_scored}
+
+
+def reference_index_search(index, query_emb, top_c, nprobe=None):
+    """Exact or IVF search returning a list of `ClipHit`s built one by one."""
+    q = np.asarray(query_emb, dtype=np.float32)
+    if isinstance(index, IvfIndex):
+        p = index.num_partitions
+        cdiff = index.centroids - q
+        cdist = np.einsum("ij,ij->i", cdiff, cdiff)
+        probe = np.lexsort((np.arange(p), cdist))[:nprobe]
+        idx = np.concatenate([np.arange(int(index.offsets[part]), int(index.offsets[part + 1]))
+                              for part in np.sort(probe)])
+    else:
+        idx = np.arange(index.num_entries)
+    diff = index.vectors[idx] - q
+    dists = np.einsum("ij,ij->i", diff, diff)
+    id_rank = np.argsort(np.argsort(np.asarray(index.video_ids)))
+    id_rank = id_rank[index.keys[:, 0].astype(np.int64)]
+    order = np.lexsort((index.keys[idx, 1], id_rank[idx], dists))[:top_c]
+    hits = []
+    for pos in order:
+        entry = idx[pos]
+        hits.append(ClipHit(video_id=index.video_ids[int(index.keys[entry, 0])],
+                            clip_idx=int(index.keys[entry, 1]),
+                            sq_distance=float(dists[pos])))
+    return hits
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -355,3 +422,118 @@ def test_ranked_moments_read_as_their_materialized_list():
     assert [s.cost for s in ranked] == [s.cost for s in items]
     empty = ranked[n:]
     assert len(empty) == 0 and empty == [] and list(empty) == []
+
+
+def reordered_ids(index, seed):
+    """The same entries under an id table in another order than the corpus
+    manifest's."""
+    perm = np.random.default_rng(seed).permutation(len(index.video_ids))
+    keys = index.keys.copy()
+    keys[:, 0] = np.argsort(perm)[index.keys[:, 0]]
+    ids = tuple(index.video_ids[o] for o in perm)
+    if isinstance(index, IvfIndex):
+        return IvfIndex(ids, keys, index.vectors, index.centroids, index.offsets)
+    return ClipIndex(ids, keys, index.vectors)
+
+
+# index kind -> (flavor, IVF nprobe or None for every partition, ids reordered)
+APPROX_INDEXES = {
+    "exact": ("exact", None, False),
+    "exact-reordered": ("exact", None, True),
+    "ivf-nprobe1": ("ivf", 1, False),
+    "ivf-nprobe2": ("ivf", 2, False),
+    "ivf-all": ("ivf", None, False),
+    "ivf-nprobe2-reordered": ("ivf", 2, True),
+}
+# re-ranker -> (stage-two variant, its model's input mode; None reuses stage one's model)
+APPROX_RERANKERS = {
+    "cal": ("cal", None),
+    "aggregate": ("aggregate", None),
+    "cal-separate-wide-model": ("cal", "wide"),
+    "cal_tef": ("cal", "tef"),
+    "aggregate_tef": ("aggregate", "tef"),
+}
+
+
+def _rerank_model(mode):
+    if mode == "wide":
+        # Wide enough that one GEMM over many videos' clips rounds unlike
+        # the per-video GEMMs, which the ranking must keep.
+        return init_params(ModelDims(3, 2, hidden_mlp=64, embed=48, hidden_lstm=3), 14)
+    return init_params(_dims(mode, visual_in=3, word_in=2), 14)
+
+
+@pytest.mark.parametrize("reranker", sorted(APPROX_RERANKERS))
+@pytest.mark.parametrize("index_kind", sorted(APPROX_INDEXES))
+@pytest.mark.parametrize("enum_name", ["charades-sta", "min-above-clips"])
+def test_approx_search_equals_per_video_route(enum_name, index_kind, reranker):
+    # Under "min-above-clips" a touched video may have no candidate at all.
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, queries = shuffled_corpus(11, enum_cfg.clip_length)
+    params = init_params(_dims("plain", visual_in=3, word_in=2), 12)
+    flavor, nprobe, reorder = APPROX_INDEXES[index_kind]
+    index = build_exact(corpus, params) if flavor == "exact" else \
+        build_ivf(corpus, params, partitions=9, seed=2)
+    nprobe = (nprobe or index.num_partitions) if flavor == "ivf" else 8
+    if reorder:
+        index = reordered_ids(index, 13)
+        assert index.video_ids != tuple(v.video_id for v in corpus.videos)
+    variant, mode = APPROX_RERANKERS[reranker]
+    rerank = None if mode is None else _rerank_model(mode)
+    for clip_budget in (12, corpus.total_clips + 5):
+        for dilation in (0, 2):
+            for nms_iou in (0.6, 0.5, 1.0):  # 0.6: charades-sta's preset
+                cfg = RetrievalConfig(rerank_variant=variant, clip_budget=clip_budget,
+                                      nprobe=nprobe, dilation_clips=dilation, nms_iou=nms_iou,
+                                      top_k=60)
+                for q in queries[:1]:
+                    got = two_stage_search(corpus, index, q, params, rerank, enum_cfg, cfg)
+                    want, counters = reference_approx(corpus, index, q, params, rerank,
+                                                      enum_cfg, cfg)
+                    assert _ranked_hex(got.ranked) == _ranked_hex(want)
+                    assert got.stage_counters == counters
+
+
+def _hits_hex(hits):
+    return [(h.video_id, h.clip_idx, h.sq_distance.hex()) for h in hits]
+
+
+def test_index_search_equals_list_building_search():
+    corpus, _ = shuffled_corpus(15, 3.0)
+    params = init_params(_dims("plain", visual_in=3, word_in=2), 16)
+    exact = build_exact(corpus, params)
+    ivf = build_ivf(corpus, params, partitions=7, seed=3)
+    rng = np.random.default_rng(17)
+    for index in (exact, ivf, reordered_ids(exact, 18), reordered_ids(ivf, 19)):
+        probes = (1, 2, 7) if isinstance(index, IvfIndex) else (None,)
+        for nprobe in probes:
+            for top_c in (1, 9, index.num_entries, index.num_entries + 4):
+                # A NaN query makes every distance NaN; such hits still rank by id and clip.
+                for q in [rng.standard_normal(index.dim) for _ in range(3)] + \
+                        [np.full(index.dim, np.nan)]:
+                    got, _ = index.search(q, top_c=top_c, **({"nprobe": nprobe} if nprobe else {}))
+                    want = reference_index_search(index, q, top_c, nprobe)
+                    assert isinstance(got, ClipHits)
+                    assert _hits_hex(got) == _hits_hex(want)
+                    assert np.isnan(q).any() or got == want
+
+
+def test_clip_hits_read_as_their_materialized_list():
+    corpus, _ = shuffled_corpus(20, 3.0)
+    index = build_exact(corpus, init_params(_dims("plain", visual_in=3, word_in=2), 21))
+    hits, _ = index.search(np.random.default_rng(22).standard_normal(index.dim), top_c=23)
+    items = list(hits)
+    n = len(items)
+    assert len(hits) == n == 23
+    assert all(isinstance(h, ClipHit) for h in items)
+    assert [hits[i] for i in range(-n, n)] == items[-n:] + items
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            hits[bad]
+    for cut in (slice(None), slice(3, 11), slice(-5, None), slice(None, None, -2)):
+        assert isinstance(hits[cut], ClipHits)
+        assert hits[cut] == items[cut] and list(hits[cut]) == items[cut]
+    assert hits == items and hits == tuple(items) and hits != items[1:]
+    assert [(h.video_id, h.clip_idx) for h in hits] == [(h.video_id, h.clip_idx) for h in items]
+    empty = hits[n:]
+    assert len(empty) == 0 and not empty and empty == [] and list(empty) == []

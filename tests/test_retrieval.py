@@ -19,6 +19,7 @@ from momentsearch.retrieval import (
     restrict_corpus,
     two_stage_search,
 )
+from conftest import greedy_nms_reference
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +42,6 @@ def _video(n=10, clip_len=1.0, vid="v"):
 
 def _spans(moments) -> np.ndarray:
     return np.array([[m.span.start, m.span.end] for m in moments])
-
-
-def greedy_nms_reference(spans: list[TemporalSpan], iou_threshold: float) -> list[int]:
-    """Keep a span iff its IoU with every kept, cheaper span is at most the threshold."""
-    kept = []
-    for i, span in enumerate(spans):
-        if all(temporal_iou(span, spans[k]) <= iou_threshold for k in kept):
-            kept.append(i)
-    return kept
 
 
 class TestNms:
@@ -123,6 +115,38 @@ class TestNms:
         moments = [Moment.from_clips(video, f, l) for f, l in grid[order].tolist()]
         assert nms(_spans(moments), thr).tolist() == \
             greedy_nms_reference([m.span for m in moments], thr)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), max_size=8), tied=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), thr=st.sampled_from([0.3, 0.5, 0.6, 1.0]))
+    def test_blocks_match_per_block_greedy_loop(self, sizes, tied, seed, thr):
+        # Each block holds random clip ranges of its own video, repeats
+        # included, sorted cheapest first; one-row blocks and no blocks at all
+        # are drawn too.
+        rng = np.random.default_rng(seed)
+        blocks, want = [], []
+        for size in sizes:
+            n = int(rng.integers(2, 30))
+            clip_length = float(rng.choice([1.0, 2.5, 3.0]))
+            video = VideoMeta("v", (n - float(rng.choice([0.0, 0.25, 0.6]))) * clip_length,
+                              clip_length, n)
+            firsts = rng.integers(0, n - 1, size)
+            lasts = firsts + 1 + rng.integers(0, n - 1 - firsts)
+            costs = rng.integers(0, 3, size) if tied else rng.random(size)
+            order = np.lexsort((lasts, firsts, costs))
+            moments = [Moment.from_clips(video, f, l)
+                       for f, l in zip(firsts[order].tolist(), lasts[order].tolist())]
+            offset = sum(map(len, blocks))
+            want.extend(offset + k for k in greedy_nms_reference([m.span for m in moments], thr))
+            blocks.append(_spans(moments))
+        spans = np.concatenate([np.empty((0, 2)), *blocks])
+        ends = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes)
+        assert nms(spans, thr, ends).tolist() == want
+
+    def test_empty_input_keeps_nothing(self):
+        for thr in (0.5, 1.0):
+            assert nms(np.empty((0, 2)), thr).tolist() == []
+            assert nms(np.empty((0, 2)), thr, np.empty(0, dtype=np.int64)).tolist() == []
 
 
 class TestExhaustive:
