@@ -425,6 +425,11 @@ def main(argv=None) -> int:
     except FormatError as e:
         print(f"E_FORMAT: {e}", file=sys.stderr)
         return 1
+    except FloatingPointError as e:
+        # Training's divergence guard and its non-finite loss or gradient
+        # checks; raised before any checkpoint is written.
+        print(f"E_DIVERGED: {e}", file=sys.stderr)
+        return 1
     except FileNotFoundError as e:
         print(f"E_NOT_FOUND: {e}", file=sys.stderr)
         return 1

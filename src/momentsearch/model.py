@@ -201,12 +201,14 @@ def embed_clips(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function without overflow: one e = exp(-|x|) serves both
+    signs, 1 / (1 + e) where x >= 0 and e / (1 + e) where x < 0."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    out = 1.0 / d
+    np.divide(e, d, out=out, where=x < 0)
     return out
 
 
@@ -221,33 +223,35 @@ def lstm_forward_batch(
     words: (batch, steps, word_in); mask: (batch, steps) with 1 for real
     words. The hidden and cell states freeze on padded steps, so the
     returned (batch, hidden) state is each sequence's last real step.
+
+    Gate rows are packed input, forget, output, cell: one sigmoid call per
+    step covers the first three blocks. With `want_cache`, each step also
+    keeps the tuple `_lstm_backward` reads: (x_t, h_prev, c_prev, s3, g,
+    tanh_c, m, 1 - m), where s3 holds the i | f | o gate activations.
     """
     words = np.asarray(words, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     b, t_max, _ = words.shape
     h_dim = params.dims.hidden_lstm
+    h3 = 3 * h_dim
+    wx_t, wh_t, bias = params.lstm_wx.T, params.lstm_wh.T, params.lstm_b
     h = np.zeros((b, h_dim))
     c = np.zeros((b, h_dim))
     steps = []
     for t in range(t_max):
         x_t = words[:, t, :]
-        alpha = x_t @ params.lstm_wx.T + h @ params.lstm_wh.T + params.lstm_b
-        i = sigmoid(alpha[:, 0:h_dim])
-        f = sigmoid(alpha[:, h_dim:2 * h_dim])
-        o = sigmoid(alpha[:, 2 * h_dim:3 * h_dim])
-        g = np.tanh(alpha[:, 3 * h_dim:])
-        c_new = f * c + i * g
+        alpha = x_t @ wx_t + h @ wh_t + bias
+        s3 = sigmoid(alpha[:, :h3])
+        g = np.tanh(alpha[:, h3:])
+        c_new = s3[:, h_dim:2 * h_dim] * c + s3[:, :h_dim] * g
         tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        m = mask[:, t][:, None]
+        h_new = s3[:, 2 * h_dim:] * tanh_c
+        m = mask[:, t, None]
+        keep = 1.0 - m
         if want_cache:
-            steps.append({
-                "x": x_t, "h_prev": h, "c_prev": c,
-                "i": i, "f": f, "o": o, "g": g,
-                "c_new": c_new, "tanh_c": tanh_c, "m": m,
-            })
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
+            steps.append((x_t, h, c, s3, g, tanh_c, m, keep))
+        h = m * h_new + keep * h
+        c = m * c_new + keep * c
     if want_cache:
         return h, steps
     return h

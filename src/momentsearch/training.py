@@ -6,12 +6,16 @@ accumulated analytically through the visual MLP, the LSTM, the output
 projection, the distance average, and the hinge. The hinge subgradient at
 the kink is taken as 0, so fully satisfied margins step silently.
 
-The loop is single-threaded and deterministic given the config seed.
+The loop is single-threaded and deterministic given the config seed. It
+stops with `TrainingDiverged` once a step's loss exceeds
+`DIVERGENCE_FACTOR` times the first step's (see `train`).
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +35,17 @@ from .model import (
     mlp_forward,
     tef,
 )
+
+
+# `train` raises `TrainingDiverged` when a step's loss exceeds this multiple
+# of the first step's loss (floored at one margin, so that a first batch whose
+# margins are nearly all met does not make every later step look divergent).
+# Healthy runs stay within about 3x of their first step.
+DIVERGENCE_FACTOR = 100.0
+
+
+class TrainingDiverged(FloatingPointError):
+    """A step's loss grew past `DIVERGENCE_FACTOR` times the first step's."""
 
 
 @dataclass
@@ -74,6 +89,13 @@ class TrainDataset:
 
     Per query, one array holds each candidate's best annotation IoU: the
     positive is its first maximum, an intra pool the rows below the exclusion.
+
+    Batches are gathered from arrays built here: every clip feature as one
+    float64 row of `clip_rows` (video v's rows start at `clip_offsets[v]`,
+    v the corpus order), one context row per video in `contexts`, the
+    video durations, and every trainable query's word vectors as float64
+    rows of `word_rows` (query q's start at `word_offsets[q]`,
+    `query_lengths[q]` of them).
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
@@ -82,7 +104,13 @@ class TrainDataset:
         self.candidates: dict[str, list[Moment]] = {}
         self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
         self._norm_endpoints: dict[str, np.ndarray] = {}
-        self._contexts: dict[str, np.ndarray] = {}
+        self._video_pos = {v.video_id: i for i, v in enumerate(corpus.videos)}
+        feats = [np.asarray(corpus.features_for(v.video_id), dtype=np.float64)
+                 for v in corpus.videos]
+        self.clip_rows = np.concatenate(feats)
+        self.clip_offsets = _offsets([f.shape[0] for f in feats])
+        self.contexts = np.stack([compute_context(f) for f in feats])
+        self.durations = np.array([v.duration for v in corpus.videos], dtype=np.float64)
         spans = {}
         for video in corpus.videos:
             cands = enumerate_moments(video, enum_cfg)
@@ -114,13 +142,13 @@ class TrainDataset:
             self._best_ious.append(best)
         self.intra_pools: list[list[Moment]] = [[] for _ in self.queries]
         self._pool_exclusion: Optional[float] = None
+        words = [np.asarray(q.word_vectors, dtype=np.float64) for q in self.queries]
+        self.word_rows = np.concatenate(words) if words else np.zeros((0, 0))
+        self.query_lengths = np.array([w.shape[0] for w in words], dtype=np.int64)
+        self.word_offsets = _offsets(self.query_lengths)
 
     def context_for(self, video_id: str) -> np.ndarray:
-        ctx = self._contexts.get(video_id)
-        if ctx is None:
-            ctx = compute_context(self.corpus.features_for(video_id))
-            self._contexts[video_id] = ctx
-        return ctx
+        return self.contexts[self._video_pos[video_id]]
 
     def intra_pool(self, query_index: int, exclusion_iou: float) -> list[Moment]:
         if self._pool_exclusion != exclusion_iou:
@@ -193,36 +221,51 @@ def sample_triples(
 # ---------------------------------------------------------------------------
 
 
+def _offsets(counts) -> np.ndarray:
+    """Start of each block when blocks of these lengths are laid end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.cumsum(counts) - counts
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges starts[k] .. starts[k] + counts[k] - 1."""
+    return np.repeat(starts - _offsets(counts), counts) + np.arange(counts.sum())
+
+
 def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: ModelDims,
                     variant: str):
     """Flatten a batch into MLP input rows plus padded query word tensors.
 
-    Each moment contributes its clip rows (one pooled row under "aggregate"),
-    its video's context and, under TEF, its endpoints; one
-    `assemble_visual_inputs` call builds every row of the batch.
+    Each moment contributes its clip rows (one pooled row, its clips'
+    `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
+    its endpoints as `tef` computes them; one `assemble_visual_inputs` call
+    builds every row of the batch. Rows, contexts and words are gathered
+    from the dataset's arrays.
     """
     moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
-    rows, contexts, pairs = [], [], []
-    for moment in moments:
-        clip_rows = dataset.corpus.features_for(moment.video_id)[
-            moment.first_clip:moment.last_clip + 1]
-        rows.append(clip_rows.mean(axis=0)[None, :] if variant == "aggregate" else clip_rows)
-        contexts.append(dataset.context_for(moment.video_id))
-        if dims.use_tef:
-            pairs.append(tef(moment, dataset.corpus.video(moment.video_id)))
-    seg = np.repeat(np.arange(len(moments)), [len(r) for r in rows])
-    x = assemble_visual_inputs(np.concatenate(rows), np.asarray(contexts)[seg],
-                               np.asarray(pairs)[seg] if dims.use_tef else None, dims)
-    z_counts = np.bincount(seg, minlength=3 * len(triples)).astype(np.float64)
+    pos = dataset._video_pos
+    vids, firsts, lasts = np.array(
+        [(pos[m.video_id], m.first_clip, m.last_clip) for m in moments], dtype=np.int64).T
+    if variant == "aggregate":
+        counts = np.ones(len(moments), dtype=np.int64)
+        rows = np.array([dataset.corpus.features_for(m.video_id)[
+            m.first_clip:m.last_clip + 1].mean(axis=0) for m in moments])
+    else:
+        counts = lasts - firsts + 1
+        rows = dataset.clip_rows[_ranges(dataset.clip_offsets[vids] + firsts, counts)]
+    seg = np.repeat(np.arange(len(moments)), counts)
+    pairs = None
+    if dims.use_tef:
+        spans = np.array([(m.span.start, m.span.end) for m in moments], dtype=np.float64)
+        pairs = (spans / dataset.durations[vids, None])[seg]
+    x = assemble_visual_inputs(rows, dataset.contexts[vids[seg]], pairs, dims)
+    z_counts = counts.astype(np.float64)
 
-    lengths = [dataset.queries[t.query_index].word_vectors.shape[0] for t in triples]
-    t_max = max(lengths)
-    words = np.zeros((len(triples), t_max, dims.word_in))
-    mask = np.zeros((len(triples), t_max))
-    for b_idx, triple in enumerate(triples):
-        wv = np.asarray(dataset.queries[triple.query_index].word_vectors, dtype=np.float64)
-        words[b_idx, :wv.shape[0]] = wv
-        mask[b_idx, :wv.shape[0]] = 1.0
+    qidx = np.array([t.query_index for t in triples], dtype=np.int64)
+    lengths = dataset.query_lengths[qidx]
+    mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
+    words = np.zeros(mask.shape + (dims.word_in,))
+    words[mask > 0] = dataset.word_rows[_ranges(dataset.word_offsets[qidx], lengths)]
     return x, seg, z_counts, words, mask
 
 
@@ -261,34 +304,39 @@ def _forward(x, seg, z_counts, words, mask, params: ModelParams, cfg: TrainConfi
 
 
 def _lstm_backward(d_ht, steps, params: ModelParams):
+    """Gradients of the LSTM weights from d(loss)/d(final hidden state).
+
+    Walks `lstm_forward_batch`'s step tuples backwards and fills one
+    (batch, 4H) d_alpha per step: the i | f | o block as (d3 * s3) * (1 - s3)
+    over the cached sigmoid block, the cell block as (dc_new * i) * (1 - g**2).
+    Each step's weight gradients are added in step order.
+    """
     h_dim = params.dims.hidden_lstm
+    h3 = 3 * h_dim
     d_wx = np.zeros_like(params.lstm_wx)
     d_wh = np.zeros_like(params.lstm_wh)
     d_b = np.zeros_like(params.lstm_b)
-    dh = d_ht.copy()
+    dh = d_ht
     dc = np.zeros_like(d_ht)
-    for step in reversed(steps):
-        m = step["m"]
+    d_alpha = np.empty((d_ht.shape[0], 4 * h_dim))
+    d_i, d_f, d_o = (d_alpha[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
+    d3, d_g = d_alpha[:, :h3], d_alpha[:, h3:]
+    for x_t, h_prev, c_prev, s3, g, tanh_c, m, keep in reversed(steps):
+        i, f, o = s3[:, :h_dim], s3[:, h_dim:2 * h_dim], s3[:, 2 * h_dim:]
         dh_new = m * dh
-        dh_carry = (1.0 - m) * dh
-        dc_new = m * dc + dh_new * step["o"] * (1.0 - step["tanh_c"] ** 2)
-        do = dh_new * step["tanh_c"]
-        dc_carry = (1.0 - m) * dc + dc_new * step["f"]
-        di = dc_new * step["g"]
-        df = dc_new * step["c_prev"]
-        dg = dc_new * step["i"]
-        d_alpha = np.concatenate([
-            di * step["i"] * (1.0 - step["i"]),
-            df * step["f"] * (1.0 - step["f"]),
-            do * step["o"] * (1.0 - step["o"]),
-            dg * (1.0 - step["g"] ** 2),
-        ], axis=1)
-        d_wx += d_alpha.T @ step["x"]
-        d_wh += d_alpha.T @ step["h_prev"]
+        dc_new = m * dc + dh_new * o * (1.0 - tanh_c ** 2)
+        np.multiply(dc_new, g, out=d_i)
+        np.multiply(dc_new, c_prev, out=d_f)
+        np.multiply(dh_new, tanh_c, out=d_o)
+        d3 *= s3
+        d3 *= 1.0 - s3
+        np.multiply(dc_new, i, out=d_g)
+        d_g *= 1.0 - g ** 2
+        d_wx += d_alpha.T @ x_t
+        d_wh += d_alpha.T @ h_prev
         d_b += d_alpha.sum(axis=0)
-        dh = dh_carry + d_alpha @ params.lstm_wh
-        dc = dc_carry
-    assert dh.shape[1] == h_dim
+        dh = keep * dh + d_alpha @ params.lstm_wh
+        dc = keep * dc + dc_new * f
     return d_wx, d_wh, d_b
 
 
@@ -301,15 +349,24 @@ def batch_loss(dataset: TrainDataset, triples: list[TrainingTriple],
 
 
 def loss_and_grads(dataset: TrainDataset, triples: list[TrainingTriple],
-                   params: ModelParams, cfg: TrainConfig):
-    """Batch loss and exact gradients for every parameter tensor."""
+                   params: ModelParams, cfg: TrainConfig, activity: Optional[dict] = None):
+    """Batch loss and exact gradients for every parameter tensor.
+
+    When `activity` is a dict, it receives the number of triples whose intra
+    and whose inter hinge is positive (`"intra"`, `"inter"`).
+    """
     x, seg, z_counts, words, mask = _assemble_batch(dataset, triples, params.dims, cfg.variant)
     loss, cache = _forward(x, seg, z_counts, words, mask, params, cfg, want_cache=True)
     batch = cache["batch"]
 
     d_costs = np.zeros(3 * batch)
-    intra_on = (cache["intra_hinge"] > 0).astype(np.float64)
-    inter_on = (cache["inter_hinge"] > 0).astype(np.float64)
+    intra_active = cache["intra_hinge"] > 0
+    inter_active = cache["inter_hinge"] > 0
+    if activity is not None:
+        activity["intra"] = int(np.count_nonzero(intra_active))
+        activity["inter"] = int(np.count_nonzero(inter_active))
+    intra_on = intra_active.astype(np.float64)
+    inter_on = inter_active.astype(np.float64)
     d_costs[0::3] = intra_on + cfg.inter_weight * inter_on
     d_costs[1::3] = -intra_on
     d_costs[2::3] = -cfg.inter_weight * inter_on
@@ -317,8 +374,11 @@ def loss_and_grads(dataset: TrainDataset, triples: list[TrainingTriple],
     dd_rows = d_costs[cache["seg"]] / z_counts[cache["seg"]]
     d_rows = dd_rows[:, None] * 2.0 * cache["diff"]
 
-    d_fq = np.zeros_like(cache["f_q"])
-    np.add.at(d_fq, cache["row_triple"], -d_rows)
+    # One flat bincount: each query row sums its rows' terms in row order.
+    n_q, e = cache["f_q"].shape
+    bins = cache["row_triple"][:, None] * e + np.arange(e)
+    d_fq = np.bincount(bins.ravel(), weights=(-d_rows).ravel(),
+                       minlength=n_q * e).reshape(n_q, e)
 
     mlp_cache = cache["mlp"]
     d_w2 = d_rows.T @ mlp_cache["a1"]
@@ -363,27 +423,55 @@ def train(
     base_params: Optional[ModelParams] = None,
     inter_sampler=None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Full SGD loop; returns final parameters and a per-epoch loss log."""
+    """Full SGD loop; returns final parameters and a per-epoch loss log.
+
+    Each epoch record holds `epoch`, `lr`, `mean_loss`, the share of the
+    epoch's triples whose intra and inter hinges were active
+    (`active_intra`, `active_inter`), each tensor's gradient L2 norm
+    averaged over the epoch's steps (`grad_norm`), and `wall_time_s`, the
+    only field that varies between runs. Raises `TrainingDiverged` before
+    the update of a step whose loss exceeds `DIVERGENCE_FACTOR` times the
+    first step's (floored at `cfg.margin`).
+    """
     if (dims is None) == (base_params is None):
         raise ValueError("pass exactly one of dims / base_params")
     params = base_params.copy() if base_params is not None else init_params(dims, cfg.seed)
     velocity = {n: np.zeros_like(t) for n, t in params.tensors().items()}
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = max(1, len(dataset.queries) // cfg.batch_triples)
+    loss_limit = None
     history = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         epoch_losses = []
+        active = Counter()
+        norm_sums = dict.fromkeys(ModelParams.TENSOR_NAMES, 0.0)
+        triples_seen = 0
         lr = cfg.lr0
-        for _ in range(steps_per_epoch):
+        for step in range(steps_per_epoch):
             triples = sample_triples(dataset, cfg, rng, inter_sampler=inter_sampler)
-            loss, grads = loss_and_grads(dataset, triples, params, cfg)
+            activity = {}
+            loss, grads = loss_and_grads(dataset, triples, params, cfg, activity=activity)
+            if loss_limit is None:
+                loss_limit = DIVERGENCE_FACTOR * max(loss, cfg.margin)
+            elif loss > loss_limit:
+                raise TrainingDiverged(
+                    f"epoch {epoch} step {step}: batch loss {loss:.6g} exceeds "
+                    f"{DIVERGENCE_FACTOR:g} x the first step's; lower lr0 or momentum")
             lr = sgd_step(params, grads, velocity, epoch, cfg)
             epoch_losses.append(loss)
+            triples_seen += len(triples)
+            active.update(activity)
+            for name, g in grads.items():
+                flat = g.ravel()
+                norm_sums[name] += math.sqrt(float(np.dot(flat, flat)))
         history.append({
             "epoch": epoch,
             "lr": lr,
             "mean_loss": float(np.mean(epoch_losses)),
+            "active_intra": active["intra"] / triples_seen,
+            "active_inter": active["inter"] / triples_seen,
+            "grad_norm": {name: s / steps_per_epoch for name, s in norm_sums.items()},
             "wall_time_s": time.perf_counter() - started,
         })
     params.validate()

@@ -8,6 +8,7 @@ import pytest
 
 from momentsearch.cli import build_parser, main
 from momentsearch.dataio import read_checkpoint, read_kv_report, read_results
+from momentsearch.model import ModelParams
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,9 @@ class TestPipeline:
         lines = [json.loads(line) for line in open(log_path)]
         assert lines[0]["seed"] == 0
         assert len(lines) == 3  # header + 2 epochs
-        assert {"epoch", "lr", "mean_loss", "wall_time_s"} <= set(lines[1])
+        assert {"epoch", "lr", "mean_loss", "active_intra", "active_inter", "grad_norm",
+                "wall_time_s"} <= set(lines[1])
+        assert sorted(lines[1]["grad_norm"]) == sorted(ModelParams.TENSOR_NAMES)
 
     def test_search_eval_end_to_end(self, pipeline, tmp_path):
         results = str(tmp_path / "results.jsonl")
@@ -365,6 +368,25 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("E_FORMAT: ") and "duplicate query_id" in err
         assert err.count("\n") == 1
+
+    def test_diverging_training_writes_no_checkpoint(self, tmp_path, capsys):
+        # The default lr0 0.05 and momentum 0.95 on the default planted didemo
+        # corpus: the batch loss grows 6.7 -> 84.5 -> 3.4e3 -> ... -> 1.2e241.
+        corpus = str(tmp_path / "corpus")
+        cfg = str(tmp_path / "train.json")
+        with open(cfg, "w") as f:
+            json.dump({"epochs": 1, "batch_triples": 64,
+                       "dims": {"hidden_mlp": 128, "embed": 64, "hidden_lstm": 64}}, f)
+        assert main(["gen", "--preset", "didemo", "--out", corpus, "--seed", "0"]) == 0
+        capsys.readouterr()
+        ckpt = str(tmp_path / "model.calw")
+        rc = main(["train", "--corpus", corpus, "--preset", "didemo", "--config", cfg,
+                   "--out", ckpt, "--seed", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_DIVERGED: epoch 0 step 2: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(ckpt) and not os.path.exists(ckpt + ".loss.jsonl")
 
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")

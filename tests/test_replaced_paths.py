@@ -1,18 +1,20 @@
 """The per-variant cost code, the per-moment batch assembly, the
-per-video ranking routes and the list-building index search that
-`costs.score_moments`, `training._assemble_batch`, the prepared-corpus and
-batched approximate search and `index.ClipHits` replaced, kept here as
-references: the merged paths must give the same bytes. Suppression in the
+per-video ranking routes, the list-building index search and the
+masked-branch sigmoid, per-step-dict LSTM and concatenating LSTM backward
+that `costs.score_moments`, `training._assemble_batch`, the prepared-corpus
+and batched approximate search, `index.ClipHits`, `model.sigmoid`,
+`model.lstm_forward_batch` and `training._lstm_backward` replaced, kept here
+as references: the merged paths must give the same bytes. Suppression in the
 references is the greedy `temporal_iou` loop, not the product's `nms`.
 
-Costs and distances are compared by `float.hex`, batch tensors by
-`np.array_equal`.
+Costs and distances are compared by `float.hex`, batch tensors and
+gradients by `tobytes()`.
 """
 
 import numpy as np
 import pytest
 
-from momentsearch.core import Moment, VideoMeta, clip_spans
+from momentsearch.core import Moment, Query, VideoMeta, clip_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch.dataio import Corpus
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
@@ -24,7 +26,9 @@ from momentsearch.model import (
     embed_clips,
     embed_query,
     init_params,
+    lstm_forward_batch,
     mlp_forward,
+    sigmoid,
     tef,
 )
 from momentsearch.retrieval import (
@@ -33,7 +37,15 @@ from momentsearch.retrieval import (
     exhaustive_search,
     two_stage_search,
 )
-from momentsearch.training import TrainConfig, TrainDataset, _assemble_batch, sample_triples
+from momentsearch.training import (
+    TrainConfig,
+    TrainDataset,
+    _assemble_batch,
+    _lstm_backward,
+    loss_and_grads,
+    ranking_loss,
+    sample_triples,
+)
 from conftest import greedy_nms_reference, varied_corpus
 
 # ---------------------------------------------------------------------------
@@ -250,6 +262,120 @@ def reference_assemble_batch(dataset, triples, dims, variant):
     return x, seg, z_counts, words, mask
 
 
+def reference_sigmoid(x):
+    # Branch on sign to avoid overflow in exp for large |x|.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_lstm_forward_batch(words, mask, params, want_cache=False):
+    words = np.asarray(words, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    b, t_max, _ = words.shape
+    h_dim = params.dims.hidden_lstm
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim))
+    steps = []
+    for t in range(t_max):
+        x_t = words[:, t, :]
+        alpha = x_t @ params.lstm_wx.T + h @ params.lstm_wh.T + params.lstm_b
+        i = reference_sigmoid(alpha[:, 0:h_dim])
+        f = reference_sigmoid(alpha[:, h_dim:2 * h_dim])
+        o = reference_sigmoid(alpha[:, 2 * h_dim:3 * h_dim])
+        g = np.tanh(alpha[:, 3 * h_dim:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        m = mask[:, t][:, None]
+        if want_cache:
+            steps.append({
+                "x": x_t, "h_prev": h, "c_prev": c,
+                "i": i, "f": f, "o": o, "g": g,
+                "c_new": c_new, "tanh_c": tanh_c, "m": m,
+            })
+        h = m * h_new + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+    if want_cache:
+        return h, steps
+    return h
+
+
+def reference_lstm_backward(d_ht, steps, params):
+    d_wx = np.zeros_like(params.lstm_wx)
+    d_wh = np.zeros_like(params.lstm_wh)
+    d_b = np.zeros_like(params.lstm_b)
+    dh = d_ht.copy()
+    dc = np.zeros_like(d_ht)
+    for step in reversed(steps):
+        m = step["m"]
+        dh_new = m * dh
+        dh_carry = (1.0 - m) * dh
+        dc_new = m * dc + dh_new * step["o"] * (1.0 - step["tanh_c"] ** 2)
+        do = dh_new * step["tanh_c"]
+        dc_carry = (1.0 - m) * dc + dc_new * step["f"]
+        di = dc_new * step["g"]
+        df = dc_new * step["c_prev"]
+        dg = dc_new * step["i"]
+        d_alpha = np.concatenate([
+            di * step["i"] * (1.0 - step["i"]),
+            df * step["f"] * (1.0 - step["f"]),
+            do * step["o"] * (1.0 - step["o"]),
+            dg * (1.0 - step["g"] ** 2),
+        ], axis=1)
+        d_wx += d_alpha.T @ step["x"]
+        d_wh += d_alpha.T @ step["h_prev"]
+        d_b += d_alpha.sum(axis=0)
+        dh = dh_carry + d_alpha @ params.lstm_wh
+        dc = dc_carry
+    return d_wx, d_wh, d_b
+
+
+def reference_embed_query(word_vectors, params):
+    words = np.asarray(word_vectors, dtype=np.float64)
+    h = reference_lstm_forward_batch(words[None, :, :], np.ones((1, words.shape[0])), params)
+    return h[0] @ params.proj_w.T + params.proj_b
+
+
+def reference_loss_and_grads(dataset, triples, params, cfg):
+    """The batch loss and gradients through the references above, with the
+    query-row gradient scattered by `np.add.at`."""
+    x, seg, z_counts, words, mask = reference_assemble_batch(dataset, triples, params.dims,
+                                                             cfg.variant)
+    emb_rows, mlp_cache = mlp_forward(x, params, want_cache=True)
+    h_t, steps = reference_lstm_forward_batch(words, mask, params, want_cache=True)
+    f_q = h_t @ params.proj_w.T + params.proj_b
+    row_triple = seg // 3
+    diff = emb_rows - f_q[row_triple]
+    d = np.einsum("ij,ij->i", diff, diff)
+    costs = np.bincount(seg, weights=d, minlength=z_counts.shape[0]) / z_counts
+    intra_hinge = ranking_loss(costs[0::3], costs[1::3], cfg.margin)
+    inter_hinge = ranking_loss(costs[0::3], costs[2::3], cfg.margin)
+    loss = float(np.sort(intra_hinge + cfg.inter_weight * inter_hinge).sum())
+
+    d_costs = np.zeros(3 * len(triples))
+    intra_on = (intra_hinge > 0).astype(np.float64)
+    inter_on = (inter_hinge > 0).astype(np.float64)
+    d_costs[0::3] = intra_on + cfg.inter_weight * inter_on
+    d_costs[1::3] = -intra_on
+    d_costs[2::3] = -cfg.inter_weight * inter_on
+    d_rows = (d_costs[seg] / z_counts[seg])[:, None] * 2.0 * diff
+    d_fq = np.zeros_like(f_q)
+    np.add.at(d_fq, row_triple, -d_rows)
+    d_z1 = (d_rows @ params.mlp_w2) * (mlp_cache["z1"] > 0)
+    d_wx, d_wh, d_lstm_b = reference_lstm_backward(d_fq @ params.proj_w, steps, params)
+    grads = {
+        "mlp_w1": d_z1.T @ mlp_cache["x"], "mlp_b1": d_z1.sum(axis=0),
+        "mlp_w2": d_rows.T @ mlp_cache["a1"], "mlp_b2": d_rows.sum(axis=0),
+        "lstm_wx": d_wx, "lstm_wh": d_wh, "lstm_b": d_lstm_b,
+        "proj_w": d_fq.T @ h_t, "proj_b": d_fq.sum(axis=0),
+    }
+    return loss, grads
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -335,8 +461,95 @@ def test_assemble_batch_equals_per_moment_reference(preset_name, variant, mode):
     got = _assemble_batch(dataset, triples, dims, variant)
     want = reference_assemble_batch(dataset, triples, dims, variant)
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# Finite values at the edges of exp's range (709 is the last argument whose
+# exp is finite, 746 the first whose exp(-x) underflows to 0), subnormals and
+# signed zeros.
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, -1e-300,
+                 709.0, -709.0, 709.78, -709.78, 745.0, -745.0, 746.0, -746.0,
+                 1e308, -1e308, np.inf, -np.inf, 36.7, -36.7, 37.5, -37.5]
+
+
+def test_sigmoid_equals_masked_branch_reference():
+    rng = np.random.default_rng(11)
+    edges = np.array(SIGMOID_EDGES)
+    for x in (edges, edges.reshape(4, 6), rng.standard_normal((37, 12)) * 8,
+              np.concatenate([edges, rng.standard_normal(100) * 800])):
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+    # One call covers the i | f | o blocks of a (batch, 4H) gate matrix: a
+    # strided view.
+    alpha = rng.standard_normal((64, 4 * 16)) * 6
+    alpha[5, :24] = edges
+    block = alpha[:, :48]
+    assert sigmoid(block).tobytes() == reference_sigmoid(block).tobytes()
+    assert alpha[:, :48].tobytes() == block.tobytes()  # the input is not written
+
+
+def ragged_batch(rng, b, t_max, word_in):
+    """Random words in every slot, padding included; rows of random lengths
+    1..t_max, the last of them all padding when b > 1."""
+    words = rng.standard_normal((b, t_max, word_in))
+    lengths = rng.integers(1, t_max + 1, size=b)
+    lengths[0] = t_max
+    if b > 1:
+        lengths[-1] = 0
+    mask = (np.arange(t_max) < lengths[:, None]).astype(np.float64)
+    return words, mask
+
+
+@pytest.mark.parametrize("b", [1, 3, 64])
+def test_lstm_forward_and_backward_equal_per_step_dict_reference(b):
+    rng = np.random.default_rng(b)
+    dims = ModelDims(5, 6, hidden_mlp=4, embed=5, hidden_lstm=16)
+    params = init_params(dims, b)
+    params.lstm_b[...] = rng.standard_normal(params.lstm_b.shape)
+    for t_max in (1, 2, 9):
+        words, mask = ragged_batch(rng, b, t_max, dims.word_in)
+        h, steps = lstm_forward_batch(words, mask, params, want_cache=True)
+        h_ref, steps_ref = reference_lstm_forward_batch(words, mask, params, want_cache=True)
+        assert h.tobytes() == h_ref.tobytes()
+        assert lstm_forward_batch(words, mask, params).tobytes() == h_ref.tobytes()
+        d_ht = rng.standard_normal(h.shape)
+        got = _lstm_backward(d_ht, steps, params)
+        want = reference_lstm_backward(d_ht, steps_ref, params)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_embed_query_equals_reference():
+    rng = np.random.default_rng(12)
+    for hidden, word_in in ((3, 2), (16, 7), (64, 32)):
+        params = init_params(ModelDims(4, word_in, hidden_mlp=5, embed=6, hidden_lstm=hidden),
+                             hidden)
+        for t in (1, 2, 5, 12):
+            words = rng.standard_normal((t, word_in))
+            assert embed_query(words, params).tobytes() == \
+                reference_embed_query(words, params).tobytes()
+
+
+@pytest.mark.parametrize("variant, mode", VARIANT_MODES)
+def test_loss_and_grads_equal_reference(variant, mode):
+    enum_cfg = PRESETS["didemo"].enum
+    corpus, queries = varied_corpus(np.random.default_rng(13), enum_cfg.clip_length)
+    queries = [Query(q.query_id, np.random.default_rng(k).standard_normal((1 + k % 6, 2)),
+                     q.ground_truth) for k, q in enumerate(queries)]  # 1-6 words each
+    dataset = TrainDataset(corpus, queries, enum_cfg)
+    dims = ModelDims(3, 2, hidden_mlp=9, embed=6, hidden_lstm=8, use_tef=mode != "plain",
+                     tef_only=mode == "tef_only")
+    params = init_params(dims, 14)
+    for seed, margin in ((15, 0.1), (16, 2.0)):
+        cfg = TrainConfig(batch_triples=24, variant=variant, seed=seed, margin=margin,
+                          inter_weight=0.4)
+        triples = sample_triples(dataset, cfg, np.random.default_rng(seed))
+        loss, grads = loss_and_grads(dataset, triples, params, cfg)
+        want_loss, want_grads = reference_loss_and_grads(dataset, triples, params, cfg)
+        assert loss.hex() == want_loss.hex()
+        assert sorted(grads) == sorted(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
 
 
 # The three presets, plus a minimum length above some videos' clip counts,

@@ -14,10 +14,15 @@ from momentsearch.model import (
     init_params,
     tef,
 )
+import momentsearch.training as training
 from momentsearch.training import (
+    DIVERGENCE_FACTOR,
     TrainConfig,
     TrainDataset,
+    TrainingDiverged,
     TrainingTriple,
+    _assemble_batch,
+    _forward,
     batch_loss,
     exponential_rank_weights,
     loss_and_grads,
@@ -394,6 +399,86 @@ class TestTrainLoop:
         for name in ModelParams.TENSOR_NAMES:
             np.testing.assert_array_equal(getattr(params_a, name), getattr(params_b, name))
         assert [h["mean_loss"] for h in hist_a] == [h["mean_loss"] for h in hist_b]
+        strip = [{k: v for k, v in h.items() if k != "wall_time_s"} for h in hist_a]
+        assert strip == [{k: v for k, v in h.items() if k != "wall_time_s"} for h in hist_b]
+
+    def test_epoch_telemetry_matches_the_steps(self, monkeypatch):
+        # Record each step's hinges (from the forward pass, before the
+        # update) and gradients, then rebuild the epoch records from them.
+        steps = []
+
+        def recording(dataset, triples, params, cfg, activity=None):
+            batch = _assemble_batch(dataset, triples, params.dims, cfg.variant)
+            _, cache = _forward(*batch, params, cfg, want_cache=True)
+            loss, grads = loss_and_grads(dataset, triples, params, cfg, activity=activity)
+            steps.append((cache["intra_hinge"], cache["inter_hinge"],
+                          {n: g.copy() for n, g in grads.items()}, dict(activity)))
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", recording)
+        dataset = tiny_dataset(5, num_videos=12)
+        cfg = TrainConfig(lr0=0.01, momentum=0.9, epochs=3, batch_triples=4,
+                          intra_iou_exclusion=0.5, seed=5)
+        _, history = train(dataset, cfg, dims=ModelDims(3, 4, hidden_mlp=5, embed=4,
+                                                        hidden_lstm=6))
+        per_epoch = len(dataset.queries) // cfg.batch_triples
+        assert len(steps) == per_epoch * cfg.epochs
+        for epoch, record in enumerate(history):
+            mine = steps[epoch * per_epoch:(epoch + 1) * per_epoch]
+            intra = np.concatenate([s[0] for s in mine])
+            inter = np.concatenate([s[1] for s in mine])
+            assert record["active_intra"] == np.mean(intra > 0)
+            assert record["active_inter"] == np.mean(inter > 0)
+            for s in mine:
+                assert s[3] == {"intra": int((s[0] > 0).sum()), "inter": int((s[1] > 0).sum())}
+            assert sorted(record["grad_norm"]) == sorted(ModelParams.TENSOR_NAMES)
+            for name, norm in record["grad_norm"].items():
+                want = np.mean([np.linalg.norm(s[2][name]) for s in mine])
+                assert norm == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_every_hinge_active_under_a_huge_margin(self):
+        dataset = tiny_dataset(6, num_videos=8)
+        cfg = TrainConfig(lr0=1e-4, momentum=0.0, epochs=2, batch_triples=4, margin=1e6,
+                          intra_iou_exclusion=0.5, seed=6)
+        _, history = train(dataset, cfg, dims=ModelDims(3, 4, hidden_mlp=5, embed=4,
+                                                        hidden_lstm=6))
+        assert [(h["active_intra"], h["active_inter"]) for h in history] == [(1.0, 1.0)] * 2
+        assert all(n > 0 for n in history[0]["grad_norm"].values())
+
+
+class TestDivergenceGuard:
+    def _run(self, monkeypatch, scripted_losses, margin=0.1):
+        """Train one step per epoch with scripted batch losses; returns the
+        number of updates made and the exception raised, if any."""
+        losses = iter(scripted_losses)
+        updates = []
+
+        def scripted(*args, **kwargs):
+            _, grads = loss_and_grads(*args, **kwargs)
+            return next(losses), grads
+
+        monkeypatch.setattr(training, "loss_and_grads", scripted)
+        monkeypatch.setattr(training, "sgd_step", lambda *a: updates.append(a) or 0.01)
+        dataset = tiny_dataset(7)
+        cfg = TrainConfig(epochs=len(scripted_losses), batch_triples=4, margin=margin,
+                          intra_iou_exclusion=0.5)
+        try:
+            train(dataset, cfg, dims=ModelDims(3, 4, hidden_mlp=5, embed=4, hidden_lstm=6))
+        except TrainingDiverged as e:
+            return len(updates), e
+        return len(updates), None
+
+    def test_stops_before_the_update_of_the_first_step_past_the_limit(self, monkeypatch):
+        limit = DIVERGENCE_FACTOR * 2.0
+        updates, error = self._run(monkeypatch, [2.0, 0.5, limit, limit * 1.001, 1.0])
+        assert updates == 3
+        assert isinstance(error, FloatingPointError)
+        assert str(error).startswith("epoch 3 step 0: batch loss ")
+
+    def test_a_small_first_loss_is_floored_at_the_margin(self, monkeypatch):
+        assert self._run(monkeypatch, [0.0, 0.5 * DIVERGENCE_FACTOR], margin=0.5) == (2, None)
+        updates, error = self._run(monkeypatch, [1e-3, 0.51 * DIVERGENCE_FACTOR], margin=0.5)
+        assert updates == 1 and error is not None
 
 
 class TestReranker:
