@@ -2,21 +2,18 @@
 
 Compares three retrieval routes on one synthetic corpus:
 
-* clip-alignment, exhaustive scan ("cal"): one indexed entry and one
-  distance per clip. It times an index scan, not `exhaustive_search`: one
-  distance pass, one prefix sum and each video's cheapest span, a
-  per-video best-span proxy. On the 10,000-video corpus (2 vCPUs, one
-  BLAS thread) it reads 0.08-0.09 s per query; `exhaustive_search` takes
-  1.2-1.3 s once its first query (2.1 s) has built the corpus's clip
-  matrix and candidate table. Most of that is the sort of all 1.15M rows
-  cheapest first within each video and the suppression sweep at IoU 0.6
-  (0.67 s and 0.4 s of a 1.2 s query under cProfile).
+* clip-alignment, exhaustive ("cal"): times the product's
+  `exhaustive_search`, which forms every candidate row, prices it
+  (`retrieval._price`'s clip-alignment gather) and selects from the rows
+  (`retrieval._select`); one distance per clip. Its first query also
+  builds the corpus's clip matrix and candidate table. The build time and
+  size reported are those of the exact clip index.
 * aggregate, exhaustive scan: one indexed entry and one distance per
   candidate span (all lengths 1..K), the cost of indexing pooled moment
   features. It times the distance pass and a top-200 selection.
 * clip-alignment, approximate two-stage ("approx"): times the product's
   `two_stage_search(mode="approx")`, inverted-file clip retrieval followed
-  by re-scoring, suppression and merging of the touched videos.
+  by pricing and selection of the candidates of the touched videos.
 
 Distance counts are deterministic and machine-independent; wall times are
 reported for context and never asserted. The desk-scale default corpus is
@@ -38,12 +35,7 @@ import numpy as np
 
 from .costs import sq_distances
 from .dataio import SyntheticSpec, generate_synthetic
-from .enumeration import (
-    DatasetPreset,
-    EnumConfig,
-    aggregate_index_entries,
-    candidate_clips,
-)
+from .enumeration import DatasetPreset, EnumConfig, aggregate_index_entries
 from .index import build_exact, build_ivf, save_index
 from .model import (
     ModelDims,
@@ -53,11 +45,12 @@ from .model import (
     init_params,
     mlp_forward,
 )
-from .retrieval import RetrievalConfig, two_stage_search
+from .retrieval import RetrievalConfig, exhaustive_search, two_stage_search
 
 # Reported large-scale reference measurements (1M videos x 20 clips, max
 # moment 14): recorded beside our arithmetic for context, never asserted.
 REFERENCE_1M_INDEX_GB = {"aggregate": 63.3, "clip": 7.45}
+METHODS = ("cal", "aggregate", "approx")
 
 
 @dataclass
@@ -134,8 +127,13 @@ def _span_table(n: int, k_max: int):
     return np.asarray(firsts), np.asarray(lasts)
 
 
-def run_bench(cfg: BenchConfig, workdir: str, methods=("cal", "aggregate", "approx")) -> dict:
+def run_bench(cfg: BenchConfig, workdir: str, methods=METHODS) -> dict:
     """Generate a corpus, run each method, and return the report mapping."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown bench method(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {METHODS}")
+    os.makedirs(workdir, exist_ok=True)
     corpus_dir = os.path.join(workdir, "bench_corpus")
     spec = SyntheticSpec(
         num_videos=cfg.num_videos,
@@ -160,34 +158,33 @@ def run_bench(cfg: BenchConfig, workdir: str, methods=("cal", "aggregate", "appr
     entries_agg = aggregate_index_entries(n, k_max, min_len=1)
     stats: dict[str, MethodStats] = {}
 
+    def time_search(build_s, path, search, distance_evals) -> MethodStats:
+        """A clip-index route's stats, `search(query)` timed on each query."""
+        latencies = []
+        evals = 0
+        for q in queries:
+            t1 = time.perf_counter()
+            result = search(q)
+            latencies.append(time.perf_counter() - t1)
+            evals += distance_evals(result.stage_counters)
+        return MethodStats(
+            build_s=build_s, index_bytes=os.path.getsize(path),
+            entries=entries_clip * len(corpus.videos),
+            mean_query_s=float(np.mean(latencies)),
+            p50_query_s=_percentile(latencies, 50), p90_query_s=_percentile(latencies, 90),
+            distance_evals_per_query=int(round(evals / max(1, len(queries)))),
+        )
+
     if "cal" in methods:
         t0 = time.perf_counter()
         exact = build_exact(corpus, params)
         path = os.path.join(workdir, "bench_clip.calx")
         save_index(exact, path)
         build_s = time.perf_counter() - t0
-        video_offsets = np.zeros(len(corpus.videos) + 1, dtype=np.int64)
-        np.cumsum([v.num_clips for v in corpus.videos], out=video_offsets[1:])
-        latencies = []
-        f2, l2 = candidate_clips(n, preset.enum).T
-        z2 = (l2 - f2 + 1).astype(np.float64)
-        for q in query_embs:
-            t1 = time.perf_counter()
-            d = sq_distances(exact.vectors, q)
-            prefix = np.concatenate([[0.0], np.cumsum(d, dtype=np.float64)])
-            best = []
-            for vi in range(len(corpus.videos)):
-                p = prefix[video_offsets[vi]:video_offsets[vi] + n + 1]
-                best.append(((p[l2 + 1] - p[f2]) / z2).min())
-            np.argsort(np.asarray(best))[:200]
-            latencies.append(time.perf_counter() - t1)
-        stats["cal"] = MethodStats(
-            build_s=build_s, index_bytes=os.path.getsize(path),
-            entries=entries_clip * len(corpus.videos),
-            mean_query_s=float(np.mean(latencies)),
-            p50_query_s=_percentile(latencies, 50), p90_query_s=_percentile(latencies, 90),
-            distance_evals_per_query=exact.num_entries,
-        )
+        rcfg = RetrievalConfig(variant="cal", nms_iou=preset.nms_iou, top_k=100)
+        stats["cal"] = time_search(
+            build_s, path, lambda q: exhaustive_search(corpus, q, params, preset.enum, rcfg),
+            lambda c: c["stage1_distances"])
 
     if "aggregate" in methods:
         # One embedded entry per span of 1..K clips, every video.
@@ -228,23 +225,12 @@ def run_bench(cfg: BenchConfig, workdir: str, methods=("cal", "aggregate", "appr
         build_s = time.perf_counter() - t0
         rcfg = RetrievalConfig(variant="cal", clip_budget=cfg.clip_budget, nprobe=cfg.nprobe,
                                nms_iou=preset.nms_iou, top_k=100)
-        latencies = []
-        evals = 0
-        for q in queries:
-            t1 = time.perf_counter()
-            result = two_stage_search(corpus, ivf, q, params, None, preset.enum, rcfg,
-                                      mode="approx")
-            latencies.append(time.perf_counter() - t1)
-            c = result.stage_counters
-            evals += (c["stage1_distances"] + c["stage1_centroid_distances"]
-                      + c.get("stage2_distances", 0))
-        stats["approx"] = MethodStats(
-            build_s=build_s, index_bytes=os.path.getsize(ivf_path),
-            entries=entries_clip * len(corpus.videos),
-            mean_query_s=float(np.mean(latencies)),
-            p50_query_s=_percentile(latencies, 50), p90_query_s=_percentile(latencies, 90),
-            distance_evals_per_query=int(round(evals / max(1, len(queries)))),
-        )
+        stats["approx"] = time_search(
+            build_s, ivf_path,
+            lambda q: two_stage_search(corpus, ivf, q, params, None, preset.enum, rcfg,
+                                       mode="approx"),
+            lambda c: (c["stage1_distances"] + c["stage1_centroid_distances"]
+                       + c.get("stage2_distances", 0)))
 
     bytes_per_entry = cfg.embed * 4 + 8  # float32 payload + (ordinal, clip) key
     report: dict[str, object] = {

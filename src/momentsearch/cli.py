@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, run_bench
+from .bench import METHODS, BenchConfig, run_bench
 from .core import Moment, TemporalSpan, VideoMeta
 from .dataio import (
     Corpus,
@@ -285,7 +285,6 @@ def cmd_bench(args) -> int:
         raise CliError("E_CONFIG", f"bad bench spec: {e}")
     methods = tuple(m.strip() for m in args.methods.split(","))
     workdir = args.workdir or args.out + ".workdir"
-    os.makedirs(workdir, exist_ok=True)
     write_kv_report(args.out, run_bench(cfg, workdir, methods=methods))
     print(f"bench report written to {args.out}")
     return 0
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run-time and index-size accounting")
     p.add_argument("--spec", help="JSON bench settings")
-    p.add_argument("--methods", default="cal,aggregate,approx")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--workdir", help="scratch dir (default: <out>.workdir)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)

@@ -1,41 +1,40 @@
 """End-to-end query answering.
 
-Three paths produce a ranked list of moments for a query:
+Every search forms candidate rows, prices them and selects from them:
 
-* exhaustive: score every candidate of every video, suppress
-  near-duplicates per video, merge.
-* two-stage (moment budget): rank all moments with the cheap stage-one
-  model, keep the top `budget`, re-score those with the re-ranking model.
-  When the re-ranking model and variant are stage one's own (clip-alignment,
-  non-TEF), stage one's costs are final and stage two only suppresses and
-  merges them.
-* approximate (clip budget): retrieve the top clips from the index, then
-  re-score the candidates of the touched videos that contain a retrieved
-  clip. The hits arrive as arrays (`index.ClipHits`), and the candidates
-  form in one pass over the touched videos: a padded prefix count of the
-  retrieved clips, read at each `candidate_clips` row's dilated window.
-  Under a clip-alignment, non-TEF re-ranker each touched video's clips are
-  embedded by their own `embed_clips` call, and one distance pass and one
-  padded prefix sum, the gather exhaustive search uses, price every
-  candidate. Other re-rankers score each video with `score_moments`.
+* exhaustive: every candidate of every video.
+* two-stage (moment budget): the top `budget` moments of an exhaustive
+  ranking under the cheap stage-one model, each video's rows in stage-one
+  order. When the re-ranking model and variant are stage one's own
+  (clip-alignment, non-TEF), stage one's costs are final and are not
+  priced again.
+* approximate (clip budget): the candidates of the videos holding a clip
+  retrieved from the index that contain a retrieved clip. The hits arrive
+  as arrays (`index.ClipHits`), and the candidates form in one pass over
+  the touched videos: a padded prefix count of the retrieved clips, read
+  at each `candidate_clips` row's dilated window.
+
+Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
+one run of rows per video; costs are arrays aligned with them. `_price`
+gives the costs and `_select` the ranking. Under a clip-alignment, non-TEF
+model, `_price` embeds each video's clips by their own `embed_clips` call,
+then one distance pass and one padded prefix sum price every row
+(`_padded_cal_costs`). TEF and aggregate rows depend on the moment, so
+those variants score each video's run with `score_moments`.
 
 Exhaustive search reads a `PreparedCorpus`, the query-independent part of
 the work, built on the first search of a corpus and kept on it
 (`Corpus.prepared`): the video-id ranks, one flat candidate table under one
 `EnumConfig`, and, for the clip-alignment variant under a non-TEF model,
-every video's clip embeddings under one model. A clip-alignment query then
-takes one distance pass over the corpus's clip matrix and one prefix sum
-per video. TEF and aggregate rows depend on the moment, so those variants
-score each video's rows of the same table per query.
+every video's clip embeddings under one model, so that a clip-alignment
+query takes one distance pass over the corpus's clip matrix.
 
-Candidates travel as (video ordinal, first_clip, last_clip) integer arrays;
-costs are arrays aligned with them. A ranked list stays in that form
-(`RankedMoments`) and builds a `Moment` only for an item that is read.
-Non-maximum suppression runs only at the final ranking stage, as one sweep
-over the rows of every video at once (`nms`). All merges
-apply the deterministic (cost, video_id, first_clip, last_clip) tie-break,
-a total order, so rankings are reproducible across runs and do not depend
-on the order in which videos are scored.
+A ranked list stays in array form (`RankedMoments`) and builds a `Moment`
+only for an item that is read. Non-maximum suppression runs only at the
+final ranking stage, as one sweep over the rows of every video at once
+(`nms`). All merges apply the deterministic (cost, video_id, first_clip,
+last_clip) tie-break, a total order, so rankings are reproducible across
+runs and do not depend on the order in which videos are scored.
 """
 
 from __future__ import annotations
@@ -43,12 +42,12 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import Moment, Query, VideoMeta, grid_spans
-from .costs import CostCounters, ScoredMoment, score_moments, sq_distances
+from .costs import VARIANTS, CostCounters, ScoredMoment, score_moments, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
 from .index import ClipHits, ClipIndex, IvfIndex
@@ -77,6 +76,11 @@ class RetrievalConfig:
             raise ValueError("clip_budget and top_k must be positive")
         if self.dilation_clips < 0:
             raise ValueError(f"dilation_clips must be non-negative, got {self.dilation_clips}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.rerank_variant not in (None, *VARIANTS):
+            raise ValueError(f"unknown rerank_variant {self.rerank_variant!r}; "
+                             f"expected one of {VARIANTS}")
 
 
 class RankedMoments(Sequence):
@@ -176,19 +180,22 @@ def _embed_videos(videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
     return matrix
 
 
-def _clip_slots(rows: np.ndarray, num_clips: np.ndarray, width: int) -> np.ndarray:
-    """Flat slot of each clip of stacked videos in a (·, width) table whose
-    row rows[b] holds a zero, then video b's num_clips[b] clip values."""
+def _padded_layout(rows: np.ndarray, num_clips: np.ndarray, height: int
+                   ) -> tuple[np.ndarray, tuple[int, int]]:
+    """(slots, shape) of a zero-padded (height, longest video + 1) table
+    whose row rows[b] holds a zero, then the num_clips[b] clip values of
+    stacked video b: slots[j] is the flat position of stacked clip j."""
+    width = int(num_clips.max(initial=0)) + 1
     starts = np.cumsum(num_clips) - num_clips
     within = np.arange(int(num_clips.sum())) - np.repeat(starts, num_clips)
-    return np.repeat(rows * width + 1, num_clips) + within
+    return np.repeat(rows * width + 1, num_clips) + within, (height, width)
 
 
 def _padded_cal_costs(matrix: np.ndarray, q_emb: np.ndarray, slots: np.ndarray, shape: tuple,
                       rows: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     """Clip-alignment cost of clip ranges [firsts[i], lasts[i]] of table
     rows rows[i]. The query's distance to each clip embedding (`matrix`)
-    lands in its slot (`_clip_slots`) of a zero-padded table of `shape`;
+    lands in its slot (`_padded_layout`) of a zero-padded table of `shape`;
     row-wise prefix sums then give each cost with `costs.cal_costs`'
     operations, so the costs are the per-video costs bit for bit."""
     q = np.asarray(q_emb, dtype=np.float64)
@@ -205,7 +212,7 @@ def _padded_cal_costs(matrix: np.ndarray, q_emb: np.ndarray, slots: np.ndarray, 
 class CandidateTable:
     """Every candidate of a corpus under one `EnumConfig`: `candidate_clips`
     rows of each video concatenated in corpus order, as flat (ordinal,
-    first, last) arrays, with `bounds[o]:bounds[o + 1]` the rows of video o.
+    first, last) arrays: one run of rows per video with candidates.
 
     `cal_costs` prices every row under a non-TEF model with
     `_padded_cal_costs`. Its clip embeddings, those of the videos with at
@@ -217,24 +224,17 @@ class CandidateTable:
         self.videos, self.features, self.enum_cfg = videos, features, enum_cfg
         grids = [candidate_clips(v.num_clips, enum_cfg) for v in videos]
         counts = np.asarray([len(g) for g in grids], dtype=np.int64)
-        self.bounds = np.concatenate([[0], np.cumsum(counts)])
         self.ordinal = np.repeat(np.arange(len(videos), dtype=np.int32), counts)
         rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
         self.firsts, self.lasts = rows[:, 0].copy(), rows[:, 1].copy()
         self.scored = np.flatnonzero(counts)  # videos with candidates
         num_clips = np.asarray([videos[o].num_clips for o in self.scored], dtype=np.int64)
-        self._padded_shape = (len(videos), int(num_clips.max(initial=0)) + 1)
-        self._clip_slots = _clip_slots(self.scored, num_clips, self._padded_shape[1])
+        self._clip_slots, self._padded_shape = _padded_layout(self.scored, num_clips,
+                                                              len(videos))
         # Counts as int objects that every result's counters share.
         self.size, self.clips_scored = len(self.ordinal), len(self._clip_slots)
         self._model_key = None
         self._clip_matrix = None
-
-    def groups(self) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
-        """(ordinal, firsts, lasts) of each video with candidates."""
-        for o in self.scored.tolist():
-            s, e = self.bounds[o], self.bounds[o + 1]
-            yield o, self.firsts[s:e], self.lasts[s:e]
 
     def _clip_embeddings(self, params: ModelParams) -> np.ndarray:
         key = _clip_model_key(params)
@@ -350,20 +350,31 @@ def _select(
     return RankedMoments(prep.videos, ordinal[top], firsts[top], lasts[top], costs[top])
 
 
-def _rank(
-    prep: PreparedCorpus, groups, q_emb: np.ndarray, variant: str, params: ModelParams,
-    nms_iou: float, top_k: int,
-) -> tuple[RankedMoments, CostCounters]:
-    """Score each (ordinal, firsts, lasts) group with `score_moments`, then
-    `_select`; returns (top_k ranked, counters)."""
+def _price(
+    prep: PreparedCorpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
+    q_emb: np.ndarray, variant: str, params: ModelParams,
+) -> tuple[np.ndarray, CostCounters]:
+    """(costs, counters) of candidate rows that come in one run per video.
+    Under a clip-alignment, non-TEF model each run's video is embedded by its
+    own `embed_clips` call and one padded gather prices every row; otherwise
+    `score_moments` scores each run's rows in the order given."""
+    starts = np.flatnonzero(np.diff(ordinal, prepend=-1))
+    sizes = np.diff(starts, append=len(ordinal))
+    videos = np.asarray(ordinal[starts], dtype=np.int64)
+    if variant == "cal" and not params.dims.use_tef:
+        runs = np.arange(len(videos))
+        slots, shape = _padded_layout(runs, prep.num_clips[videos], len(videos))
+        matrix = _embed_videos(prep.videos, prep.features, videos, params)
+        costs = _padded_cal_costs(matrix, q_emb, slots, shape, np.repeat(runs, sizes),
+                                  firsts, lasts)
+        return costs, CostCounters(len(slots), len(costs))
     counters = CostCounters()
-    rows = [(np.full(len(firsts), o), firsts, lasts,
-             score_moments(prep.videos[o], prep.features[prep.videos[o].video_id], q_emb,
-                           variant, params, firsts, lasts, counters))
-            for o, firsts, lasts in groups]
-    empty = (np.empty(0, np.int64),) * 3 + (np.empty(0),)
-    ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(empty, *rows))
-    return _select(prep, ordinal, firsts, lasts, costs, nms_iou, top_k), counters
+    costs = np.empty(len(ordinal))
+    for o, s, e in zip(videos.tolist(), starts.tolist(), (starts + sizes).tolist()):
+        video = prep.videos[o]
+        costs[s:e] = score_moments(video, prep.features[video.video_id], q_emb, variant,
+                                   params, firsts[s:e], lasts[s:e], counters)
+    return costs, counters
 
 
 def exhaustive_search(
@@ -378,12 +389,13 @@ def exhaustive_search(
     prep = prepared(corpus)
     table = prep.table(enum_cfg)
     if cfg.variant == "cal" and not params.dims.use_tef:
-        ranked = _select(prep, table.ordinal, table.firsts, table.lasts,
-                         table.cal_costs(params, q_emb), cfg.nms_iou, cfg.top_k)
+        costs = table.cal_costs(params, q_emb)
         counters = CostCounters(table.clips_scored, table.size)
     else:
-        ranked, counters = _rank(prep, table.groups(), q_emb, cfg.variant, params, cfg.nms_iou,
-                                 cfg.top_k)
+        costs, counters = _price(prep, table.ordinal, table.firsts, table.lasts, q_emb,
+                                 cfg.variant, params)
+    ranked = _select(prep, table.ordinal, table.firsts, table.lasts, costs, cfg.nms_iou,
+                     cfg.top_k)
     return RankedResult(query.query_id, ranked, {
         "stage1_distances": counters.distance_evals,
         "stage1_moments": counters.moments_scored,
@@ -391,11 +403,10 @@ def exhaustive_search(
 
 
 def _hit_candidates(prep: PreparedCorpus, hits: ClipHits, enum_cfg: EnumConfig, dilation: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates (f, l) of the videos holding a hit that have a hit
-    clip in [f - dilation, l + dilation]: (touched video ordinals, ascending;
-    each row's position among them; firsts; lasts), each video's rows in
-    `candidate_clips` order."""
+    clip in [f - dilation, l + dilation]: (ordinals, firsts, lasts), videos
+    ascending, each video's rows in `candidate_clips` order."""
     hit_ordinal, clips, _ = hits.arrays()
     # Hits name videos by the index's ordinals; map each touched one by id.
     index_ordinal, hit_at = np.unique(hit_ordinal, return_inverse=True)
@@ -412,7 +423,7 @@ def _hit_candidates(prep: PreparedCorpus, hits: ClipHits, enum_cfg: EnumConfig, 
     # The window [f - d, l + d] clamped to the video holds a hit.
     hit = (count[row, np.minimum(lasts + dilation, num_clips[row] - 1) + 1]
            > count[row, np.maximum(firsts - dilation, 0)])
-    return videos, row[hit], firsts[hit], lasts[hit]
+    return videos[row[hit]], firsts[hit], lasts[hit]
 
 
 def two_stage_search(
@@ -444,6 +455,7 @@ def two_stage_search(
     counters: dict[str, int] = {}
     prep = prepared(corpus)
 
+    final = False  # stage one's costs are stage two's
     if mode == "approx":
         if index is None:
             raise ValueError("approximate mode needs a clip index")
@@ -460,23 +472,7 @@ def two_stage_search(
             log.warning("%s: empty stage-one retrieval", query.query_id)
             return RankedResult(query.query_id, RankedMoments(prep.videos, [], [], [], []),
                                 counters)
-        videos, row, firsts, lasts = _hit_candidates(prep, hits, enum_cfg, cfg.dilation_clips)
-        q2 = embed_query(query.word_vectors, rerank_params)
-        if rerank_variant == "cal" and not rerank_params.dims.use_tef:
-            scored = np.flatnonzero(np.bincount(row, minlength=len(videos)))  # with candidates
-            num_clips = prep.num_clips[videos[scored]]
-            shape = (len(videos), int(num_clips.max(initial=0)) + 1)
-            slots = _clip_slots(scored, num_clips, shape[1])
-            costs = _padded_cal_costs(
-                _embed_videos(prep.videos, prep.features, videos[scored], rerank_params), q2,
-                slots, shape, row, firsts, lasts)
-            counters["stage2_distances"] = len(slots)
-            counters["stage2_moments"] = len(costs)
-            ranked = _select(prep, videos[row], firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
-            return RankedResult(query.query_id, ranked, counters)
-        bounds = np.searchsorted(row, np.arange(len(videos) + 1)).tolist()
-        groups = [(o, firsts[s:e], lasts[s:e])
-                  for o, s, e in zip(videos.tolist(), bounds, bounds[1:]) if e > s]
+        ordinal, firsts, lasts = _hit_candidates(prep, hits, enum_cfg, cfg.dilation_clips)
     else:
         if cfg.budget < cfg.top_k:
             raise ValueError("stage-one budget must be at least top_k")
@@ -486,24 +482,22 @@ def two_stage_search(
                                    replace(cfg, nms_iou=1.0, top_k=cfg.budget))
         counters.update(stage1.stage_counters)
         ordinal, firsts, lasts, costs = stage1.ranked.arrays()
-        if same_model and cfg.variant == rerank_variant == "cal" \
-                and not stage1_params.dims.use_tef:
-            counters["stage2_distances"] = 0
-            counters["stage2_moments"] = len(costs)
-            ranked = _select(prep, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
-            return RankedResult(query.query_id, ranked, counters)
-        # Each video's rows go to stage two in stage-one order, videos in
-        # order of first appearance: the batches a re-scoring model embeds.
-        by_video: dict[int, list[int]] = {}
-        for i, o in enumerate(ordinal.tolist()):
-            by_video.setdefault(o, []).append(i)
-        groups = [(o, firsts[i], lasts[i]) for o, i in by_video.items()]
-        q2 = embed_query(query.word_vectors, rerank_params)
+        final = same_model and cfg.variant == rerank_variant == "cal" \
+            and not stage1_params.dims.use_tef
+        if not final:
+            # One run per video, each in stage-one order: the batches a
+            # re-scoring model embeds.
+            order = np.argsort(ordinal, kind="stable")
+            ordinal, firsts, lasts = ordinal[order], firsts[order], lasts[order]
 
-    ranked, stage2_counters = _rank(prep, groups, q2, rerank_variant, rerank_params,
-                                    cfg.nms_iou, cfg.top_k)
-    counters["stage2_distances"] = stage2_counters.distance_evals
-    counters["stage2_moments"] = stage2_counters.moments_scored
+    if final:
+        stage2 = CostCounters(0, len(costs))
+    else:
+        q2 = embed_query(query.word_vectors, rerank_params)
+        costs, stage2 = _price(prep, ordinal, firsts, lasts, q2, rerank_variant, rerank_params)
+    counters["stage2_distances"] = stage2.distance_evals
+    counters["stage2_moments"] = stage2.moments_scored
+    ranked = _select(prep, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
     return RankedResult(query.query_id, ranked, counters)
 
 

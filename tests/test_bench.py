@@ -1,5 +1,6 @@
 import pytest
 
+import momentsearch.bench as bench
 from momentsearch.bench import BenchConfig, run_bench
 
 
@@ -65,3 +66,25 @@ class TestBenchDeterminism:
             if any(key.endswith(sfx) for sfx in timing_suffixes):
                 continue
             assert r1[key] == r2[key], key
+
+
+class TestCalRoute:
+    def test_times_exhaustive_search_and_reports_its_distances(self, tmp_path, monkeypatch):
+        cfg = BenchConfig(num_videos=20, clips_per_video=20, visual_dim=8, word_dim=4,
+                          embed=6, hidden_mlp=8, hidden_lstm=4, n_queries=2, seed=1)
+        calls = []
+        search = bench.exhaustive_search
+
+        def spy(corpus, query, params, enum_cfg, rcfg):
+            result = search(corpus, query, params, enum_cfg, rcfg)
+            calls.append((query.query_id, enum_cfg, rcfg.variant, rcfg.nms_iou, rcfg.top_k))
+            # A count the route can only report by reading it from the result.
+            result.stage_counters["stage1_distances"] += 2 * len(calls)
+            return result
+
+        monkeypatch.setattr(bench, "exhaustive_search", spy)
+        report = run_bench(cfg, str(tmp_path), methods=("cal",))
+        preset = cfg.preset()
+        assert [c[1:] for c in calls] == [(preset.enum, "cal", preset.nms_iou, 100)] * 2
+        assert len({c[0] for c in calls}) == 2
+        assert report["cal.distance_evals_per_query"] == 20 * 20 + 3

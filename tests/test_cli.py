@@ -267,6 +267,16 @@ class TestErrorHandling:
         assert rc != 0
         assert capsys.readouterr().err.startswith("E_FORMAT")
 
+    def test_bench_unknown_method_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "bench_report.txt")
+        rc = main(["bench", "--methods", "cal,aprox", "--workdir", str(tmp_path / "w"),
+                   "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: unknown bench method(s) 'aprox'")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "w")
+
     def test_approx_without_index(self, pipeline, capsys):
         rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
                    "--queries", pipeline["queries"], "--mode", "approx",

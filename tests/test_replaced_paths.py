@@ -152,8 +152,9 @@ def reference_exhaustive(corpus, query, params, enum_cfg, cfg):
                     "stage1_moments": counters.moments_scored}
 
 
-def reference_two_stage_moment(corpus, query, params, enum_cfg, cfg):
-    """Moment-budget two-stage search that re-scores stage one's moments."""
+def reference_two_stage_moment(corpus, query, params, enum_cfg, cfg, rerank_params=None):
+    """Moment-budget two-stage search that re-scores stage one's moments,
+    each video's in stage-one order, with `rerank_params` when given."""
     stage1, counters = reference_exhaustive(
         corpus, query, params, enum_cfg, RetrievalConfig(
             variant=cfg.variant, nms_iou=1.0, top_k=cfg.budget, budget=cfg.budget))
@@ -161,10 +162,11 @@ def reference_two_stage_moment(corpus, query, params, enum_cfg, cfg):
     for s in stage1:
         candidates.setdefault(s.moment.video_id, []).append(
             (s.moment.first_clip, s.moment.last_clip))
-    q2 = embed_query(query.word_vectors, params)
+    rerank = rerank_params if rerank_params is not None else params
+    q2 = embed_query(query.word_vectors, rerank)
     groups = ((corpus.video(vid), corpus.features_for(vid), *np.asarray(rows).T)
               for vid, rows in candidates.items())
-    ranked, stage2 = reference_rank(groups, q2, cfg.rerank_variant or cfg.variant, params,
+    ranked, stage2 = reference_rank(groups, q2, cfg.rerank_variant or cfg.variant, rerank,
                                     cfg.nms_iou, cfg.top_k)
     return ranked, {**counters, "stage2_distances": stage2.distance_evals,
                     "stage2_moments": stage2.moments_scored}
@@ -705,6 +707,36 @@ def test_approx_search_equals_per_video_route(enum_name, index_kind, reranker):
                                                       enum_cfg, cfg)
                     assert _ranked_hex(got.ranked) == _ranked_hex(want)
                     assert got.stage_counters == counters
+
+
+# (stage-one variant, re-ranker): stage one under the plain model re-ranked
+# by each approximate-mode re-ranker, and an aggregate stage one re-ranked by
+# clip alignment under the same model.
+MOMENT_RERANKS = [*(("cal", r) for r in sorted(APPROX_RERANKERS)), ("aggregate", "cal")]
+
+
+@pytest.mark.parametrize("stage1_variant, reranker", MOMENT_RERANKS)
+@pytest.mark.parametrize("enum_name", ["charades-sta", "min-above-clips"])
+def test_moment_two_stage_rerank_equals_per_video_route(enum_name, stage1_variant, reranker):
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, queries = shuffled_corpus(5, enum_cfg.clip_length)
+    params = init_params(_dims("plain", visual_in=3, word_in=2), 6)
+    variant, mode = APPROX_RERANKERS[reranker]
+    rerank = None if mode is None else _rerank_model(mode)
+    # Stage one's own costs are final: stage two evaluates no distance.
+    final = stage1_variant == variant == "cal" and rerank is None
+    for nms_iou in (0.6, 0.5, 1.0):
+        for budget, top_k in ((30, 20), (corpus.total_candidates(enum_cfg), 50)):
+            cfg = RetrievalConfig(variant=stage1_variant, rerank_variant=variant,
+                                  nms_iou=nms_iou, top_k=top_k, budget=budget)
+            for q in queries[:2]:
+                got = two_stage_search(corpus, None, q, params, rerank, enum_cfg, cfg,
+                                       mode="moment")
+                want, counters = reference_two_stage_moment(corpus, q, params, enum_cfg, cfg,
+                                                            rerank)
+                assert _ranked_hex(got.ranked) == _ranked_hex(want)
+                assert got.stage_counters == \
+                    ({**counters, "stage2_distances": 0} if final else counters)
 
 
 def _hits_hex(hits):

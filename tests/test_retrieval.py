@@ -170,38 +170,37 @@ class TestExhaustive:
         # identity-strength signal: score with an oracle-configured model that
         # reproduces raw features, querying with the planted latent directly
         from conftest import identity_visual_params
-        from momentsearch.retrieval import _rank, prepared
+        from momentsearch.retrieval import _price, _select
 
         params = identity_visual_params(visual_in=8)
-        import os
 
         # recompute each query's latent from its words and the stored readout
         spec_rng = np.random.default_rng(8)
         vocab = spec_rng.standard_normal((24, 6)).astype(np.float32)
         readout = (spec_rng.standard_normal((8, 6)) / np.sqrt(6)).astype(np.float32)
+        prep = prepared(corpus)
+        table = prep.table(preset.enum)
+        rows = (table.ordinal, table.firsts, table.lasts)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            groups = [(o, *candidate_clips(v.num_clips, preset.enum).T)
-                      for o, v in enumerate(corpus.videos)]
-            ranked, _ = _rank(prepared(corpus), groups, latent, "cal", params,
-                              preset.nms_iou, 10)
+            costs, _ = _price(prep, *rows, latent, "cal", params)
+            ranked = _select(prep, *rows, costs, preset.nms_iou, 10)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
             assert max(temporal_iou(top.span, a) for a in gt.annotations) >= 0.5
 
-    def test_cost_ties_break_by_clips_within_and_video_id_across(self, monkeypatch):
-        import momentsearch.retrieval as retrieval
+    def test_cost_ties_break_by_clips_within_and_video_id_across(self):
+        from momentsearch.retrieval import _select
 
-        monkeypatch.setattr(retrieval, "score_moments",
-                            lambda video, feats, q, variant, params, firsts, lasts, counters:
-                            np.zeros(len(firsts)))
         enum = get_preset("charades-sta").enum
         grid = candidate_clips(10, enum)
         videos = [VideoMeta(vid, 30.0, 3.0, 10) for vid in ("vb", "va")]
         corpus = Corpus(videos, {v.video_id: np.zeros((10, 1)) for v in videos})
-        ranked, _ = retrieval._rank(retrieval.prepared(corpus), [(o, *grid.T) for o in (0, 1)],
-                                    None, "cal", None, 0.3, len(grid) * 2)
+        ordinal = np.repeat([0, 1], len(grid))
+        firsts, lasts = np.tile(grid, (2, 1)).T
+        ranked = _select(prepared(corpus), ordinal, firsts, lasts, np.zeros(len(ordinal)), 0.3,
+                         len(grid) * 2)
         # every cost ties: suppression walks each video in (first, last) order
         kept = greedy_nms_reference(
             [Moment.from_clips(videos[0], f, l).span for f, l in grid.tolist()], 0.3)
@@ -550,6 +549,15 @@ def _keys(result):
 def _fresh(corpus):
     """A new corpus object over the same videos and features: nothing prepared."""
     return Corpus(list(corpus.videos), dict(corpus.features))
+
+
+class TestRetrievalConfig:
+    @pytest.mark.parametrize("field", ["variant", "rerank_variant"])
+    def test_unknown_variant_refused(self, field):
+        # Refused up front: an empty corpus or an approximate search without
+        # hits scores no row, so scoring would never see the name.
+        with pytest.raises(ValueError, match=f"unknown {field} 'tef'"):
+            RetrievalConfig(**{field: "tef"})
 
 
 class TestPreparedCorpus:
