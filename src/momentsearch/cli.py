@@ -165,12 +165,14 @@ def cmd_search(args) -> int:
     index = None
     if args.index:
         index = load_index(args.index, tuple(v.video_id for v in corpus.videos))
+        if index.dim != params.dims.embed:
+            raise CliError("E_STALE_INDEX", f"{args.index} holds {index.dim}-d vectors, but "
+                           f"{args.ckpt} embeds into {params.dims.embed}; rebuild it with `index`")
         # Each (video ordinal, clip) key of this corpus must appear exactly once.
-        num_clips = np.array([v.num_clips for v in corpus.videos])
         ordinal, clip = index.keys.astype(np.int64).T
-        position = np.cumsum(num_clips)[ordinal] - num_clips[ordinal] + clip
-        if index.num_entries != corpus.total_clips or np.any(clip >= num_clips[ordinal]) or \
-                np.any(np.bincount(position, minlength=corpus.total_clips) != 1):
+        position = corpus.clip_offsets[ordinal] + clip
+        if index.num_entries != corpus.total_clips or np.any(clip >= corpus.num_clips[ordinal]) \
+                or np.any(np.bincount(position, minlength=corpus.total_clips) != 1):
             raise CliError("E_STALE_INDEX", f"{args.index} does not index this corpus's "
                            f"{corpus.total_clips} clips once each; rebuild it with `index`")
     if args.mode == "approx" and index is None:

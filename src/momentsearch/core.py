@@ -107,6 +107,17 @@ def grid_spans(clip_length, duration, firsts: np.ndarray, lasts: np.ndarray) -> 
                      np.minimum((lasts + 1) * clip_length, duration)], axis=1)
 
 
+def offsets(counts) -> np.ndarray:
+    """Start of each block when blocks of these lengths are laid end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.cumsum(counts) - counts
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges starts[k] .. starts[k] + counts[k] - 1."""
+    return np.repeat(starts - offsets(counts), counts) + np.arange(counts.sum())
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Annotated spans for one query; several entries when judgments disagree."""

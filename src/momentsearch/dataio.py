@@ -13,11 +13,12 @@ import math
 import os
 import zlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
-from .core import GroundTruth, Query, TemporalSpan, VideoMeta
+from .core import GroundTruth, Query, TemporalSpan, VideoMeta, offsets
 from .enumeration import DatasetPreset, candidate_clips, enumerate_moments
 from .model import ModelDims, ModelParams
 
@@ -322,17 +323,28 @@ def read_kv_report(path: str) -> dict[str, str]:
 
 
 class Corpus:
-    """An ordered set of videos with their clip feature matrices (float64)."""
+    """An ordered set of videos with their clip feature matrices (float64).
+
+    Video `videos[o]` has ordinal o, and `ordinal_of` maps its id to o. The
+    per-ordinal arrays are `num_clips`, `clip_length`, `duration`,
+    `clip_offsets` (where video o's clips start when every video's clips are
+    laid end to end in corpus order) and `id_rank` (the lexicographic rank
+    of the id, the tie-break of every ranking; built on first read).
+    `candidates` holds search's `retrieval.CandidateTable`, built by the
+    first search that needs it.
+    """
 
     def __init__(self, videos: list[VideoMeta], features: dict[str, np.ndarray]):
         self.videos = list(videos)
-        self._by_id = {v.video_id: v for v in self.videos}
-        if len(self._by_id) != len(self.videos):
+        self.ordinal_of = {v.video_id: o for o, v in enumerate(self.videos)}
+        if len(self.ordinal_of) != len(self.videos):
             raise ValueError("duplicate video ids in corpus")
         self.features = features
-        # Query-independent search state (`retrieval.PreparedCorpus`), built
-        # by the first search that needs it.
-        self.prepared = None
+        self.candidates = None
+        self.num_clips = np.asarray([v.num_clips for v in self.videos], dtype=np.int64)
+        self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
+        self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
+        self.clip_offsets = offsets(self.num_clips)
         for v in self.videos:
             feats = features[v.video_id]
             if feats.shape[0] != v.num_clips:
@@ -344,14 +356,18 @@ class Corpus:
         return len(self.videos)
 
     def video(self, video_id: str) -> VideoMeta:
-        return self._by_id[video_id]
+        return self.videos[self.ordinal_of[video_id]]
 
     def features_for(self, video_id: str) -> np.ndarray:
         return self.features[video_id]
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        return np.argsort(np.argsort(np.asarray([v.video_id for v in self.videos], dtype=object)))
+
     @property
     def total_clips(self) -> int:
-        return sum(v.num_clips for v in self.videos)
+        return int(self.num_clips.sum())
 
     def total_candidates(self, enum_cfg) -> int:
         return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)

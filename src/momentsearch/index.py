@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ranges
 from .dataio import FORMAT_VERSION, Corpus, FormatError, check_header, expect_eof, read_array
-from .model import ModelParams, compute_context, embed_clips
+from .model import ModelParams, embed_videos
 
 INDEX_MAGIC = b"CALX"
 FLAVOR_EXACT = 0
@@ -121,11 +122,17 @@ class ClipIndex:
         entry = idx[order]
         return ClipHits(self.video_ids, self.keys[entry, 0], self.keys[entry, 1], dists[order])
 
+    def _query(self, query_emb: np.ndarray) -> np.ndarray:
+        q = np.asarray(query_emb, dtype=np.float32)
+        if q.shape != (self.dim,):
+            raise ValueError(f"query of shape {q.shape} for an index of {self.dim}-d vectors")
+        return q
+
     def search(self, query_emb: np.ndarray, top_c: int, nprobe: int = 0):
         """Scan every entry; returns (hits, stats). `nprobe` is ignored."""
         if top_c < 1:
             raise ValueError("top_c must be at least 1")
-        q = np.asarray(query_emb, dtype=np.float32)
+        q = self._query(query_emb)
         diff = self.vectors - q
         dists = np.einsum("ij,ij->i", diff, diff)
         stats = SearchStats(distance_evals=self.num_entries)
@@ -156,7 +163,7 @@ class IvfIndex(ClipIndex):
         p = self.num_partitions
         if not 1 <= nprobe <= p:
             raise ValueError(f"nprobe must lie in [1, {p}], got {nprobe}")
-        q = np.asarray(query_emb, dtype=np.float32)
+        q = self._query(query_emb)
         cdiff = self.centroids - q
         cdist = np.einsum("ij,ij->i", cdiff, cdiff)
         probe = np.lexsort((np.arange(p), cdist))[:nprobe]
@@ -181,17 +188,15 @@ class IvfIndex(ClipIndex):
 
 
 def corpus_clip_matrix(corpus: Corpus, params: ModelParams):
-    """Embed every clip of every video (manifest order) with the non-TEF head."""
-    keys = []
-    blocks = []
-    for ordinal, video in enumerate(corpus.videos):
-        feats = corpus.features_for(video.video_id)
-        ctx = compute_context(feats)
-        emb = embed_clips(feats, ctx, None, params)
-        blocks.append(emb.astype(np.float32))
-        for k in range(video.num_clips):
-            keys.append((ordinal, k))
-    return np.asarray(keys, dtype=np.uint32), np.concatenate(blocks, axis=0)
+    """Embed every clip of every video (manifest order) with the non-TEF head:
+    (keys, vectors), one (video ordinal, clip) uint32 key per float32 row."""
+    vectors = embed_videos([corpus.features_for(v.video_id) for v in corpus.videos], params,
+                           np.float32)
+    num_clips = corpus.num_clips
+    keys = np.empty((len(vectors), 2), dtype=np.uint32)
+    keys[:, 0] = np.repeat(np.arange(len(num_clips)), num_clips)
+    keys[:, 1] = ranges(np.zeros_like(num_clips), num_clips)
+    return keys, vectors
 
 
 def build_exact(corpus: Corpus, params: ModelParams) -> ClipIndex:

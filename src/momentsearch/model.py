@@ -200,6 +200,18 @@ def embed_clips(
     return mlp_forward(inputs, params)
 
 
+def embed_videos(blocks: list[np.ndarray], params: ModelParams, dtype=np.float64) -> np.ndarray:
+    """The non-TEF clip embeddings of videos given by their clip feature
+    blocks, stacked in order into one `dtype` matrix. Each video gets its own
+    `embed_clips` call: one GEMM over many videos would round differently."""
+    matrix = np.empty((sum(len(b) for b in blocks), params.dims.embed), dtype=dtype)
+    row = 0
+    for feats in blocks:
+        matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None, params)
+        row += len(feats)
+    return matrix
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: one e = exp(-|x|) serves both
     signs, 1 / (1 + e) where x >= 0 and e / (1 + e) where x < 0."""

@@ -15,19 +15,19 @@ Every search forms candidate rows, prices them and selects from them:
   at each `candidate_clips` row's dilated window.
 
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
-one run of rows per video; costs are arrays aligned with them. `_price`
-gives the costs and `_select` the ranking. Under a clip-alignment, non-TEF
-model, `_price` embeds each video's clips by their own `embed_clips` call,
-then one distance pass and one padded prefix sum price every row
+one run of rows per video, read against the corpus's per-ordinal arrays;
+costs are arrays aligned with them. `_price` gives the costs and `_select`
+the ranking. Under a clip-alignment, non-TEF model, `_price` embeds each
+video's clips by their own `embed_clips` call (`model.embed_videos`), then
+one distance pass and one padded prefix sum price every row
 (`_padded_cal_costs`). TEF and aggregate rows depend on the moment, so
 those variants score each video's run with `score_moments`.
 
-Exhaustive search reads a `PreparedCorpus`, the query-independent part of
-the work, built on the first search of a corpus and kept on it
-(`Corpus.prepared`): the video-id ranks, one flat candidate table under one
-`EnumConfig`, and, for the clip-alignment variant under a non-TEF model,
-every video's clip embeddings under one model, so that a clip-alignment
-query takes one distance pass over the corpus's clip matrix.
+Exhaustive search reads the corpus's `CandidateTable` (`candidate_table`,
+kept on `Corpus.candidates`), built on its first search: the flat candidate
+rows under one `EnumConfig` and, for a non-TEF model, every video's clip
+embeddings under one model, so that a clip-alignment query takes one
+distance pass over the corpus's clip matrix.
 
 A ranked list stays in array form (`RankedMoments`) and builds a `Moment`
 only for an item that is read. Non-maximum suppression runs only at the
@@ -46,12 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, Query, VideoMeta, grid_spans
+from .core import Moment, Query, VideoMeta, grid_spans, ranges
 from .costs import VARIANTS, CostCounters, ScoredMoment, score_moments, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
 from .index import ClipHits, ClipIndex, IvfIndex
-from .model import ModelParams, compute_context, embed_clips, embed_query
+from .model import ModelParams, embed_query, embed_videos
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +149,7 @@ class RankedResult:
 
 
 # ---------------------------------------------------------------------------
-# The prepared corpus
+# The candidate table
 # ---------------------------------------------------------------------------
 
 # The tensors that map a clip to its embedding; the LSTM and projection only
@@ -165,19 +165,10 @@ def _clip_model_key(params: ModelParams) -> tuple:
                            for t in (getattr(params, n) for n in _CLIP_TENSORS)))
 
 
-def _embed_videos(videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
-                  ordinals: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The clip embeddings of videos `ordinals`, stacked in that order; one
-    `embed_clips` call per video, as `score_moments` makes. One GEMM over
-    many videos would round differently."""
-    sizes = [videos[o].num_clips for o in ordinals.tolist()]
-    matrix = np.empty((sum(sizes), params.dims.embed))
-    row = 0
-    for o, size in zip(ordinals.tolist(), sizes):
-        feats = np.asarray(features[videos[o].video_id], dtype=np.float64)
-        matrix[row:row + size] = embed_clips(feats, compute_context(feats), None, params)
-        row += size
-    return matrix
+def _embed_ordinals(corpus: Corpus, ordinals: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The clip embeddings of the corpus's videos `ordinals`, stacked in that order."""
+    return embed_videos([corpus.features[corpus.videos[o].video_id] for o in ordinals.tolist()],
+                        params)
 
 
 def _padded_layout(rows: np.ndarray, num_clips: np.ndarray, height: int
@@ -186,9 +177,7 @@ def _padded_layout(rows: np.ndarray, num_clips: np.ndarray, height: int
     whose row rows[b] holds a zero, then the num_clips[b] clip values of
     stacked video b: slots[j] is the flat position of stacked clip j."""
     width = int(num_clips.max(initial=0)) + 1
-    starts = np.cumsum(num_clips) - num_clips
-    within = np.arange(int(num_clips.sum())) - np.repeat(starts, num_clips)
-    return np.repeat(rows * width + 1, num_clips) + within, (height, width)
+    return ranges(rows * width + 1, num_clips), (height, width)
 
 
 def _padded_cal_costs(matrix: np.ndarray, q_emb: np.ndarray, slots: np.ndarray, shape: tuple,
@@ -214,73 +203,50 @@ class CandidateTable:
     rows of each video concatenated in corpus order, as flat (ordinal,
     first, last) arrays: one run of rows per video with candidates.
 
-    `cal_costs` prices every row under a non-TEF model with
-    `_padded_cal_costs`. Its clip embeddings, those of the videos with at
-    least one candidate, are kept for the last model seen.
+    The corpus holds its table, which therefore takes the corpus as an
+    argument and keeps no reference to it: a cycle would leave an unused
+    corpus to the cyclic garbage collector. `cal_costs` prices every row
+    under a non-TEF model with `_padded_cal_costs`. Its clip embeddings,
+    those of the videos with at least one candidate, are kept for the last
+    model seen.
     """
 
-    def __init__(self, videos: Sequence[VideoMeta], features: dict[str, np.ndarray],
-                 enum_cfg: EnumConfig):
-        self.videos, self.features, self.enum_cfg = videos, features, enum_cfg
-        grids = [candidate_clips(v.num_clips, enum_cfg) for v in videos]
+    def __init__(self, corpus: Corpus, enum_cfg: EnumConfig):
+        self.enum_cfg = enum_cfg
+        grids = [candidate_clips(n, enum_cfg) for n in corpus.num_clips.tolist()]
         counts = np.asarray([len(g) for g in grids], dtype=np.int64)
-        self.ordinal = np.repeat(np.arange(len(videos), dtype=np.int32), counts)
+        self.ordinal = np.repeat(np.arange(len(corpus), dtype=np.int32), counts)
         rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
         self.firsts, self.lasts = rows[:, 0].copy(), rows[:, 1].copy()
         self.scored = np.flatnonzero(counts)  # videos with candidates
-        num_clips = np.asarray([videos[o].num_clips for o in self.scored], dtype=np.int64)
-        self._clip_slots, self._padded_shape = _padded_layout(self.scored, num_clips,
-                                                              len(videos))
+        self._clip_slots, self._padded_shape = _padded_layout(
+            self.scored, corpus.num_clips[self.scored], len(corpus))
         # Counts as int objects that every result's counters share.
         self.size, self.clips_scored = len(self.ordinal), len(self._clip_slots)
         self._model_key = None
         self._clip_matrix = None
 
-    def _clip_embeddings(self, params: ModelParams) -> np.ndarray:
+    def clip_embeddings(self, corpus: Corpus, params: ModelParams) -> np.ndarray:
+        """The scored videos' clip embeddings under `params` (`corpus` holds the table)."""
         key = _clip_model_key(params)
         if key != self._model_key:
             self._clip_matrix = None  # release the old matrix before building the new one
-            self._clip_matrix = _embed_videos(self.videos, self.features, self.scored, params)
+            self._clip_matrix = _embed_ordinals(corpus, self.scored, params)
             self._model_key = key
         return self._clip_matrix
 
-    def cal_costs(self, params: ModelParams, q_emb: np.ndarray) -> np.ndarray:
+    def cal_costs(self, corpus: Corpus, params: ModelParams, q_emb: np.ndarray) -> np.ndarray:
         """Clip-alignment cost of every row under a non-TEF model."""
-        return _padded_cal_costs(self._clip_embeddings(params), q_emb, self._clip_slots,
+        return _padded_cal_costs(self.clip_embeddings(corpus, params), q_emb, self._clip_slots,
                                  self._padded_shape, self.ordinal, self.firsts, self.lasts)
 
 
-class PreparedCorpus:
-    """The query-independent state of one corpus that search reads: its
-    videos, each video's lexicographic id rank (the tie-break), and one
-    `CandidateTable`, rebuilt when another `EnumConfig` asks for it. The
-    table keeps the clip embeddings of one model. So a corpus holds one
-    entry however many models or enumerations run against it; it lives as
-    long as the corpus, on `Corpus.prepared`."""
-
-    def __init__(self, corpus: Corpus):
-        self.videos = corpus.videos
-        self.features = corpus.features
-        ids = [v.video_id for v in self.videos]
-        self.ordinal_of = {video_id: o for o, video_id in enumerate(ids)}
-        self.id_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
-        self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
-        self.num_clips = np.asarray([v.num_clips for v in self.videos], dtype=np.int64)
-        self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
-        self._table: Optional[CandidateTable] = None
-
-    def table(self, enum_cfg: EnumConfig) -> CandidateTable:
-        if self._table is None or self._table.enum_cfg != enum_cfg:
-            self._table = None  # release the old table before building the new one
-            self._table = CandidateTable(self.videos, self.features, enum_cfg)
-        return self._table
-
-
-def prepared(corpus: Corpus) -> PreparedCorpus:
-    """The corpus's `PreparedCorpus`, built on first use."""
-    if corpus.prepared is None:
-        corpus.prepared = PreparedCorpus(corpus)
-    return corpus.prepared
+def candidate_table(corpus: Corpus, enum_cfg: EnumConfig) -> CandidateTable:
+    """The corpus's table under `enum_cfg`, kept on `corpus.candidates`."""
+    if corpus.candidates is None or corpus.candidates.enum_cfg != enum_cfg:
+        corpus.candidates = None  # release the old table before building the new one
+        corpus.candidates = CandidateTable(corpus, enum_cfg)
+    return corpus.candidates
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +279,7 @@ def nms(spans: np.ndarray, iou_threshold: float, ends: Optional[np.ndarray] = No
     block_ends = np.flatnonzero(ends == np.arange(1, n + 1)) + 1  # row i closes its block
     sizes = np.diff(block_ends, prepend=0)
     block = np.repeat(np.arange(len(sizes)), sizes)
-    pos = np.arange(n) - np.repeat(block_ends - sizes, sizes)
+    pos = ranges(np.zeros_like(sizes), sizes)
     # Padding rows are (0, 0) spans that start unkept; against a real row
     # their union is positive, so the sweep divides by no zero.
     s, e = np.zeros((2, len(sizes), int(sizes.max())))
@@ -331,7 +297,7 @@ def nms(spans: np.ndarray, iou_threshold: float, ends: Optional[np.ndarray] = No
 
 
 def _select(
-    prep: PreparedCorpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
+    corpus: Corpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
     costs: np.ndarray, nms_iou: float, top_k: int,
 ) -> RankedMoments:
     """Suppress near-duplicates within each video, cheapest first, then keep
@@ -343,15 +309,16 @@ def _select(
         rows = rows[~(costs > np.partition(costs, top_k - 1)[top_k - 1])]
     rows = rows[np.lexsort((lasts[rows], firsts[rows], costs[rows], ordinal[rows]))]
     video = ordinal[rows]
-    spans = grid_spans(prep.clip_length[video], prep.duration[video], firsts[rows], lasts[rows])
+    spans = grid_spans(corpus.clip_length[video], corpus.duration[video], firsts[rows],
+                       lasts[rows])
     rows = rows[nms(spans, nms_iou, np.searchsorted(video, video, side="right"))]
-    top = rows[np.lexsort((lasts[rows], firsts[rows], prep.id_rank[ordinal[rows]],
+    top = rows[np.lexsort((lasts[rows], firsts[rows], corpus.id_rank[ordinal[rows]],
                            costs[rows]))][:top_k]
-    return RankedMoments(prep.videos, ordinal[top], firsts[top], lasts[top], costs[top])
+    return RankedMoments(corpus.videos, ordinal[top], firsts[top], lasts[top], costs[top])
 
 
 def _price(
-    prep: PreparedCorpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
+    corpus: Corpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
     q_emb: np.ndarray, variant: str, params: ModelParams,
 ) -> tuple[np.ndarray, CostCounters]:
     """(costs, counters) of candidate rows that come in one run per video.
@@ -363,16 +330,15 @@ def _price(
     videos = np.asarray(ordinal[starts], dtype=np.int64)
     if variant == "cal" and not params.dims.use_tef:
         runs = np.arange(len(videos))
-        slots, shape = _padded_layout(runs, prep.num_clips[videos], len(videos))
-        matrix = _embed_videos(prep.videos, prep.features, videos, params)
-        costs = _padded_cal_costs(matrix, q_emb, slots, shape, np.repeat(runs, sizes),
-                                  firsts, lasts)
+        slots, shape = _padded_layout(runs, corpus.num_clips[videos], len(videos))
+        costs = _padded_cal_costs(_embed_ordinals(corpus, videos, params), q_emb, slots, shape,
+                                  np.repeat(runs, sizes), firsts, lasts)
         return costs, CostCounters(len(slots), len(costs))
     counters = CostCounters()
     costs = np.empty(len(ordinal))
     for o, s, e in zip(videos.tolist(), starts.tolist(), (starts + sizes).tolist()):
-        video = prep.videos[o]
-        costs[s:e] = score_moments(video, prep.features[video.video_id], q_emb, variant,
+        video = corpus.videos[o]
+        costs[s:e] = score_moments(video, corpus.features[video.video_id], q_emb, variant,
                                    params, firsts[s:e], lasts[s:e], counters)
     return costs, counters
 
@@ -386,15 +352,14 @@ def exhaustive_search(
 ) -> RankedResult:
     """Score the full candidate universe with one model."""
     q_emb = embed_query(query.word_vectors, params)
-    prep = prepared(corpus)
-    table = prep.table(enum_cfg)
+    table = candidate_table(corpus, enum_cfg)
     if cfg.variant == "cal" and not params.dims.use_tef:
-        costs = table.cal_costs(params, q_emb)
+        costs = table.cal_costs(corpus, params, q_emb)
         counters = CostCounters(table.clips_scored, table.size)
     else:
-        costs, counters = _price(prep, table.ordinal, table.firsts, table.lasts, q_emb,
+        costs, counters = _price(corpus, table.ordinal, table.firsts, table.lasts, q_emb,
                                  cfg.variant, params)
-    ranked = _select(prep, table.ordinal, table.firsts, table.lasts, costs, cfg.nms_iou,
+    ranked = _select(corpus, table.ordinal, table.firsts, table.lasts, costs, cfg.nms_iou,
                      cfg.top_k)
     return RankedResult(query.query_id, ranked, {
         "stage1_distances": counters.distance_evals,
@@ -402,7 +367,7 @@ def exhaustive_search(
     })
 
 
-def _hit_candidates(prep: PreparedCorpus, hits: ClipHits, enum_cfg: EnumConfig, dilation: int
+def _hit_candidates(corpus: Corpus, hits: ClipHits, enum_cfg: EnumConfig, dilation: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates (f, l) of the videos holding a hit that have a hit
     clip in [f - dilation, l + dilation]: (ordinals, firsts, lasts), videos
@@ -410,9 +375,9 @@ def _hit_candidates(prep: PreparedCorpus, hits: ClipHits, enum_cfg: EnumConfig, 
     hit_ordinal, clips, _ = hits.arrays()
     # Hits name videos by the index's ordinals; map each touched one by id.
     index_ordinal, hit_at = np.unique(hit_ordinal, return_inverse=True)
-    mapped = [prep.ordinal_of[hits.video_ids[o]] for o in index_ordinal.tolist()]
+    mapped = [corpus.ordinal_of[hits.video_ids[o]] for o in index_ordinal.tolist()]
     videos, video_at = np.unique(np.asarray(mapped, dtype=np.int64), return_inverse=True)
-    num_clips = prep.num_clips[videos]
+    num_clips = corpus.num_clips[videos]
     width = int(num_clips.max()) + 1
     # count[t, k]: hits among the first k clips of touched video t.
     count = np.bincount(video_at[hit_at] * width + clips + 1, minlength=len(videos) * width)
@@ -453,7 +418,6 @@ def two_stage_search(
     rerank_params = rerank_params if rerank_params is not None else stage1_params
     rerank_variant = cfg.rerank_variant or cfg.variant
     counters: dict[str, int] = {}
-    prep = prepared(corpus)
 
     final = False  # stage one's costs are stage two's
     if mode == "approx":
@@ -470,9 +434,9 @@ def two_stage_search(
         counters["stage1_distances"] = stats.distance_evals
         if not hits:
             log.warning("%s: empty stage-one retrieval", query.query_id)
-            return RankedResult(query.query_id, RankedMoments(prep.videos, [], [], [], []),
+            return RankedResult(query.query_id, RankedMoments(corpus.videos, [], [], [], []),
                                 counters)
-        ordinal, firsts, lasts = _hit_candidates(prep, hits, enum_cfg, cfg.dilation_clips)
+        ordinal, firsts, lasts = _hit_candidates(corpus, hits, enum_cfg, cfg.dilation_clips)
     else:
         if cfg.budget < cfg.top_k:
             raise ValueError("stage-one budget must be at least top_k")
@@ -494,10 +458,11 @@ def two_stage_search(
         stage2 = CostCounters(0, len(costs))
     else:
         q2 = embed_query(query.word_vectors, rerank_params)
-        costs, stage2 = _price(prep, ordinal, firsts, lasts, q2, rerank_variant, rerank_params)
+        costs, stage2 = _price(corpus, ordinal, firsts, lasts, q2, rerank_variant,
+                               rerank_params)
     counters["stage2_distances"] = stage2.distance_evals
     counters["stage2_moments"] = stage2.moments_scored
-    ranked = _select(prep, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
+    ranked = _select(corpus, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
     return RankedResult(query.query_id, ranked, counters)
 
 
@@ -564,20 +529,19 @@ def baseline_scores(
         raise ValueError("moment_prior baseline needs a fitted prior")
 
     rng = np.random.default_rng([seed, stable_u32(query.query_id)])
-    prep = prepared(corpus)
-    table = prep.table(enum_cfg)
+    table = candidate_table(corpus, enum_cfg)
     ordinal, firsts, lasts = table.ordinal, table.firsts, table.lasts
     if kind == "chance":
         top = rng.permutation(table.size)[:cfg.top_k]
         costs = np.arange(len(top), dtype=np.float64)
     else:
         jitter = rng.random(table.size)
-        duration = prep.duration[ordinal]
-        norm = grid_spans(prep.clip_length[ordinal], duration, firsts, lasts) / duration[:, None]
+        duration = corpus.duration[ordinal]
+        norm = grid_spans(corpus.clip_length[ordinal], duration, firsts, lasts) / duration[:, None]
         p = prior.probabilities[prior.cells(norm)]
-        top = np.lexsort((lasts, firsts, prep.id_rank[ordinal], jitter, -p))[:cfg.top_k]
+        top = np.lexsort((lasts, firsts, corpus.id_rank[ordinal], jitter, -p))[:cfg.top_k]
         costs = -p[top]
-    ranked = RankedMoments(prep.videos, ordinal[top], firsts[top], lasts[top], costs)
+    ranked = RankedMoments(corpus.videos, ordinal[top], firsts[top], lasts[top], costs)
     return RankedResult(query.query_id, ranked, {"stage1_moments": table.size})
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Moment, Query, clip_spans, span_ious
+from .core import Moment, Query, clip_spans, offsets, ranges, span_ious
 from .costs import VARIANTS
 from .dataio import Corpus
 from .enumeration import EnumConfig, candidate_clips, enumerate_moments
@@ -91,11 +91,11 @@ class TrainDataset:
     positive is its first maximum, an intra pool the rows below the exclusion.
 
     Batches are gathered from arrays built here: every clip feature as one
-    float64 row of `clip_rows` (video v's rows start at `clip_offsets[v]`,
-    v the corpus order), one context row per video in `contexts`, the
-    video durations, and every trainable query's word vectors as float64
-    rows of `word_rows` (query q's start at `word_offsets[q]`,
-    `query_lengths[q]` of them).
+    float64 row of `clip_rows` (video v's rows start at the corpus's
+    `clip_offsets[v]`, v the corpus ordinal), one context row per video in
+    `contexts`, and every trainable query's word vectors as float64 rows of
+    `word_rows` (query q's start at `word_offsets[q]`, `query_lengths[q]`
+    of them). Video durations are the corpus's `duration` array.
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
@@ -104,13 +104,10 @@ class TrainDataset:
         self.candidates: dict[str, list[Moment]] = {}
         self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
         self._norm_endpoints: dict[str, np.ndarray] = {}
-        self._video_pos = {v.video_id: i for i, v in enumerate(corpus.videos)}
         feats = [np.asarray(corpus.features_for(v.video_id), dtype=np.float64)
                  for v in corpus.videos]
         self.clip_rows = np.concatenate(feats)
-        self.clip_offsets = _offsets([f.shape[0] for f in feats])
         self.contexts = np.stack([compute_context(f) for f in feats])
-        self.durations = np.array([v.duration for v in corpus.videos], dtype=np.float64)
         spans = {}
         for video in corpus.videos:
             cands = enumerate_moments(video, enum_cfg)
@@ -145,10 +142,10 @@ class TrainDataset:
         words = [np.asarray(q.word_vectors, dtype=np.float64) for q in self.queries]
         self.word_rows = np.concatenate(words) if words else np.zeros((0, 0))
         self.query_lengths = np.array([w.shape[0] for w in words], dtype=np.int64)
-        self.word_offsets = _offsets(self.query_lengths)
+        self.word_offsets = offsets(self.query_lengths)
 
     def context_for(self, video_id: str) -> np.ndarray:
-        return self.contexts[self._video_pos[video_id]]
+        return self.contexts[self.corpus.ordinal_of[video_id]]
 
     def intra_pool(self, query_index: int, exclusion_iou: float) -> list[Moment]:
         if self._pool_exclusion != exclusion_iou:
@@ -221,17 +218,6 @@ def sample_triples(
 # ---------------------------------------------------------------------------
 
 
-def _offsets(counts) -> np.ndarray:
-    """Start of each block when blocks of these lengths are laid end to end."""
-    counts = np.asarray(counts, dtype=np.int64)
-    return np.cumsum(counts) - counts
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated index ranges starts[k] .. starts[k] + counts[k] - 1."""
-    return np.repeat(starts - _offsets(counts), counts) + np.arange(counts.sum())
-
-
 def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: ModelDims,
                     variant: str):
     """Flatten a batch into MLP input rows plus padded query word tensors.
@@ -240,24 +226,24 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
     `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
     its endpoints as `tef` computes them; one `assemble_visual_inputs` call
     builds every row of the batch. Rows, contexts and words are gathered
-    from the dataset's arrays.
+    from the dataset's arrays, clip offsets and durations from the corpus's.
     """
     moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
-    pos = dataset._video_pos
+    corpus = dataset.corpus
     vids, firsts, lasts = np.array(
-        [(pos[m.video_id], m.first_clip, m.last_clip) for m in moments], dtype=np.int64).T
+        [(corpus.ordinal_of[m.video_id], m.first_clip, m.last_clip) for m in moments], dtype=np.int64).T
     if variant == "aggregate":
         counts = np.ones(len(moments), dtype=np.int64)
-        rows = np.array([dataset.corpus.features_for(m.video_id)[
+        rows = np.array([corpus.features_for(m.video_id)[
             m.first_clip:m.last_clip + 1].mean(axis=0) for m in moments])
     else:
         counts = lasts - firsts + 1
-        rows = dataset.clip_rows[_ranges(dataset.clip_offsets[vids] + firsts, counts)]
+        rows = dataset.clip_rows[ranges(corpus.clip_offsets[vids] + firsts, counts)]
     seg = np.repeat(np.arange(len(moments)), counts)
     pairs = None
     if dims.use_tef:
         spans = np.array([(m.span.start, m.span.end) for m in moments], dtype=np.float64)
-        pairs = (spans / dataset.durations[vids, None])[seg]
+        pairs = (spans / corpus.duration[vids, None])[seg]
     x = assemble_visual_inputs(rows, dataset.contexts[vids[seg]], pairs, dims)
     z_counts = counts.astype(np.float64)
 
@@ -265,7 +251,7 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
     lengths = dataset.query_lengths[qidx]
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
     words = np.zeros(mask.shape + (dims.word_in,))
-    words[mask > 0] = dataset.word_rows[_ranges(dataset.word_offsets[qidx], lengths)]
+    words[mask > 0] = dataset.word_rows[ranges(dataset.word_offsets[qidx], lengths)]
     return x, seg, z_counts, words, mask
 
 

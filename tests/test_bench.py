@@ -1,6 +1,7 @@
 import pytest
 
 import momentsearch.bench as bench
+import momentsearch.retrieval as retrieval
 from momentsearch.bench import BenchConfig, run_bench
 
 
@@ -88,3 +89,25 @@ class TestCalRoute:
         assert [c[1:] for c in calls] == [(preset.enum, "cal", preset.nms_iou, 100)] * 2
         assert len({c[0] for c in calls}) == 2
         assert report["cal.distance_evals_per_query"] == 20 * 20 + 3
+
+    def test_builds_the_candidate_table_before_the_timed_queries(self, tmp_path, monkeypatch):
+        cfg = BenchConfig(num_videos=20, clips_per_video=20, visual_dim=8, word_dim=4,
+                          embed=6, hidden_mlp=8, hidden_lstm=4, n_queries=2, seed=1)
+        embeds = []
+        embed_videos = retrieval.embed_videos
+        monkeypatch.setattr(retrieval, "embed_videos",
+                            lambda *a: embeds.append(len(a[0])) or embed_videos(*a))
+        seen = []
+        search = bench.exhaustive_search
+
+        def spy(corpus, query, params, enum_cfg, rcfg):
+            table = corpus.candidates
+            seen.append((table is not None and table.enum_cfg == enum_cfg, len(embeds)))
+            return search(corpus, query, params, enum_cfg, rcfg)
+
+        monkeypatch.setattr(bench, "exhaustive_search", spy)
+        run_bench(cfg, str(tmp_path), methods=("cal",))
+        # The table and its clip matrix exist before the first timed query,
+        # and no query embeds a clip again.
+        assert seen == [(True, 1), (True, 1)]
+        assert embeds == [20]

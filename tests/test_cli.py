@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from momentsearch.cli import build_parser, main
-from momentsearch.dataio import read_checkpoint, read_kv_report, read_results
-from momentsearch.model import ModelParams
+from momentsearch.dataio import read_checkpoint, read_kv_report, read_results, write_checkpoint
+from momentsearch.model import ModelDims, ModelParams, init_params
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,30 @@ class TestErrorHandling:
         assert err.startswith("E_STALE_INDEX: ")
         assert err.count("\n") == 1
         assert not os.path.exists(out)
+
+    def test_index_of_another_width_rejected(self, pipeline, tmp_path, capsys):
+        # An index whose vectors are wider or narrower than the stage-one
+        # model's embedding would broadcast against the query.
+        params, meta = read_checkpoint(pipeline["ckpt"])
+        narrow = str(tmp_path / "narrow.calw")
+        dims = ModelDims(params.dims.visual_in, params.dims.word_in, hidden_mlp=8, embed=1,
+                         hidden_lstm=6)
+        write_checkpoint(narrow, init_params(dims, 1), meta)
+        narrow_index = str(tmp_path / "narrow.calx")
+        assert main(["index", "--corpus", pipeline["corpus"], "--ckpt", narrow,
+                     "--out", narrow_index]) == 0
+        capsys.readouterr()
+        for ckpt, index in ((pipeline["ckpt"], narrow_index), (narrow, pipeline["index"])):
+            for mode in ("approx", "two-stage"):
+                out = str(tmp_path / f"w-{mode}.jsonl")
+                rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", ckpt,
+                           "--queries", pipeline["queries"], "--mode", mode, "--index", index,
+                           "--clip-budget", "10", "--preset", "didemo", "--out", out])
+                assert rc == 1
+                err = capsys.readouterr().err
+                assert err.startswith("E_STALE_INDEX: ") and "-d vectors" in err
+                assert err.count("\n") == 1
+                assert not os.path.exists(out)
 
     def test_index_with_a_duplicate_clip_rejected(self, pipeline, tmp_path, capsys):
         from momentsearch.dataio import load_corpus

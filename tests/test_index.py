@@ -73,6 +73,19 @@ class TestExactIndex:
         assert [(h.video_id, h.clip_idx) for h in hits] == [("a", 3), ("b", 0), ("b", 1)]
 
 
+    def test_query_of_another_width_refused(self, rng):
+        corpus = make_corpus(rng, num_videos=3, num_clips=5)
+        exact = build_exact(corpus, small_params())
+        ivf = build_ivf(corpus, small_params(), partitions=3, seed=0)
+        narrow = ClipIndex(("only",), np.array([[0, 0], [0, 1]], dtype=np.uint32),
+                           np.array([[1.0], [2.0]], dtype=np.float32))
+        for index, width in ((exact, 4), (exact, 6), (ivf, 1), (narrow, 5)):
+            for q in (np.zeros(width), np.zeros((1, index.dim))):
+                with pytest.raises(ValueError, match=f"{index.dim}-d vectors"):
+                    index.search(q, top_c=2, nprobe=1)
+        assert len(narrow.search(np.zeros(1), top_c=2)[0]) == 2
+
+
 class TestIvfIndex:
     def test_nprobe_full_equals_exact(self, rng):
         for seed in range(10):

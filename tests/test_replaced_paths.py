@@ -1,15 +1,20 @@
 """The per-variant cost code, the per-moment batch assembly, the
-per-video ranking routes, the list-building index search and the
-masked-branch sigmoid, per-step-dict LSTM and concatenating LSTM backward
-that `costs.score_moments`, `training._assemble_batch`, the prepared-corpus
-and batched approximate search, `index.ClipHits`, `model.sigmoid`,
-`model.lstm_forward_batch` and `training._lstm_backward` replaced, kept here
-as references: the merged paths must give the same bytes. Suppression in the
-references is the greedy `temporal_iou` loop, not the product's `nms`.
+per-video ranking routes, the list-building index search and index build,
+and the masked-branch sigmoid, per-step-dict LSTM and concatenating LSTM
+backward that `costs.score_moments`, `training._assemble_batch`, the
+candidate-table and batched approximate search, `index.ClipHits`,
+`index.corpus_clip_matrix`, `model.sigmoid`, `model.lstm_forward_batch`
+and `training._lstm_backward` replaced, kept here as references: the merged
+paths must give the same bytes. Suppression in the references is the greedy
+`temporal_iou` loop, not the product's `nms`.
 
 Costs and distances are compared by `float.hex`, batch tensors and
 gradients by `tobytes()`.
 """
+
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +23,15 @@ from momentsearch.core import Moment, Query, VideoMeta, clip_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch.dataio import Corpus
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
-from momentsearch.index import ClipHit, ClipHits, ClipIndex, IvfIndex, build_exact, build_ivf
+from momentsearch.index import (
+    ClipHit,
+    ClipHits,
+    ClipIndex,
+    IvfIndex,
+    build_exact,
+    build_ivf,
+    corpus_clip_matrix,
+)
 from momentsearch.model import (
     ModelDims,
     assemble_visual_inputs,
@@ -34,6 +47,7 @@ from momentsearch.model import (
 from momentsearch.retrieval import (
     RankedMoments,
     RetrievalConfig,
+    baseline_scores,
     exhaustive_search,
     two_stage_search,
 )
@@ -232,6 +246,19 @@ def reference_index_search(index, query_emb, top_c, nprobe=None):
                             clip_idx=int(index.keys[entry, 1]),
                             sq_distance=float(dists[pos])))
     return hits
+
+
+def reference_corpus_clip_matrix(corpus, params):
+    """Embed each video's clips into its own float32 block, key by key."""
+    keys = []
+    blocks = []
+    for ordinal, video in enumerate(corpus.videos):
+        feats = corpus.features_for(video.video_id)
+        emb = embed_clips(feats, compute_context(feats), None, params)
+        blocks.append(emb.astype(np.float32))
+        for k in range(video.num_clips):
+            keys.append((ordinal, k))
+    return np.asarray(keys, dtype=np.uint32), np.concatenate(blocks, axis=0)
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -782,3 +809,44 @@ def test_clip_hits_read_as_their_materialized_list():
     assert [(h.video_id, h.clip_idx) for h in hits] == [(h.video_id, h.clip_idx) for h in items]
     empty = hits[n:]
     assert len(empty) == 0 and not empty and empty == [] and list(empty) == []
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_corpus_clip_matrix_equals_per_video_reference(wide):
+    corpus, _ = shuffled_corpus(23, 3.0)
+    assert min(v.num_clips for v in corpus.videos) == 2
+    params = _rerank_model("wide") if wide else init_params(_dims("plain", 3, 2), 24)
+    got, want = corpus_clip_matrix(corpus, params), reference_corpus_clip_matrix(corpus, params)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+def test_searched_corpus_is_freed_once_its_last_reference_drops():
+    # The corpus holds its candidate table and clip matrix. A reference back
+    # from them would form a cycle that only the cyclic collector frees, so
+    # the collector is off here: reference counting alone must free it.
+    enum_cfg = PRESETS["charades-sta"].enum
+    params = init_params(_dims("plain", 3, 2), 25)
+    cfg = RetrievalConfig(nms_iou=0.5, top_k=20, budget=30)
+    gc.collect()
+    gc.disable()
+    try:
+        corpus, queries = shuffled_corpus(26, enum_cfg.clip_length)
+        index = build_ivf(corpus, params, partitions=5, seed=1)
+        q = queries[0]
+        results = [
+            exhaustive_search(corpus, q, params, enum_cfg, cfg),
+            exhaustive_search(corpus, q, params, enum_cfg, replace(cfg, variant="aggregate")),
+            two_stage_search(corpus, None, q, params, _rerank_model("tef"), enum_cfg, cfg,
+                             mode="moment"),
+            two_stage_search(corpus, index, q, params, None, enum_cfg, cfg),
+            baseline_scores(corpus, q, "chance", enum_cfg, cfg),
+        ]
+        assert corpus.candidates is not None
+        freed = weakref.ref(corpus)
+        del corpus
+        assert freed() is None
+        # The results keep what they read (the video list), not the corpus.
+        assert all(len(r.ranked) > 0 for r in results)
+    finally:
+        gc.enable()

@@ -14,12 +14,12 @@ from momentsearch.retrieval import (
     baseline_scores,
     exhaustive_search,
     fit_moment_prior,
+    candidate_table,
     nms,
-    prepared,
     restrict_corpus,
     two_stage_search,
 )
-from conftest import greedy_nms_reference
+from conftest import greedy_nms_reference, varied_corpus
 
 
 @pytest.fixture(scope="module")
@@ -178,13 +178,12 @@ class TestExhaustive:
         spec_rng = np.random.default_rng(8)
         vocab = spec_rng.standard_normal((24, 6)).astype(np.float32)
         readout = (spec_rng.standard_normal((8, 6)) / np.sqrt(6)).astype(np.float32)
-        prep = prepared(corpus)
-        table = prep.table(preset.enum)
+        table = candidate_table(corpus, preset.enum)
         rows = (table.ordinal, table.firsts, table.lasts)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            costs, _ = _price(prep, *rows, latent, "cal", params)
-            ranked = _select(prep, *rows, costs, preset.nms_iou, 10)
+            costs, _ = _price(corpus, *rows, latent, "cal", params)
+            ranked = _select(corpus, *rows, costs, preset.nms_iou, 10)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
@@ -199,7 +198,7 @@ class TestExhaustive:
         corpus = Corpus(videos, {v.video_id: np.zeros((10, 1)) for v in videos})
         ordinal = np.repeat([0, 1], len(grid))
         firsts, lasts = np.tile(grid, (2, 1)).T
-        ranked = _select(prepared(corpus), ordinal, firsts, lasts, np.zeros(len(ordinal)), 0.3,
+        ranked = _select(corpus, ordinal, firsts, lasts, np.zeros(len(ordinal)), 0.3,
                          len(grid) * 2)
         # every cost ties: suppression walks each video in (first, last) order
         kept = greedy_nms_reference(
@@ -250,6 +249,37 @@ class TestTwoStage:
                 assert (len(ex.ranked) < universe) == (nms_iou < 1)
                 assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
                     [(s.moment.sort_key, s.cost) for s in ts.ranked]
+
+    def test_moment_mode_scores_each_video_in_stage_one_order(self, monkeypatch):
+        from dataclasses import replace
+
+        from momentsearch import retrieval
+
+        enum_cfg = get_preset("charades-sta").enum
+        corpus, queries = varied_corpus(np.random.default_rng(31), enum_cfg.clip_length,
+                                        num_videos=10)
+        params = init_params(ModelDims(3, 2, hidden_mlp=6, embed=4, hidden_lstm=3), 5)
+        calls = []
+        score_moments = retrieval.score_moments
+
+        def spy(video, feats, q_emb, variant, p, firsts, lasts, counters=None):
+            calls.append((video.video_id, list(zip(firsts.tolist(), lasts.tolist()))))
+            return score_moments(video, feats, q_emb, variant, p, firsts, lasts, counters)
+
+        monkeypatch.setattr(retrieval, "score_moments", spy)
+        cfg = RetrievalConfig(rerank_variant="aggregate", nms_iou=0.5, top_k=20, budget=60)
+        for q in queries[:3]:
+            stage1 = exhaustive_search(corpus, q, params, enum_cfg,
+                                       replace(cfg, nms_iou=1.0, top_k=cfg.budget))
+            by_video = {}
+            for s in stage1.ranked:
+                by_video.setdefault(s.moment.video_id, []).append(
+                    (s.moment.first_clip, s.moment.last_clip))
+            calls.clear()
+            two_stage_search(corpus, None, q, params, None, enum_cfg, cfg, mode="moment")
+            # One call per video, videos in corpus order, rows in stage-one order.
+            assert calls == [(v, by_video[v]) for v in sorted(by_video, key=corpus.ordinal_of.get)]
+            assert any(rows != sorted(rows) for _, rows in calls)
 
     def test_truncated_moment_budget_keeps_cheapest_stage_one_moments(self, planted):
         from momentsearch.costs import score_moments
@@ -547,7 +577,7 @@ def _keys(result):
 
 
 def _fresh(corpus):
-    """A new corpus object over the same videos and features: nothing prepared."""
+    """A new corpus object over the same videos and features: no candidate table."""
     return Corpus(list(corpus.videos), dict(corpus.features))
 
 
@@ -560,7 +590,7 @@ class TestRetrievalConfig:
             RetrievalConfig(**{field: "tef"})
 
 
-class TestPreparedCorpus:
+class TestCandidateTable:
     def test_empty_corpus_ranks_nothing(self):
         enum_cfg = get_preset("charades-sta").enum
         params = init_params(ModelDims(3, 2, hidden_mlp=4, embed=3, hidden_lstm=2), 0)
@@ -591,21 +621,21 @@ class TestPreparedCorpus:
         assert res.ranked == []
         assert res.stage_counters == {"stage1_distances": 0, "stage1_moments": 0}
 
-    def test_single_video_search_prepares_each_restricted_corpus(self, planted):
+    def test_single_video_search_builds_a_table_per_restricted_corpus(self, planted):
         preset, corpus, queries, params = planted
         universe = corpus.total_candidates(preset.enum)
-        full_prep = prepared(corpus)
+        full_table = candidate_table(corpus, preset.enum)
         for nms_iou in (1.0, 0.5):
             cfg = RetrievalConfig(nms_iou=nms_iou, top_k=universe, budget=universe)
             for q in queries[:4]:
                 vid = q.ground_truth.video_id
                 mini = restrict_corpus(corpus, vid)
-                assert mini.prepared is None
+                assert mini.candidates is None
                 res = exhaustive_search(mini, q, params, preset.enum, cfg)
-                assert mini.prepared is not None
+                assert mini.candidates is not None
                 full = exhaustive_search(corpus, q, params, preset.enum, cfg)
                 assert _keys(res) == [k for k in _keys(full) if k[0].video_id == vid]
-        assert corpus.prepared is full_prep
+        assert corpus.candidates is full_table
 
     def test_model_updated_in_place_is_not_served_stale(self, planted):
         from momentsearch.training import TrainConfig, sgd_step
@@ -636,7 +666,7 @@ class TestPreparedCorpus:
                     _keys(exhaustive_search(_fresh(corpus), q, params, enum_cfg, cfg))
                 assert res.stage_counters["stage1_moments"] == corpus.total_candidates(enum_cfg)
 
-    def test_alternating_models_keep_one_prepared_entry(self):
+    def test_alternating_models_keep_one_table(self):
         import tracemalloc
 
         from conftest import make_corpus
@@ -648,7 +678,7 @@ class TestPreparedCorpus:
         models = (init_params(dims, 1), init_params(dims, 2))
         query = Query("q", np.random.default_rng(5).standard_normal((3, 4)))
         cfg = RetrievalConfig(nms_iou=1.0, top_k=20)
-        prep = prepared(corpus)
+        table = candidate_table(corpus, enum_cfg)
         tracemalloc.start()
         try:
             for params in models * 2:
@@ -660,6 +690,6 @@ class TestPreparedCorpus:
             grown = tracemalloc.get_traced_memory()[0] - settled
         finally:
             tracemalloc.stop()
-        assert corpus.prepared is prep
+        assert corpus.candidates is table
         # One clip matrix (50 videos x 20 clips x 64 x 8 bytes) is 512 KB.
         assert grown < corpus.total_clips * dims.embed * 8 // 4
