@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -187,11 +188,18 @@ class IvfIndex(ClipIndex):
 # ---------------------------------------------------------------------------
 
 
-def corpus_clip_matrix(corpus: Corpus, params: ModelParams):
+def corpus_clip_matrix(corpus: Corpus, params: ModelParams,
+                       embeddings: Optional[np.ndarray] = None):
     """Embed every clip of every video (manifest order) with the non-TEF head:
-    (keys, vectors), one (video ordinal, clip) uint32 key per float32 row."""
-    vectors = embed_videos([corpus.features_for(v.video_id) for v in corpus.videos], params,
-                           np.float32)
+    (keys, vectors), one (video ordinal, clip) uint32 key per float32 row.
+    `embeddings`, every clip's float64 embedding under `params` in that
+    order (`model.embed_videos`), is cast instead when already at hand: the
+    same cast that embedding into float32 makes."""
+    if embeddings is None:
+        vectors = embed_videos([corpus.features_for(v.video_id) for v in corpus.videos], params,
+                               np.float32)
+    else:
+        vectors = embeddings.astype(np.float32)
     num_clips = corpus.num_clips
     keys = np.empty((len(vectors), 2), dtype=np.uint32)
     keys[:, 0] = np.repeat(np.arange(len(num_clips)), num_clips)
@@ -199,8 +207,9 @@ def corpus_clip_matrix(corpus: Corpus, params: ModelParams):
     return keys, vectors
 
 
-def build_exact(corpus: Corpus, params: ModelParams) -> ClipIndex:
-    keys, vectors = corpus_clip_matrix(corpus, params)
+def build_exact(corpus: Corpus, params: ModelParams,
+                embeddings: Optional[np.ndarray] = None) -> ClipIndex:
+    keys, vectors = corpus_clip_matrix(corpus, params, embeddings)
     return ClipIndex(tuple(v.video_id for v in corpus.videos), keys, vectors)
 
 

@@ -32,7 +32,11 @@ distance pass over the corpus's clip matrix.
 A ranked list stays in array form (`RankedMoments`) and builds a `Moment`
 only for an item that is read. Non-maximum suppression runs only at the
 final ranking stage, as one sweep over the rows of every video at once
-(`nms`). All merges apply the deterministic (cost, video_id, first_clip,
+(`nms`). Before it, `_select` drops every row that cannot place, which is
+exact: each video's cheapest row survives suppression, so no row dearer
+than the top_k-th smallest per-video minimum cost can reach the top_k,
+and a row's suppression depends only on the cheaper rows of its own
+video. All merges apply the deterministic (cost, video_id, first_clip,
 last_clip) tie-break, a total order, so rankings are reproducible across
 runs and do not depend on the order in which videos are scored.
 """
@@ -46,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, Query, VideoMeta, grid_spans, ranges
+from .core import Moment, Query, VideoMeta, grid_spans, offsets, ranges
 from .costs import VARIANTS, CostCounters, ScoredMoment, score_moments, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
@@ -219,6 +223,7 @@ class CandidateTable:
         rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
         self.firsts, self.lasts = rows[:, 0].copy(), rows[:, 1].copy()
         self.scored = np.flatnonzero(counts)  # videos with candidates
+        self.starts = offsets(counts)[self.scored]  # each scored video's first row
         self._clip_slots, self._padded_shape = _padded_layout(
             self.scored, corpus.num_clips[self.scored], len(corpus))
         # Counts as int objects that every result's counters share.
@@ -296,17 +301,34 @@ def nms(spans: np.ndarray, iou_threshold: float, ends: Optional[np.ndarray] = No
     return np.flatnonzero(keep[block, pos])
 
 
+def run_starts(ordinal: np.ndarray) -> np.ndarray:
+    """Position of the first row of each run of equal ordinals."""
+    return np.flatnonzero(np.diff(ordinal, prepend=-1))
+
+
 def _select(
     corpus: Corpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
-    costs: np.ndarray, nms_iou: float, top_k: int,
+    costs: np.ndarray, nms_iou: float, top_k: int, starts: np.ndarray,
 ) -> RankedMoments:
     """Suppress near-duplicates within each video, cheapest first, then keep
-    the top_k candidate rows by (cost, video_id, first, last)."""
+    the top_k candidate rows by (cost, video_id, first, last).
+
+    The rows come in one run per video, the runs starting at `starts`
+    (`run_starts`). Only the rows that can place are sorted and suppressed.
+    The witnesses are costs of rows sure to survive suppression: each
+    video's cheapest cost, since nothing cheaper in its video can suppress
+    that row, or every row's cost at NMS 1. With T the top_k-th smallest
+    witness, at least top_k kept rows cost T or less, so no row dearer than
+    T can place. A row's suppression depends only on the cheaper rows of
+    its own video, which all stay, so dropping the dearer rows changes no
+    decision about a row that can place. Rows that tie with T stay. NaN
+    sorts last and `costs > NaN` is false: a NaN row always stays, and a
+    NaN T drops nothing. `np.fmin` skips NaN, so a video's witness is NaN
+    only when all its costs are."""
     rows = np.arange(len(costs))
-    if nms_iou >= 1 and top_k < len(rows):
-        # Nothing is suppressed, so only rows no dearer than the top_k-th
-        # cost can place; NaN costs sort last.
-        rows = rows[~(costs > np.partition(costs, top_k - 1)[top_k - 1])]
+    witness = costs if nms_iou >= 1 else np.fmin.reduceat(costs, starts)
+    if top_k < len(witness):
+        rows = rows[~(costs > np.partition(witness, top_k - 1)[top_k - 1])]
     rows = rows[np.lexsort((lasts[rows], firsts[rows], costs[rows], ordinal[rows]))]
     video = ordinal[rows]
     spans = grid_spans(corpus.clip_length[video], corpus.duration[video], firsts[rows],
@@ -319,13 +341,13 @@ def _select(
 
 def _price(
     corpus: Corpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
-    q_emb: np.ndarray, variant: str, params: ModelParams,
+    q_emb: np.ndarray, variant: str, params: ModelParams, starts: np.ndarray,
 ) -> tuple[np.ndarray, CostCounters]:
-    """(costs, counters) of candidate rows that come in one run per video.
+    """(costs, counters) of candidate rows that come in one run per video,
+    the runs starting at `starts` (`run_starts`).
     Under a clip-alignment, non-TEF model each run's video is embedded by its
     own `embed_clips` call and one padded gather prices every row; otherwise
     `score_moments` scores each run's rows in the order given."""
-    starts = np.flatnonzero(np.diff(ordinal, prepend=-1))
     sizes = np.diff(starts, append=len(ordinal))
     videos = np.asarray(ordinal[starts], dtype=np.int64)
     if variant == "cal" and not params.dims.use_tef:
@@ -358,9 +380,9 @@ def exhaustive_search(
         counters = CostCounters(table.clips_scored, table.size)
     else:
         costs, counters = _price(corpus, table.ordinal, table.firsts, table.lasts, q_emb,
-                                 cfg.variant, params)
+                                 cfg.variant, params, table.starts)
     ranked = _select(corpus, table.ordinal, table.firsts, table.lasts, costs, cfg.nms_iou,
-                     cfg.top_k)
+                     cfg.top_k, table.starts)
     return RankedResult(query.query_id, ranked, {
         "stage1_distances": counters.distance_evals,
         "stage1_moments": counters.moments_scored,
@@ -445,24 +467,24 @@ def two_stage_search(
         stage1 = exhaustive_search(corpus, query, stage1_params, enum_cfg,
                                    replace(cfg, nms_iou=1.0, top_k=cfg.budget))
         counters.update(stage1.stage_counters)
+        # One run per video, each in stage-one order: the batches a
+        # re-scoring model embeds, and the runs `_select` bounds.
         ordinal, firsts, lasts, costs = stage1.ranked.arrays()
+        order = np.argsort(ordinal, kind="stable")
+        ordinal, firsts, lasts, costs = ordinal[order], firsts[order], lasts[order], costs[order]
         final = same_model and cfg.variant == rerank_variant == "cal" \
             and not stage1_params.dims.use_tef
-        if not final:
-            # One run per video, each in stage-one order: the batches a
-            # re-scoring model embeds.
-            order = np.argsort(ordinal, kind="stable")
-            ordinal, firsts, lasts = ordinal[order], firsts[order], lasts[order]
 
+    starts = run_starts(ordinal)
     if final:
         stage2 = CostCounters(0, len(costs))
     else:
         q2 = embed_query(query.word_vectors, rerank_params)
         costs, stage2 = _price(corpus, ordinal, firsts, lasts, q2, rerank_variant,
-                               rerank_params)
+                               rerank_params, starts)
     counters["stage2_distances"] = stage2.distance_evals
     counters["stage2_moments"] = stage2.moments_scored
-    ranked = _select(corpus, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k)
+    ranked = _select(corpus, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k, starts)
     return RankedResult(query.query_id, ranked, counters)
 
 

@@ -1,8 +1,11 @@
 import pytest
 
 import momentsearch.bench as bench
+import momentsearch.index as index
 import momentsearch.retrieval as retrieval
 from momentsearch.bench import BenchConfig, run_bench
+from momentsearch.dataio import load_corpus
+from momentsearch.model import ModelDims, init_params
 
 
 @pytest.fixture(scope="module")
@@ -110,4 +113,20 @@ class TestCalRoute:
         # The table and its clip matrix exist before the first timed query,
         # and no query embeds a clip again.
         assert seen == [(True, 1), (True, 1)]
+
+    def test_exact_index_is_cast_from_the_table_matrix(self, tmp_path, monkeypatch):
+        cfg = BenchConfig(num_videos=20, clips_per_video=20, visual_dim=8, word_dim=4,
+                          embed=6, hidden_mlp=8, hidden_lstm=4, n_queries=1, seed=1)
+        embeds = []
+        embed_videos = index.embed_videos
+        monkeypatch.setattr(index, "embed_videos",
+                            lambda *a: embeds.append(len(a[0])) or embed_videos(*a))
+        run_bench(cfg, str(tmp_path), methods=("cal",))
+        assert embeds == []  # every video has candidates: the table's pass feeds the index
+        corpus = load_corpus(str(tmp_path / "bench_corpus"))
+        params = init_params(ModelDims(8, 4, hidden_mlp=8, embed=6, hidden_lstm=4), cfg.seed)
+        index.save_index(index.build_exact(corpus, params), str(tmp_path / "embedded.calx"))
+        assert embeds == [20]
+        assert (tmp_path / "bench_clip.calx").read_bytes() == \
+            (tmp_path / "embedded.calx").read_bytes()
         assert embeds == [20]

@@ -1,12 +1,14 @@
 """The per-variant cost code, the per-moment batch assembly, the
-per-video ranking routes, the list-building index search and index build,
-and the masked-branch sigmoid, per-step-dict LSTM and concatenating LSTM
-backward that `costs.score_moments`, `training._assemble_batch`, the
-candidate-table and batched approximate search, `index.ClipHits`,
+per-video ranking routes, the unbounded selection, the list-building index
+search and index build, and the masked-branch sigmoid, per-step-dict LSTM
+and concatenating LSTM backward that `costs.score_moments`,
+`training._assemble_batch`, the candidate-table and batched approximate
+search, `retrieval._select`'s per-video bound, `index.ClipHits`,
 `index.corpus_clip_matrix`, `model.sigmoid`, `model.lstm_forward_batch`
 and `training._lstm_backward` replaced, kept here as references: the merged
 paths must give the same bytes. Suppression in the references is the greedy
-`temporal_iou` loop, not the product's `nms`.
+`temporal_iou` loop, not the product's `nms`, except in `reference_select`,
+which isolates the bound.
 
 Costs and distances are compared by `float.hex`, batch tensors and
 gradients by `tobytes()`.
@@ -18,8 +20,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentsearch.core import Moment, Query, VideoMeta, clip_spans
+from momentsearch.core import Moment, Query, VideoMeta, clip_spans, grid_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch.dataio import Corpus
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
@@ -47,8 +51,11 @@ from momentsearch.model import (
 from momentsearch.retrieval import (
     RankedMoments,
     RetrievalConfig,
+    _select,
     baseline_scores,
     exhaustive_search,
+    nms,
+    run_starts,
     two_stage_search,
 )
 from momentsearch.training import (
@@ -153,6 +160,22 @@ def reference_rank(groups, q_emb, variant, params, nms_iou, top_k):
     return [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
             for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
                                   lasts[top].tolist(), costs[top].tolist())], counters
+
+
+def reference_select(corpus, ordinal, firsts, lasts, costs, nms_iou, top_k):
+    """`retrieval._select` without the per-video bound: below NMS 1 every
+    row is sorted on four keys and swept by `nms`."""
+    rows = np.arange(len(costs))
+    if nms_iou >= 1 and top_k < len(rows):
+        rows = rows[~(costs > np.partition(costs, top_k - 1)[top_k - 1])]
+    rows = rows[np.lexsort((lasts[rows], firsts[rows], costs[rows], ordinal[rows]))]
+    video = ordinal[rows]
+    spans = grid_spans(corpus.clip_length[video], corpus.duration[video], firsts[rows],
+                       lasts[rows])
+    rows = rows[nms(spans, nms_iou, np.searchsorted(video, video, side="right"))]
+    top = rows[np.lexsort((lasts[rows], firsts[rows], corpus.id_rank[ordinal[rows]],
+                           costs[rows]))][:top_k]
+    return RankedMoments(corpus.videos, ordinal[top], firsts[top], lasts[top], costs[top])
 
 
 def reference_exhaustive(corpus, query, params, enum_cfg, cfg):
@@ -764,6 +787,42 @@ def test_moment_two_stage_rerank_equals_per_video_route(enum_name, stage1_varian
                 assert _ranked_hex(got.ranked) == _ranked_hex(want)
                 assert got.stage_counters == \
                     ({**counters, "stage2_distances": 0} if final else counters)
+
+
+# A few cost values, so that ties are common, and NaN.
+_SELECT_COSTS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bounded_select_equals_unbounded_reference(data):
+    """Ragged videos (some of one row, some with none) whose runs come in
+    any video order, each in any row order, with tied and NaN costs."""
+    num_videos = data.draw(st.integers(1, 8))
+    clips = data.draw(st.lists(st.integers(2, 7), min_size=num_videos, max_size=num_videos))
+    ids = data.draw(st.permutations([f"v{i}" for i in range(num_videos)]))
+    videos = [VideoMeta(vid, (n - 0.4) * 2.0, 2.0, n) for vid, n in zip(ids, clips)]
+    corpus = Corpus(videos, {v.video_id: np.zeros((v.num_clips, 1)) for v in videos})
+    runs = []
+    for o in data.draw(st.permutations(range(num_videos))):
+        grid = [(f, l) for f in range(clips[o]) for l in range(f + 1, clips[o])]
+        picked = data.draw(st.one_of(st.just([]), st.lists(st.sampled_from(grid), min_size=1,
+                                                            max_size=1),
+                                     st.lists(st.sampled_from(grid), unique=True)))
+        runs.extend((o, f, l) for f, l in picked)
+    ordinal, firsts, lasts = np.asarray(runs, dtype=np.int64).reshape(-1, 3).T
+    costs = np.asarray(data.draw(st.lists(_SELECT_COSTS, min_size=len(runs),
+                                          max_size=len(runs))), dtype=np.float64)
+    nms_iou = data.draw(st.one_of(st.sampled_from([1 / 3, 0.5, 2 / 3, 1.0]),
+                                  st.floats(0, 1, exclude_min=True)))
+    touched = len(set(ordinal.tolist()))
+    top_k = data.draw(st.integers(1, touched + 2))
+    got = _select(corpus, ordinal, firsts, lasts, costs, nms_iou, top_k,
+                  run_starts(ordinal)).arrays()
+    want = reference_select(corpus, ordinal, firsts, lasts, costs, nms_iou, top_k).arrays()
+    for g, w in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got[3].view(np.int64), want[3].view(np.int64))
 
 
 def _hits_hex(hits):

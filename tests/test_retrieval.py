@@ -17,6 +17,7 @@ from momentsearch.retrieval import (
     candidate_table,
     nms,
     restrict_corpus,
+    run_starts,
     two_stage_search,
 )
 from conftest import greedy_nms_reference, varied_corpus
@@ -182,8 +183,8 @@ class TestExhaustive:
         rows = (table.ordinal, table.firsts, table.lasts)
         for q in queries[:6]:
             latent = readout.astype(np.float64) @ q.word_vectors.mean(axis=0)
-            costs, _ = _price(corpus, *rows, latent, "cal", params)
-            ranked = _select(corpus, *rows, costs, preset.nms_iou, 10)
+            costs, _ = _price(corpus, *rows, latent, "cal", params, table.starts)
+            ranked = _select(corpus, *rows, costs, preset.nms_iou, 10, table.starts)
             top = ranked[0].moment
             gt = q.ground_truth
             assert top.video_id == gt.video_id
@@ -199,7 +200,7 @@ class TestExhaustive:
         ordinal = np.repeat([0, 1], len(grid))
         firsts, lasts = np.tile(grid, (2, 1)).T
         ranked = _select(corpus, ordinal, firsts, lasts, np.zeros(len(ordinal)), 0.3,
-                         len(grid) * 2)
+                         len(grid) * 2, run_starts(ordinal))
         # every cost ties: suppression walks each video in (first, last) order
         kept = greedy_nms_reference(
             [Moment.from_clips(videos[0], f, l).span for f, l in grid.tolist()], 0.3)
@@ -615,6 +616,8 @@ class TestCandidateTable:
         res = exhaustive_search(corpus, query, params, enum_cfg, cfg)
         assert res.stage_counters == {"stage1_distances": 10,
                                       "stage1_moments": len(candidate_clips(10, enum_cfg))}
+        table = candidate_table(corpus, enum_cfg)
+        np.testing.assert_array_equal(table.starts, run_starts(table.ordinal))
         assert {s.moment.video_id for s in res.ranked} == {"b"}
         short = Corpus([videos[0], videos[2]], {v: corpus.features_for(v) for v in ("a", "c")})
         res = exhaustive_search(short, query, params, enum_cfg, cfg)
