@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, VideoMeta
+from .core import Moment, VideoMeta, offsets
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,22 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     return params
 
 
+_EMPTY_CLIPS = "clip features must be a non-empty (num_clips, dim) matrix"
+
+# Rows per stacked `embed_clips` call in `embed_videos`. The cap bounds the
+# call's temporaries, which a corpus-wide embedding adds to the peak memory
+# of the searching process: at 1,024 rows perfbench's didemo-exhaustive peak
+# RSS rose 2.4%, at 256 rows 0.3%, and larger chunks are barely faster.
+_EMBED_CHUNK_ROWS = 256
+
+
 def compute_context(clip_features: np.ndarray) -> np.ndarray:
-    """Video-level context: mean of the raw clip features over the whole video."""
+    """Video-level context: mean of the raw clip features over the whole video.
+    A (videos, num_clips, dim) stack gives one row per video."""
     feats = np.asarray(clip_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ValueError("clip features must be a non-empty (num_clips, dim) matrix")
-    return feats.mean(axis=0)
+    if feats.ndim not in (2, 3) or feats.shape[-2] < 1:
+        raise ValueError(_EMPTY_CLIPS)
+    return feats.mean(axis=-2)
 
 
 def tef(moment: Moment, video: VideoMeta) -> tuple[float, float]:
@@ -143,47 +153,61 @@ def assemble_visual_inputs(
 ) -> np.ndarray:
     """Stack per-clip MLP input rows: clip feature | context | optional TEF.
 
-    `context` and `tef_pair` are each one row shared by every clip or one
-    row per clip; this is the only place where a moment's rows become MLP
-    inputs. In tef_only mode the visual and context slots are zeroed so only
-    the endpoints carry signal.
+    `clip_features` is one video's (n, visual_in) rows or a (videos, n,
+    visual_in) stack of videos. `context` and `tef_pair` are each one row
+    shared by every clip of a video or one row per clip; this is the only
+    place where a moment's rows become MLP inputs. In tef_only mode the
+    visual and context slots are zeroed so only the endpoints carry signal.
     """
     feats = np.asarray(clip_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != dims.visual_in:
-        raise ValueError(f"clip features must be (n, {dims.visual_in}), got {feats.shape}")
-    n = feats.shape[0]
+    _check_width(feats.shape, dims)
     if dims.use_tef:
         if tef_pair is None:
             raise ValueError("model uses TEF but no endpoints were supplied")
-        tef_cols = _per_row(tef_pair, n, 2, "TEF endpoints")
+        tef_cols = _per_row(tef_pair, feats.shape[:-1] + (2,), "TEF endpoints")
     else:
         if tef_pair is not None:
             raise ValueError("TEF supplied to a model that does not use it")
-        tef_cols = np.zeros((n, 0))
+        tef_cols = np.zeros(feats.shape[:-1] + (0,))
     if dims.tef_only:
         feats = np.zeros_like(feats)
-        ctx_cols = np.zeros((n, dims.visual_in))
+        ctx_cols = np.zeros_like(feats)
     else:
-        ctx_cols = _per_row(context, n, dims.visual_in, "context")
-    return np.concatenate([feats, ctx_cols, tef_cols], axis=1)
+        ctx_cols = _per_row(context, feats.shape, "context")
+    return np.concatenate([feats, ctx_cols, tef_cols], axis=-1)
 
 
-def _per_row(values, n: int, width: int, what: str) -> np.ndarray:
-    """A (width,) row or an (n, width) block, read as n rows."""
+def _check_width(shape: tuple, dims: ModelDims) -> None:
+    if len(shape) not in (2, 3) or shape[-1] != dims.visual_in:
+        raise ValueError(f"clip features must be (n, {dims.visual_in}), got {shape}")
+
+
+def _per_row(values, shape: tuple, what: str) -> np.ndarray:
+    """One row per video (`shape` without its clip axis) or one row per
+    clip (`shape`), read as `shape`."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape not in ((width,), (n, width)):
-        raise ValueError(f"{what} must be ({width},) or ({n}, {width}), got {arr.shape}")
-    return np.broadcast_to(arr, (n, width))
+    per_video = shape[:-2] + shape[-1:]
+    if arr.shape == per_video:
+        arr = arr[..., None, :]
+    elif arr.shape != shape:
+        raise ValueError(f"{what} must be {per_video} or {shape}, got {arr.shape}")
+    return np.broadcast_to(arr, shape)
 
 
 def mlp_forward(inputs: np.ndarray, params: ModelParams, want_cache: bool = False):
-    """Affine -> ReLU -> affine over input rows. Returns (n, embed) embeddings."""
+    """Affine -> ReLU -> affine over input rows. Returns (n, embed)
+    embeddings, or (videos, n, embed) for a stack of videos' rows: numpy
+    runs each video's GEMMs as their own BLAS calls, so a video's rows get
+    the same bytes stacked or alone. Without `want_cache` the bias add and
+    the ReLU work in place; training's backward pass reads `z1`."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dims.mlp_in:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.dims.mlp_in:
         raise ValueError(f"MLP inputs must be (n, {params.dims.mlp_in}), got {x.shape}")
-    z1 = x @ params.mlp_w1.T + params.mlp_b1
-    a1 = np.maximum(z1, 0.0)
-    out = a1 @ params.mlp_w2.T + params.mlp_b2
+    z1 = x @ params.mlp_w1.T
+    z1 += params.mlp_b1
+    a1 = np.maximum(z1, 0.0) if want_cache else np.maximum(z1, 0.0, out=z1)
+    out = a1 @ params.mlp_w2.T
+    out += params.mlp_b2
     if want_cache:
         return out, {"x": x, "z1": z1, "a1": a1}
     return out
@@ -195,20 +219,40 @@ def embed_clips(
     tef_pair: Optional[np.ndarray | tuple[float, float]],
     params: ModelParams,
 ) -> np.ndarray:
-    """Embed clip rows through the visual head; one output row per clip."""
+    """Embed clip rows through the visual head; one output row per clip
+    (for a stack of videos, one (n, embed) block per video)."""
     inputs = assemble_visual_inputs(clip_features, context, tef_pair, params.dims)
     return mlp_forward(inputs, params)
 
 
 def embed_videos(blocks: list[np.ndarray], params: ModelParams, dtype=np.float64) -> np.ndarray:
     """The non-TEF clip embeddings of videos given by their clip feature
-    blocks, stacked in order into one `dtype` matrix. Each video gets its own
-    `embed_clips` call: one GEMM over many videos would round differently."""
-    matrix = np.empty((sum(len(b) for b in blocks), params.dims.embed), dtype=dtype)
-    row = 0
-    for feats in blocks:
-        matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None, params)
-        row += len(feats)
+    blocks, stacked in order into one `dtype` matrix.
+
+    Videos of equal clip count are stacked into (videos, clips, visual_in)
+    chunks of at most `_EMBED_CHUNK_ROWS` rows (a longer video alone), and
+    each chunk takes one `embed_clips` call. A stacked GEMM is one BLAS call
+    per video with the per-video shape, so every row has the bytes of its
+    video's own `embed_clips` call; one flat GEMM over many videos would
+    round differently. A TEF model and a block that is not a non-empty
+    (num_clips, visual_in) matrix raise `ValueError` with the messages of
+    `embed_clips` and `compute_context`."""
+    feats = [np.asarray(b, dtype=np.float64) for b in blocks]
+    for f in feats:
+        if f.ndim != 2 or len(f) < 1:
+            raise ValueError(_EMPTY_CLIPS)
+        _check_width(f.shape, params.dims)
+    counts = np.asarray([len(f) for f in feats], dtype=np.int64)
+    starts = offsets(counts)
+    matrix = np.empty((int(counts.sum()), params.dims.embed), dtype=dtype)
+    for n in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == n)
+        step = max(1, _EMBED_CHUNK_ROWS // n)
+        for s in range(0, len(members), step):
+            chunk = members[s:s + step]
+            stack = np.stack([feats[i] for i in chunk.tolist()])
+            rows = starts[chunk, None] + np.arange(n)
+            matrix[rows] = embed_clips(stack, compute_context(stack), None, params)
     return matrix
 
 

@@ -17,11 +17,11 @@ Every search forms candidate rows, prices them and selects from them:
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
 one run of rows per video, read against the corpus's per-ordinal arrays;
 costs are arrays aligned with them. `_price` gives the costs and `_select`
-the ranking. Under a clip-alignment, non-TEF model, `_price` embeds each
-video's clips by their own `embed_clips` call (`model.embed_videos`), then
-one distance pass and one padded prefix sum price every row
-(`_padded_cal_costs`). TEF and aggregate rows depend on the moment, so
-those variants score each video's run with `score_moments`.
+the ranking. Under a clip-alignment, non-TEF model, `_price` embeds the
+videos' clips with `model.embed_videos` (one stacked call per clip count,
+with each video's own bytes), then one distance pass and one padded prefix
+sum price every row (`_padded_cal_costs`). TEF and aggregate rows depend on
+the moment, so those variants score each video's run with `score_moments`.
 
 Exhaustive search reads the corpus's `CandidateTable` (`candidate_table`,
 kept on `Corpus.candidates`), built on its first search: the flat candidate
@@ -345,8 +345,8 @@ def _price(
 ) -> tuple[np.ndarray, CostCounters]:
     """(costs, counters) of candidate rows that come in one run per video,
     the runs starting at `starts` (`run_starts`).
-    Under a clip-alignment, non-TEF model each run's video is embedded by its
-    own `embed_clips` call and one padded gather prices every row; otherwise
+    Under a clip-alignment, non-TEF model the runs' videos are embedded with
+    `model.embed_videos` and one padded gather prices every row; otherwise
     `score_moments` scores each run's rows in the order given."""
     sizes = np.diff(starts, append=len(ordinal))
     videos = np.asarray(ordinal[starts], dtype=np.int64)

@@ -9,6 +9,7 @@ from momentsearch.model import (
     compute_context,
     embed_clips,
     embed_query,
+    embed_videos,
     init_params,
     lstm_forward_batch,
     mlp_forward,
@@ -155,6 +156,42 @@ class TestEmbedClips:
         feats = 100.0 * rng.standard_normal((10, 3))
         out = embed_clips(feats, compute_context(feats), None, params)
         assert np.all(np.isfinite(out))
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+class TestEmbedVideos:
+    """`embed_videos` refuses what a per-video `embed_clips` call over
+    `compute_context` refuses, with the same message."""
+
+    def test_tef_model_rejected(self, rng):
+        params = random_params(rng, use_tef=True)
+        feats = rng.standard_normal((4, 3))
+        want = _refusal(lambda: embed_clips(feats, compute_context(feats), None, params))
+        assert _refusal(lambda: embed_videos([feats, feats[:2]], params)) == want
+
+    def test_block_of_wrong_width_rejected(self, rng):
+        params = random_params(rng)
+        bad = rng.standard_normal((4, 5))
+        want = _refusal(lambda: embed_clips(bad, compute_context(bad), None, params))
+        blocks = [rng.standard_normal((4, 3)), bad, rng.standard_normal((2, 3))]
+        assert _refusal(lambda: embed_videos(blocks, params)) == want
+
+    def test_block_without_rows_rejected(self, rng):
+        params = random_params(rng)
+        empty = np.zeros((0, 3))
+        want = _refusal(lambda: compute_context(empty))
+        assert _refusal(lambda: embed_videos([rng.standard_normal((4, 3)), empty], params)) == want
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_videos_give_an_empty_matrix(self, rng, dtype):
+        params = random_params(rng)
+        out = embed_videos([], params, dtype)
+        assert out.shape == (0, params.dims.embed) and out.dtype == dtype
 
 
 class TestAssembleVisualInputs:

@@ -1,11 +1,12 @@
 """The per-variant cost code, the per-moment batch assembly, the
 per-video ranking routes, the unbounded selection, the list-building index
-search and index build, and the masked-branch sigmoid, per-step-dict LSTM
-and concatenating LSTM backward that `costs.score_moments`,
-`training._assemble_batch`, the candidate-table and batched approximate
-search, `retrieval._select`'s per-video bound, `index.ClipHits`,
-`index.corpus_clip_matrix`, `model.sigmoid`, `model.lstm_forward_batch`
-and `training._lstm_backward` replaced, kept here as references: the merged
+search and index build, the per-video embedding loop, and the masked-branch
+sigmoid, per-step-dict LSTM and concatenating LSTM backward that
+`costs.score_moments`, `training._assemble_batch`, the candidate-table and
+batched approximate search, `retrieval._select`'s per-video bound,
+`index.ClipHits`, `index.corpus_clip_matrix`, `model.embed_videos`'s
+stacked chunks, `model.sigmoid`, `model.lstm_forward_batch` and
+`training._lstm_backward` replaced, kept here as references: the merged
 paths must give the same bytes. Suppression in the references is the greedy
 `temporal_iou` loop, not the product's `nms`, except in `reference_select`,
 which isolates the bound.
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentsearch import model
 from momentsearch.core import Moment, Query, VideoMeta, clip_spans, grid_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch.dataio import Corpus
@@ -42,6 +44,7 @@ from momentsearch.model import (
     compute_context,
     embed_clips,
     embed_query,
+    embed_videos,
     init_params,
     lstm_forward_batch,
     mlp_forward,
@@ -282,6 +285,16 @@ def reference_corpus_clip_matrix(corpus, params):
         for k in range(video.num_clips):
             keys.append((ordinal, k))
     return np.asarray(keys, dtype=np.uint32), np.concatenate(blocks, axis=0)
+
+
+def reference_embed_videos(blocks, params, dtype=np.float64):
+    """One `embed_clips` call per video, written in order into one `dtype` matrix."""
+    matrix = np.empty((sum(len(b) for b in blocks), params.dims.embed), dtype=dtype)
+    row = 0
+    for feats in blocks:
+        matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None, params)
+        row += len(feats)
+    return matrix
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -878,6 +891,24 @@ def test_corpus_clip_matrix_equals_per_video_reference(wide):
     got, want = corpus_clip_matrix(corpus, params), reference_corpus_clip_matrix(corpus, params)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("row_cap", [None, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("wide", [False, True])
+def test_embed_videos_equals_per_video_reference(wide, dtype, row_cap, monkeypatch):
+    # At a row cap of 7 the twelve 1-clip and four 3-clip videos span several
+    # chunks, and every video longer than 7 clips takes a chunk of its own.
+    if row_cap is not None:
+        monkeypatch.setattr(model, "_EMBED_CHUNK_ROWS", row_cap)
+    corpus, _ = shuffled_corpus(29, 3.0)
+    rng = np.random.default_rng(30)
+    blocks = [corpus.features_for(v.video_id) for v in corpus.videos]
+    for n in (1,) * 12 + (3,) * 4:
+        blocks.insert(int(rng.integers(0, len(blocks) + 1)), rng.standard_normal((n, 3)))
+    params = _rerank_model("wide") if wide else init_params(_dims("plain", 3, 2), 31)
+    got, want = embed_videos(blocks, params, dtype), reference_embed_videos(blocks, params, dtype)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
 
 
 def test_searched_corpus_is_freed_once_its_last_reference_drops():

@@ -251,6 +251,40 @@ class TestTwoStage:
                 assert [(s.moment.sort_key, s.cost) for s in ex.ranked] == \
                     [(s.moment.sort_key, s.cost) for s in ts.ranked]
 
+    @pytest.mark.parametrize("row_cap", [None, 40])
+    def test_approx_embeds_once_per_clip_count_and_chunk(self, monkeypatch, row_cap):
+        # Stage two embeds the touched videos of each clip count together,
+        # not one `embed_clips` call per video.
+        from momentsearch import model
+
+        rng = np.random.default_rng(41)
+        sizes = [12, 20] * 7 + [12] * 2
+        videos = [_video(n, 3.0, f"v{i:02d}") for i, n in enumerate(sizes)]
+        corpus = Corpus(videos, {v.video_id: rng.standard_normal((v.num_clips, 3))
+                                 for v in videos})
+        params = init_params(ModelDims(3, 2, hidden_mlp=8, embed=5, hidden_lstm=3), 42)
+        index = build_exact(corpus, params)
+        if row_cap is not None:
+            monkeypatch.setattr(model, "_EMBED_CHUNK_ROWS", row_cap)
+        calls = []
+        real_embed_clips = model.embed_clips
+
+        def counting_embed_clips(feats, *args):
+            calls.append(np.shape(feats))
+            return real_embed_clips(feats, *args)
+
+        monkeypatch.setattr(model, "embed_clips", counting_embed_clips)
+        cfg = RetrievalConfig(clip_budget=corpus.total_clips, nms_iou=0.5, top_k=10)
+        q = Query("q", rng.standard_normal((3, 2)))
+        res = two_stage_search(corpus, index, q, params, None, get_preset("charades-sta").enum,
+                               cfg)
+        assert len(res.ranked) == 10
+        chunks = sum(-(-sizes.count(n) // max(1, model._EMBED_CHUNK_ROWS // n))
+                     for n in set(sizes))
+        assert 0 < len(calls) <= chunks == (2 if row_cap is None else 7)
+        # A chunk holds at most the row cap, or one video.
+        assert all(k == 1 or k * n <= model._EMBED_CHUNK_ROWS for k, n, _ in calls)
+
     def test_moment_mode_scores_each_video_in_stage_one_order(self, monkeypatch):
         from dataclasses import replace
 
