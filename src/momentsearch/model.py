@@ -198,18 +198,19 @@ def mlp_forward(inputs: np.ndarray, params: ModelParams, want_cache: bool = Fals
     """Affine -> ReLU -> affine over input rows. Returns (n, embed)
     embeddings, or (videos, n, embed) for a stack of videos' rows: numpy
     runs each video's GEMMs as their own BLAS calls, so a video's rows get
-    the same bytes stacked or alone. Without `want_cache` the bias add and
-    the ReLU work in place; training's backward pass reads `z1`."""
+    the same bytes stacked or alone. The bias adds and the ReLU work in
+    place; the backward pass masks with `a1 > 0`, which equals the
+    pre-ReLU `z1 > 0` for every float."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != params.dims.mlp_in:
         raise ValueError(f"MLP inputs must be (n, {params.dims.mlp_in}), got {x.shape}")
     z1 = x @ params.mlp_w1.T
     z1 += params.mlp_b1
-    a1 = np.maximum(z1, 0.0) if want_cache else np.maximum(z1, 0.0, out=z1)
+    a1 = np.maximum(z1, 0.0, out=z1)
     out = a1 @ params.mlp_w2.T
     out += params.mlp_b2
     if want_cache:
-        return out, {"x": x, "z1": z1, "a1": a1}
+        return out, {"x": x, "a1": a1}
     return out
 
 

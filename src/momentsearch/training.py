@@ -370,7 +370,7 @@ def loss_and_grads(dataset: TrainDataset, triples: list[TrainingTriple],
     d_w2 = d_rows.T @ mlp_cache["a1"]
     d_b2 = d_rows.sum(axis=0)
     d_a1 = d_rows @ params.mlp_w2
-    d_z1 = d_a1 * (mlp_cache["z1"] > 0)
+    d_z1 = d_a1 * (mlp_cache["a1"] > 0)
     d_w1 = d_z1.T @ mlp_cache["x"]
     d_b1 = d_z1.sum(axis=0)
 

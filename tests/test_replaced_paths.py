@@ -430,7 +430,7 @@ def reference_loss_and_grads(dataset, triples, params, cfg):
     d_rows = (d_costs[seg] / z_counts[seg])[:, None] * 2.0 * diff
     d_fq = np.zeros_like(f_q)
     np.add.at(d_fq, row_triple, -d_rows)
-    d_z1 = (d_rows @ params.mlp_w2) * (mlp_cache["z1"] > 0)
+    d_z1 = (d_rows @ params.mlp_w2) * (mlp_cache["a1"] > 0)
     d_wx, d_wh, d_lstm_b = reference_lstm_backward(d_fq @ params.proj_w, steps, params)
     grads = {
         "mlp_w1": d_z1.T @ mlp_cache["x"], "mlp_b1": d_z1.sum(axis=0),
