@@ -234,14 +234,41 @@ def _kmeans_pp_seed(x: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, chunk: int = 16384) -> np.ndarray:
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is rank-invariant.
+# Bytes that one block of rows may take while `build_ivf` scores, measures
+# and copies its clips and while `save_index` writes them: 2,340 rows of
+# float64 scores at 448 partitions. BLAS rounds a GEMM of under about a
+# thousand outputs on another code path (scipy-openblas 0.3.31 measured);
+# blocks stay far above that, so blocking changes no score.
+_BLOCK_BYTES = 8 << 20
+
+
+def _row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of ceil(n / rows) near-equal blocks over n rows, where
+    rows = _BLOCK_BYTES // row_bytes (at least 1). No block is longer than
+    rows and, unless one block holds all n, none is shorter than rows / 2."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    count = max(1, -(-n // rows))
+    bounds = (np.arange(count + 1) * n // count).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid, the lowest index on ties.
+
+    Scores -2 x.c + ||c||^2 (||x - c||^2 less the rank-invariant ||x||^2)
+    in place, in row blocks of at most _BLOCK_BYTES, so the transient is one
+    (rows, p) float64 block whatever n is. Each block takes the same IEEE
+    operations in the same order as a whole-matrix pass, and a GEMM above
+    the small size gives a row the same dot products in any block, so the
+    labels keep their bytes.
+    """
     c_norms = np.einsum("ij,ij->i", centroids, centroids)
     labels = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], chunk):
-        block = x[lo:lo + chunk]
-        scores = -2.0 * (block @ centroids.T) + c_norms
-        labels[lo:lo + chunk] = np.argmin(scores, axis=1)
+    for lo, hi in _row_blocks(x.shape[0], 8 * centroids.shape[0]):
+        scores = x[lo:hi] @ centroids.T
+        scores *= -2.0
+        scores += c_norms
+        labels[lo:hi] = np.argmin(scores, axis=1)
     return labels
 
 
@@ -268,36 +295,50 @@ def build_ivf(
 
     An empty partition after the final assignment is repaired once by
     re-seeding its centroid at the entry farthest from its own centroid.
+
+    Memory: the peak is 12 x n x dim bytes, the float64 clip matrix beside
+    first the float32 one it is cast from (dropped then) and later the
+    partition-sorted float32 vectors it returns, plus O(n) keys and labels
+    and a few blocks of at most _BLOCK_BYTES: scores, the repair's distances
+    and the sorted copy are made block by block. Keys, vectors, centroids
+    and offsets keep the bytes of a build over whole matrices.
     """
     keys, vectors = corpus_clip_matrix(corpus, params)
-    n = vectors.shape[0]
+    n, dim = vectors.shape
     p = partitions if partitions is not None else int(np.ceil(np.sqrt(n)))
     if not 1 <= p <= n:
         raise ValueError(f"partition count must lie in [1, {n}], got {p}")
     rng = np.random.default_rng(seed)
     x = vectors.astype(np.float64)
+    del vectors  # rebuilt from x below: float32 -> float64 -> float32 is exact
     centroids = _kmeans_pp_seed(x, p, rng)
     for _ in range(kmeans_iters):
         labels = _assign(x, centroids)
         centroids = _centroid_means(x, labels, centroids)
     labels = _assign(x, centroids)
+    counts = np.bincount(labels, minlength=p)
 
-    empty = [j for j in range(p) if not np.any(labels == j)]
-    if empty:
-        dist_to_own = np.einsum("ij,ij->i", x - centroids[labels], x - centroids[labels])
-        order = np.argsort(-dist_to_own)
-        for j, entry in zip(empty, order):
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        dist_to_own = np.empty(n)
+        for lo, hi in _row_blocks(n, 8 * dim):
+            diff = x[lo:hi] - centroids[labels[lo:hi]]
+            dist_to_own[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+        for j, entry in zip(empty, np.argsort(-dist_to_own)):
             centroids[j] = x[entry]
         labels = _assign(x, centroids)
+        counts = np.bincount(labels, minlength=p)
 
-    order = np.lexsort((np.arange(n), labels))
-    counts = np.bincount(labels, minlength=p)
+    order = np.argsort(labels, kind="stable")
     offsets = np.zeros(p + 1, dtype=np.uint64)
     np.cumsum(counts, out=offsets[1:])
+    sorted_vectors = np.empty((n, dim), dtype=np.float32)
+    for lo, hi in _row_blocks(n, 8 * dim):
+        sorted_vectors[lo:hi] = x[order[lo:hi]]
     return IvfIndex(
         tuple(v.video_id for v in corpus.videos),
         keys[order],
-        vectors[order],
+        sorted_vectors,
         centroids.astype(np.float32),
         offsets,
     )
@@ -309,16 +350,25 @@ def build_ivf(
 
 
 def save_index(index: ClipIndex, path: str) -> None:
+    """Write `index` as a `.calx` file (FORMATS.md).
+
+    The interleaved key|vector payload goes out in row blocks of at most
+    _BLOCK_BYTES through one reused buffer, so saving holds one block on top
+    of the index. The file's bytes equal those of one whole-payload write.
+    """
     with open(path, "wb") as f:
         f.write(INDEX_MAGIC)
         f.write(np.asarray([FORMAT_VERSION], "<u2").tobytes())
         f.write(np.asarray([index.flavor], "u1").tobytes())
         f.write(np.asarray([index.dim], "<u4").tobytes())
         f.write(np.asarray([index.num_entries], "<u8").tobytes())
-        interleaved = np.empty((index.num_entries, 2 + index.dim), dtype="<u4")
-        interleaved[:, :2] = index.keys
-        interleaved[:, 2:] = index.vectors.astype("<f4").view("<u4")
-        f.write(interleaved.tobytes())
+        blocks = _row_blocks(index.num_entries, 4 * (2 + index.dim))
+        buf = np.empty((max(hi - lo for lo, hi in blocks), 2 + index.dim), dtype="<u4")
+        for lo, hi in blocks:
+            block = buf[:hi - lo]
+            block[:, :2] = index.keys[lo:hi]
+            block[:, 2:] = index.vectors[lo:hi].astype("<f4", copy=False).view("<u4")
+            f.write(block)
         if isinstance(index, IvfIndex):
             f.write(np.asarray([index.num_partitions], "<u4").tobytes())
             f.write(index.centroids.astype("<f4").tobytes())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momentsearch import index as index_mod
 from momentsearch.core import VideoMeta
 from momentsearch.dataio import Corpus, FormatError
 from momentsearch.index import (
@@ -251,3 +252,62 @@ class TestPersistence:
         save_index(bad, path)
         with pytest.raises(FormatError, match=r"x\.calx: IVF partition offsets"):
             load_index(path, good.video_ids)
+
+
+class TestBoundedMemory:
+    """`build_ivf` and `save_index` work in row blocks of at most
+    `index._BLOCK_BYTES`; tracemalloc sees every numpy buffer they make."""
+
+    BLOCK = 64 << 10
+
+    @pytest.fixture
+    def corpus_and_params(self):
+        # 6,000 clips of 16-d: x is 768 KB; one (6,000, 100) score matrix is 4.8 MB.
+        corpus = make_corpus(np.random.default_rng(7), num_videos=300, num_clips=20)
+        params = init_params(ModelDims(6, 4, hidden_mlp=16, embed=16, hidden_lstm=4), 8)
+        return corpus, params
+
+    @staticmethod
+    def traced_peak(fn):
+        import tracemalloc
+
+        # A first build imports lazily (np.unique loads numpy.ma); keep that out.
+        build_ivf(make_corpus(np.random.default_rng(9), num_videos=2, num_clips=3),
+                  small_params(), partitions=2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    @pytest.mark.parametrize("n,row_bytes", [(1, 8), (5, 1 << 30), (100, 8 << 10), (6000, 800),
+                                             (6001, 800), (10_007, 24)])
+    def test_row_blocks_tile_the_rows_near_evenly(self, n, row_bytes, monkeypatch):
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
+        rows = max(1, self.BLOCK // row_bytes)
+        blocks = index_mod._row_blocks(n, row_bytes)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == 1 or min(sizes) >= rows // 2
+
+    def test_build_ivf_peak_is_a_few_clip_matrices(self, corpus_and_params, monkeypatch):
+        corpus, params = corpus_and_params
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
+        ivf, peak = self.traced_peak(lambda: build_ivf(corpus, params, partitions=100,
+                                                       kmeans_iters=3))
+        n, dim = ivf.vectors.shape
+        assert ivf.num_partitions == 100
+        assert peak < 3 * n * dim * 8 + 4 * self.BLOCK
+
+    def test_save_index_peak_is_one_block(self, corpus_and_params, monkeypatch, tmp_path):
+        corpus, params = corpus_and_params
+        ivf = build_ivf(corpus, params, partitions=100, kmeans_iters=1)
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
+        _, peak = self.traced_peak(lambda: save_index(ivf, str(tmp_path / "i.calx")))
+        # The payload is 432 KB; headers, centroids, offsets and the file buffer stay under 16 KB.
+        assert peak < self.BLOCK + ivf.centroids.nbytes + ivf.offsets.nbytes + (16 << 10)

@@ -1,12 +1,13 @@
 """The per-variant cost code, the per-moment batch assembly, the
 per-video ranking routes, the unbounded selection, the list-building index
-search and index build, the per-video embedding loop, and the masked-branch
-sigmoid, per-step-dict LSTM and concatenating LSTM backward that
-`costs.score_moments`, `training._assemble_batch`, the candidate-table and
-batched approximate search, `retrieval._select`'s per-video bound,
-`index.ClipHits`, `index.corpus_clip_matrix`, `model.embed_videos`'s
-stacked chunks, `model.sigmoid`, `model.lstm_forward_batch` and
-`training._lstm_backward` replaced, kept here as references: the merged
+search and index build, the whole-matrix IVF build and save, the per-video
+embedding loop, and the masked-branch sigmoid, per-step-dict LSTM and
+concatenating LSTM backward that `costs.score_moments`,
+`training._assemble_batch`, the candidate-table and batched approximate
+search, `retrieval._select`'s per-video bound, `index.ClipHits`,
+`index.corpus_clip_matrix`, the row blocks of `index.build_ivf` and
+`index.save_index`, `model.embed_videos`'s stacked chunks, `model.sigmoid`,
+`model.lstm_forward_batch` and `training._lstm_backward` replaced, kept here as references: the merged
 paths must give the same bytes. Suppression in the references is the greedy
 `temporal_iou` loop, not the product's `nms`, except in `reference_select`,
 which isolates the bound.
@@ -24,19 +25,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentsearch import index as index_mod
 from momentsearch import model
 from momentsearch.core import Moment, Query, VideoMeta, clip_spans, grid_spans
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
-from momentsearch.dataio import Corpus
+from momentsearch.dataio import FORMAT_VERSION, Corpus
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
 from momentsearch.index import (
+    INDEX_MAGIC,
     ClipHit,
     ClipHits,
     ClipIndex,
     IvfIndex,
+    _centroid_means,
+    _kmeans_pp_seed,
     build_exact,
     build_ivf,
     corpus_clip_matrix,
+    load_index,
+    save_index,
 )
 from momentsearch.model import (
     ModelDims,
@@ -70,7 +77,7 @@ from momentsearch.training import (
     ranking_loss,
     sample_triples,
 )
-from conftest import greedy_nms_reference, varied_corpus
+from conftest import greedy_nms_reference, make_corpus, varied_corpus
 
 # ---------------------------------------------------------------------------
 # References
@@ -295,6 +302,71 @@ def reference_embed_videos(blocks, params, dtype=np.float64):
         matrix[row:row + len(feats)] = embed_clips(feats, compute_context(feats), None, params)
         row += len(feats)
     return matrix
+
+
+def reference_assign(x, centroids, chunk=16384):
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is rank-invariant.
+    c_norms = np.einsum("ij,ij->i", centroids, centroids)
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    for lo in range(0, x.shape[0], chunk):
+        block = x[lo:lo + chunk]
+        scores = -2.0 * (block @ centroids.T) + c_norms
+        labels[lo:lo + chunk] = np.argmin(scores, axis=1)
+    return labels
+
+
+def reference_build_ivf(corpus, params, partitions=None, seed=0, kmeans_iters=10):
+    """Whole-matrix build: (16,384, p) score blocks, full differences, one sort copy."""
+    keys, vectors = corpus_clip_matrix(corpus, params)
+    n = vectors.shape[0]
+    p = partitions if partitions is not None else int(np.ceil(np.sqrt(n)))
+    if not 1 <= p <= n:
+        raise ValueError(f"partition count must lie in [1, {n}], got {p}")
+    rng = np.random.default_rng(seed)
+    x = vectors.astype(np.float64)
+    centroids = _kmeans_pp_seed(x, p, rng)
+    for _ in range(kmeans_iters):
+        labels = reference_assign(x, centroids)
+        centroids = _centroid_means(x, labels, centroids)
+    labels = reference_assign(x, centroids)
+
+    empty = [j for j in range(p) if not np.any(labels == j)]
+    if empty:
+        dist_to_own = np.einsum("ij,ij->i", x - centroids[labels], x - centroids[labels])
+        order = np.argsort(-dist_to_own)
+        for j, entry in zip(empty, order):
+            centroids[j] = x[entry]
+        labels = reference_assign(x, centroids)
+
+    order = np.lexsort((np.arange(n), labels))
+    counts = np.bincount(labels, minlength=p)
+    offsets = np.zeros(p + 1, dtype=np.uint64)
+    np.cumsum(counts, out=offsets[1:])
+    return IvfIndex(
+        tuple(v.video_id for v in corpus.videos),
+        keys[order],
+        vectors[order],
+        centroids.astype(np.float32),
+        offsets,
+    )
+
+
+def reference_save_index(index, path):
+    """One interleaved payload array, written with one `tobytes()` copy."""
+    with open(path, "wb") as f:
+        f.write(INDEX_MAGIC)
+        f.write(np.asarray([FORMAT_VERSION], "<u2").tobytes())
+        f.write(np.asarray([index.flavor], "u1").tobytes())
+        f.write(np.asarray([index.dim], "<u4").tobytes())
+        f.write(np.asarray([index.num_entries], "<u8").tobytes())
+        interleaved = np.empty((index.num_entries, 2 + index.dim), dtype="<u4")
+        interleaved[:, :2] = index.keys
+        interleaved[:, 2:] = index.vectors.astype("<f4").view("<u4")
+        f.write(interleaved.tobytes())
+        if isinstance(index, IvfIndex):
+            f.write(np.asarray([index.num_partitions], "<u4").tobytes())
+            f.write(index.centroids.astype("<f4").tobytes())
+            f.write(index.offsets.astype("<u8").tobytes())
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -881,6 +953,86 @@ def test_clip_hits_read_as_their_materialized_list():
     assert [(h.video_id, h.clip_idx) for h in hits] == [(h.video_id, h.clip_idx) for h in items]
     empty = hits[n:]
     assert len(empty) == 0 and not empty and empty == [] and list(empty) == []
+
+
+def _assert_same_ivf(got, want):
+    for name in ("keys", "vectors", "centroids", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+    assert got.video_ids == want.video_ids
+
+
+def _assert_same_saved_bytes(got, want, tmp_path):
+    save_index(got, tmp_path / "got.calx")
+    reference_save_index(want, tmp_path / "want.calx")
+    assert (tmp_path / "got.calx").read_bytes() == (tmp_path / "want.calx").read_bytes()
+
+
+@pytest.mark.parametrize("block_bytes", [None, 32 << 10, 40_000])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_build_and_save_ivf_equal_whole_matrix_reference(seed, block_bytes, monkeypatch,
+                                                         tmp_path):
+    # Some 500 clips in one block at the default size. At 32 KB, 40 partitions
+    # score 102 rows a block (4,080 scores, far above the GEMM sizes that BLAS
+    # rounds with another kernel); 40,000 bytes split the rows unevenly.
+    corpus, _ = shuffled_corpus(40 + seed, 3.0)
+    params = init_params(_dims("plain", 3, 2), 44 + seed)
+    want = reference_build_ivf(corpus, params, partitions=40, seed=seed)
+    if block_bytes is not None:
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", block_bytes)
+        assert len(index_mod._row_blocks(corpus.total_clips, 8 * 40)) > 1
+    got = build_ivf(corpus, params, partitions=40, seed=seed)
+    _assert_same_ivf(got, want)
+    _assert_same_saved_bytes(got, want, tmp_path)
+
+
+def _repair_case(name):
+    """(corpus, params, partitions, kmeans_iters) whose final assignment
+    leaves a partition empty."""
+    if name == "stays_empty":
+        # Ten identical clips in one video and two in another: k-means++
+        # seeds the third centroid on a point already chosen, and the repair
+        # re-seeds it on a point that ties with a lower-numbered centroid.
+        rng = np.random.default_rng(50)
+        videos = [VideoMeta("a", 20.0, 2.0, 10), VideoMeta("b", 4.0, 2.0, 2)]
+        features = {"a": np.tile(rng.standard_normal(3), (10, 1)),
+                    "b": np.tile(rng.standard_normal(3), (2, 1))}
+        return Corpus(videos, features), init_params(_dims("plain", 3, 2), 51), 3, 2
+    # 18 distinct clips in 2-d: after two iterations one of ten partitions
+    # is empty, and its re-seeded centroid takes the farthest clip.
+    corpus = make_corpus(np.random.default_rng(235), num_videos=3, num_clips=6)
+    params = init_params(ModelDims(6, 2, hidden_mlp=7, embed=2, hidden_lstm=3), 51)
+    return corpus, params, 10, 2
+
+
+@pytest.mark.parametrize("block_bytes", [None, 72])
+@pytest.mark.parametrize("case", ["stays_empty", "refilled"])
+def test_empty_partition_repair_equals_whole_matrix_reference(case, block_bytes, monkeypatch,
+                                                              tmp_path):
+    corpus, params, p, iters = _repair_case(case)
+    want = reference_build_ivf(corpus, params, partitions=p, seed=0, kmeans_iters=iters)
+    if block_bytes is not None:
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", block_bytes)  # blocks of a few rows
+    labels = []
+    assign = index_mod._assign
+    monkeypatch.setattr(index_mod, "_assign",
+                        lambda x, c: labels.append(assign(x, c)) or labels[-1])
+    got = build_ivf(corpus, params, partitions=p, seed=0, kmeans_iters=iters)
+    assert len(labels) == iters + 2  # the iterations, the final assignment, the repair's
+    assert 0 in np.bincount(labels[-2], minlength=p)
+    sizes = np.diff(got.offsets.astype(np.int64)).tolist()
+    if case == "stays_empty":
+        assert sizes == [2, 10, 0]
+    else:
+        assert min(sizes) > 0
+    _assert_same_ivf(got, want)
+    _assert_same_saved_bytes(got, want, tmp_path)
+    loaded = load_index(str(tmp_path / "got.calx"), got.video_ids)
+    exact = build_exact(corpus, params)
+    for q in np.random.default_rng(52).standard_normal((4, exact.dim)):
+        for top_c in (1, 5, corpus.total_clips):
+            ivf_hits, _ = loaded.search(q, top_c=top_c, nprobe=loaded.num_partitions)
+            assert ivf_hits == exact.search(q, top_c=top_c)[0]
 
 
 @pytest.mark.parametrize("wide", [False, True])
