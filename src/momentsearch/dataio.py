@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import struct
 import zlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -41,18 +42,32 @@ def stable_u32(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
-    """Read exactly `n` bytes. A length of more than one buffer is first
-    compared with the bytes left in the file, so a corrupted size field is
-    refused before that many bytes are requested."""
+def _truncated(f: BinaryIO, got: int, n: int, what: str, path: str) -> FormatError:
+    return FormatError(f"{path}: truncated while reading {what} at byte "
+                       f"{f.tell() - got} ({n} bytes declared)")
+
+
+def check_length(f: BinaryIO, n: int, what: str, path: str) -> None:
+    """Refuse a declared length of more than one buffer that runs past the
+    end of the file, before that many bytes are requested or allocated."""
     if n > io.DEFAULT_BUFFER_SIZE and n > os.fstat(f.fileno()).st_size - f.tell():
-        data = b""
-    else:
-        data = f.read(n)
+        raise _truncated(f, 0, n, what, path)
+
+
+def _read_exact(f: BinaryIO, n: int, what: str, path: str) -> bytes:
+    """Read exactly `n` bytes; a corrupted size field is refused first."""
+    check_length(f, n, what, path)
+    data = f.read(n)
     if len(data) != n:
-        raise FormatError(f"{path}: truncated while reading {what} at byte "
-                          f"{f.tell() - len(data)} ({n} bytes declared)")
+        raise _truncated(f, len(data), n, what, path)
     return data
+
+
+def read_into(f: BinaryIO, out: np.ndarray, what: str, path: str) -> None:
+    """Fill the C-contiguous array `out` with exactly its size in bytes."""
+    got = f.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:
+        raise _truncated(f, got, out.nbytes, what, path)
 
 
 def read_array(f: BinaryIO, dtype: str, count: int, what: str, path: str) -> np.ndarray:
@@ -107,10 +122,43 @@ def read_features(path: str) -> np.ndarray:
         rows, dim = read_array(f, "<u4", 2, "shape", path).tolist()
         m = read_array(f, "<f4", rows * dim, "payload", path).reshape(rows, dim)
         expect_eof(f, path)
-    if not np.all(np.isfinite(m)):
-        bad = int(np.flatnonzero(~np.isfinite(m))[0])
-        raise FormatError(f"{path}: non-finite value at element {bad}")
+    _check_finite(m.reshape(-1), [0], [path])
     return m.copy()
+
+
+def _check_finite(values: np.ndarray, starts, paths: list[str]) -> None:
+    """Refuse the first non-finite element of the flat array `values`,
+    naming its file and its element within it; file k's elements start at
+    `starts[k]`."""
+    # Any non-finite element makes the sum non-finite, so a finite sum
+    # clears the payload without an (n,) mask; an overflow only costs one.
+    if np.isfinite(values.sum()):
+        return
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    bad = int(np.argmin(finite))
+    k = int(np.searchsorted(starts, bad, side="right")) - 1
+    raise FormatError(f"{paths[k]}: non-finite value at element {bad - int(starts[k])}")
+
+
+# A feature file's header: magic, version, rows, dim (14 bytes).
+_FEATURE_HEADER = struct.Struct("<4sHII")
+
+
+def _raw_read(path: str, buffers: tuple) -> int:
+    """The bytes one `os.readv` of the file at `path` put into `buffers`,
+    or -1 if it cannot be opened or read (its loader then says why)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return -1
+    try:
+        return os.readv(fd, buffers)
+    except OSError:
+        return -1
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +299,55 @@ def write_jsonl(path: str, records: list[dict]) -> None:
             f.write(_dump_line(rec))
 
 
+# Bytes one raw read of a words file may fill: more than 1,600 words of
+# 10 float32s, or 50 of 300. A longer file is read through `read_features`.
+_WORDS_READ_BYTES = 64 << 10
+
+
 def load_queries(path: str, base_dir: str) -> list[Query]:
-    queries = []
-    seen = set()
+    """Load a queries file; every query's word vectors are C-contiguous
+    float64 row views of one flat array.
+
+    Each words file takes one raw `os.readv` of at most _WORDS_READ_BYTES
+    into the header buffer and the end of one flat byte buffer; its header
+    must hold the magic and the version, and the bytes read must end where
+    its shape says the payload ends, short of the bound. A file that fails
+    is read again by `read_features`, whose `FormatError` it gets (or whose
+    matrix is appended, when the file was only longer than the bound). One
+    finiteness check and one float64 cast cover every word vector.
+    """
+    records, paths, shapes, seen = [], [], [], set()
+    header = bytearray(_FEATURE_HEADER.size)
+    buf, used = np.empty(4 * _WORDS_READ_BYTES, dtype=np.uint8), 0
     for lineno, rec in _load_lines(path):
         _require(rec, ("query_id", "video_id", "spans", "words_path"), path, lineno)
         if rec["query_id"] in seen:
             raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
         seen.add(rec["query_id"])
         spans = tuple(TemporalSpan(float(s), float(e)) for s, e in rec["spans"])
-        words = read_features(os.path.join(base_dir, rec["words_path"])).astype(np.float64)
-        queries.append(Query(
-            query_id=rec["query_id"],
-            word_vectors=words,
-            ground_truth=GroundTruth(rec["video_id"], spans),
-        ))
-    return queries
+        words_path = os.path.join(base_dir, rec["words_path"])
+        if len(buf) - used < _WORDS_READ_BYTES:
+            buf = np.concatenate([buf[:used], np.empty(len(buf), dtype=np.uint8)])
+        got = _raw_read(words_path, (header, buf[used:used + _WORDS_READ_BYTES]))
+        magic, version, rows, dim = _FEATURE_HEADER.unpack(header)
+        size = 4 * rows * dim
+        if (got != len(header) + size or size >= _WORDS_READ_BYTES
+                or (magic, version) != (FEATURE_MAGIC, FORMAT_VERSION)):
+            m = read_features(words_path)
+            (rows, dim), size = m.shape, m.nbytes
+            if len(buf) - used < size:
+                buf = np.concatenate([buf[:used], np.empty(size, dtype=np.uint8)])
+            buf[used:used + size] = m.reshape(-1).view(np.uint8)
+        records.append((rec["query_id"], GroundTruth(rec["video_id"], spans)))
+        paths.append(words_path)
+        shapes.append((rows, dim))
+        used += size
+    starts = offsets([rows * dim for rows, dim in shapes])
+    flat = buf[:used].view("<f4")
+    _check_finite(flat, starts, paths)
+    words = flat.astype(np.float64)
+    return [Query(query_id, words[lo:lo + rows * dim].reshape(rows, dim), truth)
+            for (query_id, truth), (rows, dim), lo in zip(records, shapes, starts.tolist())]
 
 
 def write_results(path: str, results: list, seed: int, universe: int, top_k: int) -> None:
@@ -323,34 +404,42 @@ def read_kv_report(path: str) -> dict[str, str]:
 
 
 class Corpus:
-    """An ordered set of videos with their clip feature matrices (float64).
+    """An ordered set of videos with their clip features.
 
     Video `videos[o]` has ordinal o, and `ordinal_of` maps its id to o. The
     per-ordinal arrays are `num_clips`, `clip_length`, `duration`,
     `clip_offsets` (where video o's clips start when every video's clips are
     laid end to end in corpus order) and `id_rank` (the lexicographic rank
     of the id, the tie-break of every ranking; built on first read).
+    `clip_features` is every clip's features as one C-contiguous
+    (total_clips, visual_in) float64 matrix laid out by `clip_offsets`, and
+    `features[video_id]` is the row view of one video's clips.
     `candidates` holds search's `retrieval.CandidateTable`, built by the
     first search that needs it.
+
+    The constructor takes the flat matrix, or a dict of per-video blocks of
+    one width, which it concatenates once.
     """
 
-    def __init__(self, videos: list[VideoMeta], features: dict[str, np.ndarray]):
+    def __init__(self, videos: list[VideoMeta],
+                 features: Union[np.ndarray, dict[str, np.ndarray]]):
         self.videos = list(videos)
         self.ordinal_of = {v.video_id: o for o, v in enumerate(self.videos)}
         if len(self.ordinal_of) != len(self.videos):
             raise ValueError("duplicate video ids in corpus")
-        self.features = features
         self.candidates = None
         self.num_clips = np.asarray([v.num_clips for v in self.videos], dtype=np.int64)
         self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
         self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
         self.clip_offsets = offsets(self.num_clips)
-        for v in self.videos:
-            feats = features[v.video_id]
-            if feats.shape[0] != v.num_clips:
-                raise ValueError(
-                    f"{v.video_id}: feature rows {feats.shape[0]} != num_clips {v.num_clips}"
-                )
+        if isinstance(features, dict):
+            features = _concatenate_blocks(self.videos, features)
+        if features.ndim != 2 or features.shape[0] != self.total_clips:
+            raise ValueError(f"clip features of shape {features.shape} for "
+                             f"{self.total_clips} clips")
+        self.clip_features = np.ascontiguousarray(features, dtype=np.float64)
+        self.features = {v.video_id: self.clip_features[lo:lo + v.num_clips]
+                         for v, lo in zip(self.videos, self.clip_offsets.tolist())}
 
     def __len__(self) -> int:
         return len(self.videos)
@@ -373,6 +462,19 @@ class Corpus:
         return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)
 
 
+def _concatenate_blocks(videos: list[VideoMeta], features: dict[str, np.ndarray]) -> np.ndarray:
+    blocks = [features[v.video_id] for v in videos]
+    for v, block in zip(videos, blocks):
+        shape = np.shape(block)
+        if shape[0] != v.num_clips:
+            raise ValueError(f"{v.video_id}: feature rows {shape[0]} != num_clips {v.num_clips}")
+        if shape[1:] != np.shape(blocks[0])[1:]:
+            raise ValueError(f"{v.video_id}: feature block of shape {shape} beside "
+                             f"{videos[0].video_id}'s {np.shape(blocks[0])}; the blocks of a "
+                             "corpus share one width")
+    return np.concatenate(blocks, dtype=np.float64) if blocks else np.zeros((0, 0))
+
+
 def save_corpus(out_dir: str, videos: list[VideoMeta], features: dict[str, np.ndarray]) -> None:
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     stamped = []
@@ -383,15 +485,59 @@ def save_corpus(out_dir: str, videos: list[VideoMeta], features: dict[str, np.nd
     write_manifest(os.path.join(out_dir, "manifest.jsonl"), stamped)
 
 
+def _member_features(path: str, video: VideoMeta, width: Optional[int],
+                     width_path: str = "") -> np.ndarray:
+    """`read_features(path)`, refused unless it holds the video's clips and,
+    when `width` is given, that many features per clip (as `width_path`)."""
+    m = read_features(path)
+    if m.shape[0] != video.num_clips:
+        raise ValueError(f"{video.video_id}: feature rows {m.shape[0]} != "
+                         f"num_clips {video.num_clips}")
+    if width is not None and m.shape[1] != width:
+        raise FormatError(f"{path}: {m.shape[1]} features per clip, but {width_path} "
+                          f"has {width}; the feature files of a corpus share one width")
+    return m
+
+
 def load_corpus(corpus_dir: str) -> Corpus:
+    """Load a corpus directory into one flat clip-feature matrix.
+
+    The first feature file is read by `read_features` and fixes the width.
+    Each later one takes one raw `os.readv`: its 14-byte header, its
+    video's rows of one reused float32 buffer and a 1-byte end-of-file
+    probe, so no size is taken from a header; the header must then hold
+    the magic, the version, `num_clips` rows and the first file's width. A
+    file that fails is read again by `read_features`, whose `FormatError`
+    it gets; one that `read_features` accepts is refused for its rows or
+    width (or kept, if only the raw read came up short). Each file's rows
+    are cast into the float64 matrix as they arrive, and one finiteness
+    check covers the whole matrix. (A float32 staging copy of the whole
+    corpus, cast once, raised the later peak RSS of a 10,000-video
+    load-and-index run by 17 MB.)
+    """
     manifest = os.path.join(corpus_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
         raise FormatError(f"{manifest}: manifest not found")
     videos = read_manifest(manifest)
-    features = {}
-    for v in videos:
-        m = read_features(os.path.join(corpus_dir, v.feature_ref)).astype(np.float64)
-        features[v.video_id] = m
+    if not videos:
+        return Corpus([], {})
+    paths = [os.path.join(corpus_dir, v.feature_ref) for v in videos]
+    first = _member_features(paths[0], videos[0], None)
+    width = first.shape[1]
+    counts = [v.num_clips for v in videos]
+    starts = offsets(counts)
+    features = np.empty((sum(counts), width))
+    features[:len(first)] = first
+    buf = np.empty((max(counts), width), dtype="<f4")
+    header, probe = bytearray(_FEATURE_HEADER.size), bytearray(1)
+    for v, path, lo in zip(videos[1:], paths[1:], starts[1:].tolist()):
+        rows = buf[:v.num_clips]
+        if (_raw_read(path, (header, rows, probe)) != len(header) + rows.nbytes
+                or _FEATURE_HEADER.unpack(header)
+                != (FEATURE_MAGIC, FORMAT_VERSION, v.num_clips, width)):
+            rows = _member_features(path, v, width, paths[0])
+        features[lo:lo + v.num_clips] = rows
+    _check_finite(features.reshape(-1), starts * width, paths)
     return Corpus(videos, features)
 
 

@@ -18,7 +18,16 @@ from typing import Optional
 import numpy as np
 
 from .core import ranges
-from .dataio import FORMAT_VERSION, Corpus, FormatError, check_header, expect_eof, read_array
+from .dataio import (
+    FORMAT_VERSION,
+    Corpus,
+    FormatError,
+    check_header,
+    check_length,
+    expect_eof,
+    read_array,
+    read_into,
+)
 from .model import ModelParams, embed_videos
 
 INDEX_MAGIC = b"CALX"
@@ -375,6 +384,25 @@ def save_index(index: ClipIndex, path: str) -> None:
             f.write(index.offsets.astype("<u8").tobytes())
 
 
+def _read_entries(f, count: int, dim: int, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The interleaved key|vector payload of `count` entries as (keys,
+    vectors), read in row blocks of at most _BLOCK_BYTES through one reused
+    buffer straight into the two arrays the index keeps. A count that runs
+    past the end of the file is refused before anything is allocated."""
+    row_bytes = 4 * (2 + dim)
+    check_length(f, count * row_bytes, "entries", path)
+    keys = np.empty((count, 2), dtype=np.uint32)
+    vectors = np.empty((count, dim), dtype=np.float32)
+    blocks = _row_blocks(count, row_bytes)
+    buf = np.empty((max(hi - lo for lo, hi in blocks), 2 + dim), dtype="<u4")
+    for lo, hi in blocks:
+        block = buf[:hi - lo]
+        read_into(f, block, "entries", path)
+        keys[lo:hi] = block[:, :2]
+        vectors[lo:hi] = block[:, 2:].view("<f4")
+    return keys, vectors
+
+
 def load_index(path: str, video_ids: tuple[str, ...]):
     """Load an index; `video_ids` supplies the manifest-order id table."""
     with open(path, "rb") as f:
@@ -384,10 +412,7 @@ def load_index(path: str, video_ids: tuple[str, ...]):
         count = int(read_array(f, "<u8", 1, "entry count", path)[0])
         if count == 0:
             raise FormatError(f"{path}: entry count at byte 11 is 0; an index needs entries")
-        entries = read_array(f, "<u4", count * (2 + dim), "entries", path)
-        interleaved = entries.reshape(count, 2 + dim)
-        keys = interleaved[:, :2].astype(np.uint32)
-        vectors = interleaved[:, 2:].copy().view("<f4")
+        keys, vectors = _read_entries(f, count, dim, path)
         max_ordinal = int(keys[:, 0].max())
         if max_ordinal >= len(video_ids):
             raise FormatError(f"{path}: entry references video ordinal {max_ordinal}, "

@@ -442,6 +442,7 @@ def two_stage_search(
     counters: dict[str, int] = {}
 
     final = False  # stage one's costs are stage two's
+    q1 = None
     if mode == "approx":
         if index is None:
             raise ValueError("approximate mode needs a clip index")
@@ -479,7 +480,9 @@ def two_stage_search(
     if final:
         stage2 = CostCounters(0, len(costs))
     else:
-        q2 = embed_query(query.word_vectors, rerank_params)
+        # Approximate stage one embedded the query under this same model.
+        q2 = q1 if same_model and q1 is not None else \
+            embed_query(query.word_vectors, rerank_params)
         costs, stage2 = _price(corpus, ordinal, firsts, lasts, q2, rerank_variant,
                                rerank_params, starts)
     counters["stage2_distances"] = stage2.distance_evals

@@ -90,12 +90,12 @@ class TrainDataset:
     Per query, one array holds each candidate's best annotation IoU: the
     positive is its first maximum, an intra pool the rows below the exclusion.
 
-    Batches are gathered from arrays built here: every clip feature as one
-    float64 row of `clip_rows` (video v's rows start at the corpus's
-    `clip_offsets[v]`, v the corpus ordinal), one context row per video in
-    `contexts`, and every trainable query's word vectors as float64 rows of
-    `word_rows` (query q's start at `word_offsets[q]`, `query_lengths[q]`
-    of them). Video durations are the corpus's `duration` array.
+    Batches gather clip rows from the corpus's flat `clip_features` (video
+    v's rows start at its `clip_offsets[v]`, v the corpus ordinal) and from
+    arrays built here: one context row per video in `contexts`, and every
+    trainable query's word vectors as float64 rows of `word_rows` (query q's
+    start at `word_offsets[q]`, `query_lengths[q]` of them). Video durations
+    are the corpus's `duration` array.
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
@@ -104,10 +104,8 @@ class TrainDataset:
         self.candidates: dict[str, list[Moment]] = {}
         self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
         self._norm_endpoints: dict[str, np.ndarray] = {}
-        feats = [np.asarray(corpus.features_for(v.video_id), dtype=np.float64)
-                 for v in corpus.videos]
-        self.clip_rows = np.concatenate(feats)
-        self.contexts = np.stack([compute_context(f) for f in feats])
+        self.contexts = np.stack([compute_context(corpus.features_for(v.video_id))
+                                  for v in corpus.videos])
         spans = {}
         for video in corpus.videos:
             cands = enumerate_moments(video, enum_cfg)
@@ -225,8 +223,8 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
     Each moment contributes its clip rows (one pooled row, its clips'
     `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
     its endpoints as `tef` computes them; one `assemble_visual_inputs` call
-    builds every row of the batch. Rows, contexts and words are gathered
-    from the dataset's arrays, clip offsets and durations from the corpus's.
+    builds every row of the batch. Clip rows, offsets and durations are
+    gathered from the corpus's arrays, contexts and words from the dataset's.
     """
     moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
     corpus = dataset.corpus
@@ -238,7 +236,7 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
             m.first_clip:m.last_clip + 1].mean(axis=0) for m in moments])
     else:
         counts = lasts - firsts + 1
-        rows = dataset.clip_rows[ranges(corpus.clip_offsets[vids] + firsts, counts)]
+        rows = corpus.clip_features[ranges(corpus.clip_offsets[vids] + firsts, counts)]
     seg = np.repeat(np.arange(len(moments)), counts)
     pairs = None
     if dims.use_tef:

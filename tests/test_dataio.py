@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentsearch.core import TemporalSpan
+from momentsearch.core import VideoMeta
 from momentsearch.dataio import (
+    Corpus,
     FormatError,
     SyntheticSpec,
     generate_synthetic,
@@ -21,8 +25,10 @@ from momentsearch.dataio import (
     read_kv_report,
     read_manifest,
     read_results,
+    save_corpus,
     write_checkpoint,
     write_features,
+    write_jsonl,
     write_kv_report,
     write_manifest,
     write_results,
@@ -382,8 +388,46 @@ class TestSyntheticGenerator:
 # ---------------------------------------------------------------------------
 
 
+def _corpus_member_loader(root, rng):
+    """(path, loader): the middle feature file of a three-video corpus, and
+    `load_corpus` of that corpus with the middle file read from the path given."""
+    corpus_dir = os.path.join(root, "corpus")
+    corpus = make_corpus(rng, num_videos=3, num_clips=3, visual_dim=2)
+    save_corpus(corpus_dir, corpus.videos, corpus.features)
+    videos = [dataclasses.replace(v, feature_ref=os.path.join(corpus_dir, "features",
+                                                              f"{v.video_id}.calf"))
+              for v in corpus.videos]
+
+    def load(path):
+        member_dir = os.path.join(root, "member_corpus")
+        os.makedirs(member_dir, exist_ok=True)
+        write_manifest(os.path.join(member_dir, "manifest.jsonl"),
+                       [videos[0], dataclasses.replace(videos[1], feature_ref=path), videos[2]])
+        return load_corpus(member_dir)
+
+    return videos[1].feature_ref, load
+
+
+def _words_loader(root, rng):
+    """(path, loader): the middle words file of three queries, and `load_queries`
+    of those queries with the middle words read from the path given."""
+    paths = [os.path.join(root, f"w{k}.calf") for k in range(3)]
+    for k, path in enumerate(paths):
+        write_features(path, rng.standard_normal((2 + k, 2)).astype(np.float32))
+
+    def load(path):
+        queries = os.path.join(root, "words_queries.jsonl")
+        write_jsonl(queries, [{"query_id": f"q{k}", "video_id": "v000", "spans": [[0.0, 2.0]],
+                               "words_path": path if k == 1 else p}
+                              for k, p in enumerate(paths)])
+        return load_queries(queries, root)
+
+    return paths[1], load
+
+
 def _small_binaries(root):
-    """Write one small file of each binary format; return {kind: (path, loader)}."""
+    """Write one small file of each binary format, plus a corpus member and a
+    words file read through their loaders; return {kind: (path, loader)}."""
     rng = np.random.default_rng(0)
     calf = os.path.join(root, "m.calf")
     write_features(calf, rng.standard_normal((3, 2)).astype(np.float32))
@@ -398,12 +442,14 @@ def _small_binaries(root):
         "calf": (calf, read_features),
         "calw": (calw, read_checkpoint),
         "calx": (calx, lambda path: load_index(path, index.video_ids)),
+        "member": _corpus_member_loader(root, rng),
+        "words": _words_loader(root, rng),
     }
 
 
 def _size_fields(kind, data):
     """(offset, width) of every length, count or shape field of a file."""
-    if kind == "calf":
+    if kind in ("calf", "member", "words"):
         return [(6, 4), (10, 4)]
     if kind == "calx":
         dim, count = struct.unpack_from("<IQ", data, 7)
@@ -427,7 +473,7 @@ def small_binaries(tmp_path_factory):
     return root, _small_binaries(root)
 
 
-@pytest.mark.parametrize("kind", ["calf", "calw", "calx"])
+@pytest.mark.parametrize("kind", ["calf", "calw", "calx", "member", "words"])
 def test_truncation_at_every_byte_rejected(small_binaries, kind):
     root, files = small_binaries
     path, load = files[kind]
@@ -440,7 +486,7 @@ def test_truncation_at_every_byte_rejected(small_binaries, kind):
             load(cut_path)
 
 
-@pytest.mark.parametrize("kind", ["calf", "calw", "calx"])
+@pytest.mark.parametrize("kind", ["calf", "calw", "calx", "member", "words"])
 @settings(max_examples=150, deadline=None)
 @given(pick=st.data())
 def test_corrupted_size_field_rejected(small_binaries, kind, pick):
@@ -455,3 +501,65 @@ def test_corrupted_size_field_rejected(small_binaries, kind, pick):
         f.write(data[:offset] + value.to_bytes(width, "little") + data[offset + width:])
     with pytest.raises(FormatError, match=r"bad\." + kind):
         load(bad_path)
+
+
+# ---------------------------------------------------------------------------
+# Corpus and queries loaded as one flat array each
+# ---------------------------------------------------------------------------
+
+
+def _save_shapes(root, widths, clips=3):
+    """Save a corpus of one video per width, `clips` clips each; return its paths."""
+    rng = np.random.default_rng(1)
+    videos = [VideoMeta(f"v{k}", 2.0 * clips, 2.0, clips) for k in range(len(widths))]
+    save_corpus(root, videos, {v.video_id: rng.standard_normal((clips, w))
+                               for v, w in zip(videos, widths)})
+    return [os.path.join(root, "features", f"{v.video_id}.calf") for v in videos]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 3])
+def test_non_finite_feature_names_its_file_and_element(tmp_path, k, value):
+    paths = _save_shapes(str(tmp_path), [4] * 5)
+    m = read_features(paths[k])
+    m[1, 3] = value  # element 7 of the file
+    write_features(paths[k], m)
+    with pytest.raises(FormatError, match=re.escape(f"{paths[k]}: non-finite value at element 7")):
+        load_corpus(str(tmp_path))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_non_finite_word_names_its_file_and_element(tmp_path, k):
+    rng = np.random.default_rng(2)
+    records = []
+    for q in range(4):
+        words = rng.standard_normal((3, 2)).astype(np.float32)
+        if q == k:
+            words[2, 0] = np.nan  # element 4 of the file
+        write_features(str(tmp_path / f"w{q}.calf"), words)
+        records.append({"query_id": f"q{q}", "video_id": "v", "spans": [[0, 1]],
+                        "words_path": f"w{q}.calf"})
+    write_jsonl(str(tmp_path / "queries.jsonl"), records)
+    path = os.path.join(str(tmp_path), f"w{k}.calf")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite value at element 4")):
+        load_queries(str(tmp_path / "queries.jsonl"), str(tmp_path))
+
+
+def test_mixed_feature_widths_rejected_naming_the_file(tmp_path):
+    paths = _save_shapes(str(tmp_path), [4, 4, 6, 4])
+    with pytest.raises(FormatError, match=re.escape(f"{paths[2]}: 6 features per clip, but "
+                                                    f"{paths[0]} has 4")):
+        load_corpus(str(tmp_path))
+
+
+def test_mixed_block_widths_rejected(rng):
+    videos = [VideoMeta(f"v{k}", 6.0, 2.0, 3) for k in range(2)]
+    with pytest.raises(ValueError, match="v1: feature block of shape \\(3, 6\\)"):
+        Corpus(videos, {"v0": rng.standard_normal((3, 4)), "v1": rng.standard_normal((3, 6))})
+
+
+def test_feature_rows_must_equal_num_clips(tmp_path):
+    paths = _save_shapes(str(tmp_path), [4, 4])
+    write_features(paths[1], np.zeros((5, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match="v1: feature rows 5 != num_clips 3"):
+        load_corpus(str(tmp_path))

@@ -304,6 +304,20 @@ class TestBoundedMemory:
         assert ivf.num_partitions == 100
         assert peak < 3 * n * dim * 8 + 4 * self.BLOCK
 
+    def test_load_index_peak_is_the_index_and_one_block(self, corpus_and_params, monkeypatch,
+                                                        tmp_path):
+        corpus, params = corpus_and_params
+        ivf = build_ivf(corpus, params, partitions=100, kmeans_iters=1)
+        path = str(tmp_path / "i.calx")
+        save_index(ivf, path)
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
+        loaded, peak = self.traced_peak(lambda: load_index(path, ivf.video_ids))
+        n = loaded.num_entries
+        held = loaded.keys.nbytes + loaded.vectors.nbytes + n * 8  # and the id-rank table
+        # Beside what the index keeps: one block, the finiteness mask of the
+        # vectors, the id ranks' int64 ordinals, and headers and file buffers.
+        assert peak < held + self.BLOCK + loaded.vectors.size + n * 8 + (16 << 10)
+
     def test_save_index_peak_is_one_block(self, corpus_and_params, monkeypatch, tmp_path):
         corpus, params = corpus_and_params
         ivf = build_ivf(corpus, params, partitions=100, kmeans_iters=1)

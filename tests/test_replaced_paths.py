@@ -7,7 +7,9 @@ concatenating LSTM backward that `costs.score_moments`,
 search, `retrieval._select`'s per-video bound, `index.ClipHits`,
 `index.corpus_clip_matrix`, the row blocks of `index.build_ivf` and
 `index.save_index`, `model.embed_videos`'s stacked chunks, `model.sigmoid`,
-`model.lstm_forward_batch` and `training._lstm_backward` replaced, kept here as references: the merged
+`model.lstm_forward_batch` and `training._lstm_backward`, and the per-file
+`dataio.load_corpus` / `load_queries` and whole-payload `index.load_index`
+replaced, kept here as references: the merged
 paths must give the same bytes. Suppression in the references is the greedy
 `temporal_iou` loop, not the product's `nms`, except in `reference_select`,
 which isolates the bound.
@@ -17,6 +19,7 @@ gradients by `tobytes()`.
 """
 
 import gc
+import os
 import weakref
 from dataclasses import replace
 
@@ -27,9 +30,34 @@ from hypothesis import strategies as st
 
 from momentsearch import index as index_mod
 from momentsearch import model
-from momentsearch.core import Moment, Query, VideoMeta, clip_spans, grid_spans
+from momentsearch.core import (
+    GroundTruth,
+    Moment,
+    Query,
+    TemporalSpan,
+    VideoMeta,
+    clip_spans,
+    grid_spans,
+)
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
-from momentsearch.dataio import FORMAT_VERSION, Corpus
+from momentsearch import dataio
+from momentsearch.dataio import (
+    FORMAT_VERSION,
+    Corpus,
+    FormatError,
+    _load_lines,
+    _require,
+    check_header,
+    expect_eof,
+    load_corpus,
+    load_queries,
+    read_array,
+    read_features,
+    read_manifest,
+    save_corpus,
+    write_features,
+    write_jsonl,
+)
 from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
 from momentsearch.index import (
     INDEX_MAGIC,
@@ -367,6 +395,71 @@ def reference_save_index(index, path):
             f.write(np.asarray([index.num_partitions], "<u4").tobytes())
             f.write(index.centroids.astype("<f4").tobytes())
             f.write(index.offsets.astype("<u8").tobytes())
+
+
+def reference_load_corpus(corpus_dir):
+    """(videos, features): one `read_features` call and one float64 copy per video."""
+    videos = read_manifest(os.path.join(corpus_dir, "manifest.jsonl"))
+    features = {}
+    for v in videos:
+        m = read_features(os.path.join(corpus_dir, v.feature_ref)).astype(np.float64)
+        features[v.video_id] = m
+    return videos, features
+
+
+def reference_load_queries(path, base_dir):
+    """One `read_features` call and one float64 copy per words file."""
+    queries = []
+    seen = set()
+    for lineno, rec in _load_lines(path):
+        _require(rec, ("query_id", "video_id", "spans", "words_path"), path, lineno)
+        if rec["query_id"] in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
+        seen.add(rec["query_id"])
+        spans = tuple(TemporalSpan(float(s), float(e)) for s, e in rec["spans"])
+        words = read_features(os.path.join(base_dir, rec["words_path"])).astype(np.float64)
+        queries.append(Query(
+            query_id=rec["query_id"],
+            word_vectors=words,
+            ground_truth=GroundTruth(rec["video_id"], spans),
+        ))
+    return queries
+
+
+def reference_load_index(path, video_ids):
+    """The whole interleaved payload read at once, then keys and vectors copied out."""
+    with open(path, "rb") as f:
+        check_header(f, INDEX_MAGIC, path)
+        flavor = int(read_array(f, "u1", 1, "flavor", path)[0])
+        dim = int(read_array(f, "<u4", 1, "dim", path)[0])
+        count = int(read_array(f, "<u8", 1, "entry count", path)[0])
+        if count == 0:
+            raise FormatError(f"{path}: entry count at byte 11 is 0; an index needs entries")
+        entries = read_array(f, "<u4", count * (2 + dim), "entries", path)
+        interleaved = entries.reshape(count, 2 + dim)
+        keys = interleaved[:, :2].astype(np.uint32)
+        vectors = interleaved[:, 2:].copy().view("<f4")
+        max_ordinal = int(keys[:, 0].max())
+        if max_ordinal >= len(video_ids):
+            raise FormatError(f"{path}: entry references video ordinal {max_ordinal}, "
+                              f"but only {len(video_ids)} ids were supplied")
+        if flavor == index_mod.FLAVOR_EXACT:
+            expect_eof(f, path)
+            index = ClipIndex(video_ids, keys, vectors)
+        elif flavor == index_mod.FLAVOR_IVF:
+            p = int(read_array(f, "<u4", 1, "partition count", path)[0])
+            centroids = read_array(f, "<f4", p * dim, "centroids", path).reshape(p, dim).copy()
+            offsets = read_array(f, "<u8", p + 1, "offsets", path).copy()
+            expect_eof(f, path)
+            if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or offsets[-1] != count:
+                raise FormatError(f"{path}: IVF partition offsets must start at 0, never "
+                                  f"decrease and end at the entry count {count}")
+            index = IvfIndex(video_ids, keys, vectors, centroids, offsets)
+        else:
+            raise FormatError(f"{path}: unknown index flavor {flavor}")
+    if not np.all(np.isfinite(index.vectors)):
+        raise FormatError(f"{path}: non-finite vector payload")
+    return index
 
 
 def reference_assemble_batch(dataset, triples, dims, variant):
@@ -1092,3 +1185,86 @@ def test_searched_corpus_is_freed_once_its_last_reference_drops():
         assert all(len(r.ranked) > 0 for r in results)
     finally:
         gc.enable()
+
+
+def saved_corpus(root, seed):
+    """Save a `shuffled_corpus` (2-39 clips of 3 features a video) and two
+    queries a video of 1-8 two-feature words; return (corpus dir, queries path)."""
+    corpus, queries = shuffled_corpus(seed, 3.0)
+    save_corpus(root, corpus.videos, corpus.features)
+    rng = np.random.default_rng(seed + 2)
+    records = []
+    for q in queries:
+        words = os.path.join("words", f"{q.query_id}.calf")
+        os.makedirs(os.path.join(root, "words"), exist_ok=True)
+        write_features(os.path.join(root, words),
+                       rng.standard_normal((int(rng.integers(1, 9)), 2)).astype(np.float32))
+        records.append({"query_id": q.query_id, "video_id": q.ground_truth.video_id,
+                        "spans": [[a.start, a.end] for a in q.ground_truth.annotations],
+                        "words_path": words})
+    write_jsonl(os.path.join(root, "queries.jsonl"), records)
+    return root, os.path.join(root, "queries.jsonl")
+
+
+def _assert_same_array(got, want, what):
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == \
+        (want.dtype, want.shape, want.flags.c_contiguous), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def _failing_raw_read(path, buffers):
+    return -1
+
+
+@pytest.mark.parametrize("raw_read", ["readv", "failing"])
+@pytest.mark.parametrize("words_read_bytes", [None, 40])
+@pytest.mark.parametrize("seed", [61, 62])
+def test_loaders_equal_per_file_references(seed, words_read_bytes, raw_read, monkeypatch,
+                                           tmp_path):
+    # A 40-byte bound sends every words file of 5 or more words (and all of
+    # them when raw reads fail) through `read_features`; the loaded bytes stay.
+    corpus_dir, queries_path = saved_corpus(str(tmp_path), seed)
+    want_videos, want_features = reference_load_corpus(corpus_dir)
+    want_queries = reference_load_queries(queries_path, corpus_dir)
+    if words_read_bytes is not None:
+        monkeypatch.setattr(dataio, "_WORDS_READ_BYTES", words_read_bytes)
+    if raw_read == "failing":
+        monkeypatch.setattr(dataio, "_raw_read", _failing_raw_read)
+    corpus = load_corpus(corpus_dir)
+    queries = load_queries(queries_path, corpus_dir)
+
+    assert corpus.videos == want_videos
+    assert {v.num_clips for v in corpus.videos} >= {2, 3, 4}
+    assert list(corpus.features) == list(want_features)
+    for video_id, want in want_features.items():
+        got = corpus.features[video_id]
+        _assert_same_array(got, want, video_id)
+        assert np.shares_memory(got, corpus.clip_features)
+    _assert_same_array(corpus.clip_features,
+                       np.concatenate([want_features[v.video_id] for v in want_videos]), "matrix")
+
+    assert [(q.query_id, q.ground_truth) for q in queries] == \
+        [(q.query_id, q.ground_truth) for q in want_queries]
+    assert {len(q.word_vectors) for q in queries} == set(range(1, 9))
+    for got, want in zip(queries, want_queries):
+        _assert_same_array(got.word_vectors, want.word_vectors, got.query_id)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 10])
+@pytest.mark.parametrize("kind", ["exact", "ivf"])
+def test_load_index_equals_whole_payload_reference(kind, block_bytes, monkeypatch, tmp_path):
+    corpus = load_corpus(saved_corpus(str(tmp_path), 63)[0])
+    params = init_params(_dims("plain", 3, 2), 64)
+    built = build_exact(corpus, params) if kind == "exact" else \
+        build_ivf(corpus, params, partitions=12, seed=3)
+    path = str(tmp_path / "i.calx")
+    save_index(built, path)
+    if block_bytes is not None:
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", block_bytes)
+        assert len(index_mod._row_blocks(built.num_entries, 4 * (2 + built.dim))) > 1
+    got = load_index(path, built.video_ids)
+    want = reference_load_index(path, built.video_ids)
+    assert type(got) is type(want)
+    names = ("keys", "vectors") + (("centroids", "offsets") if kind == "ivf" else ())
+    for name in names:
+        _assert_same_array(getattr(got, name), getattr(want, name), name)

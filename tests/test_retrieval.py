@@ -356,6 +356,28 @@ class TestTwoStage:
                               mode="approx")
         assert len(ex.ranked) == len(ts.ranked) == 50
 
+    @pytest.mark.parametrize("rerank", ["same", "other"])
+    def test_approx_embeds_the_query_once_per_model(self, planted, rerank, monkeypatch):
+        import momentsearch.retrieval as retrieval_mod
+
+        preset, corpus, queries, params = planted
+        index = build_exact(corpus, params)
+        rerank_params = params if rerank == "same" else init_params(params.dims, 9)
+        cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=10, clip_budget=12)
+        want = two_stage_search(corpus, index, queries[0], params, rerank_params, preset.enum,
+                                cfg, mode="approx")
+        embedded, embed_query = [], retrieval_mod.embed_query
+
+        def counting(word_vectors, p):
+            embedded.append(p)
+            return embed_query(word_vectors, p)
+
+        monkeypatch.setattr(retrieval_mod, "embed_query", counting)
+        got = two_stage_search(corpus, index, queries[0], params, rerank_params, preset.enum,
+                               cfg, mode="approx")
+        assert [p is params for p in embedded] == ([True] if rerank == "same" else [True, False])
+        assert list(got.ranked) == list(want.ranked) and got.stage_counters == want.stage_counters
+
     def test_moment_budget_below_top_k_rejected(self, planted):
         preset, corpus, queries, params = planted
         cfg = RetrievalConfig(nms_iou=preset.nms_iou, top_k=50, budget=10)
