@@ -15,7 +15,7 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Callable, Optional, Union
 
 import numpy as np
 
@@ -122,14 +122,14 @@ def read_features(path: str) -> np.ndarray:
         rows, dim = read_array(f, "<u4", 2, "shape", path).tolist()
         m = read_array(f, "<f4", rows * dim, "payload", path).reshape(rows, dim)
         expect_eof(f, path)
-    _check_finite(m.reshape(-1), [0], [path])
+    _check_finite(m.reshape(-1), [0], lambda k: path)
     return m.copy()
 
 
-def _check_finite(values: np.ndarray, starts, paths: list[str]) -> None:
+def _check_finite(values: np.ndarray, starts, path_of: Callable[[int], str]) -> None:
     """Refuse the first non-finite element of the flat array `values`,
-    naming its file and its element within it; file k's elements start at
-    `starts[k]`."""
+    naming its file and its element within it; file k, `path_of(k)`, has
+    its elements start at `starts[k]`."""
     # Any non-finite element makes the sum non-finite, so a finite sum
     # clears the payload without an (n,) mask; an overflow only costs one.
     if np.isfinite(values.sum()):
@@ -139,7 +139,7 @@ def _check_finite(values: np.ndarray, starts, paths: list[str]) -> None:
         return
     bad = int(np.argmin(finite))
     k = int(np.searchsorted(starts, bad, side="right")) - 1
-    raise FormatError(f"{paths[k]}: non-finite value at element {bad - int(starts[k])}")
+    raise FormatError(f"{path_of(k)}: non-finite value at element {bad - int(starts[k])}")
 
 
 # A feature file's header: magic, version, rows, dim (14 bytes).
@@ -316,7 +316,7 @@ def load_queries(path: str, base_dir: str) -> list[Query]:
     matrix is appended, when the file was only longer than the bound). One
     finiteness check and one float64 cast cover every word vector.
     """
-    records, paths, shapes, seen = [], [], [], set()
+    records, seen = [], set()  # (query_id, ground truth, words path, rows, dim)
     header = bytearray(_FEATURE_HEADER.size)
     buf, used = np.empty(4 * _WORDS_READ_BYTES, dtype=np.uint8), 0
     for lineno, rec in _load_lines(path):
@@ -338,16 +338,15 @@ def load_queries(path: str, base_dir: str) -> list[Query]:
             if len(buf) - used < size:
                 buf = np.concatenate([buf[:used], np.empty(size, dtype=np.uint8)])
             buf[used:used + size] = m.reshape(-1).view(np.uint8)
-        records.append((rec["query_id"], GroundTruth(rec["video_id"], spans)))
-        paths.append(words_path)
-        shapes.append((rows, dim))
+        records.append((rec["query_id"], GroundTruth(rec["video_id"], spans), rec["words_path"],
+                        rows, dim))
         used += size
-    starts = offsets([rows * dim for rows, dim in shapes])
+    starts = offsets([rows * dim for *_, rows, dim in records])
     flat = buf[:used].view("<f4")
-    _check_finite(flat, starts, paths)
+    _check_finite(flat, starts, lambda k: os.path.join(base_dir, records[k][2]))
     words = flat.astype(np.float64)
     return [Query(query_id, words[lo:lo + rows * dim].reshape(rows, dim), truth)
-            for (query_id, truth), (rows, dim), lo in zip(records, shapes, starts.tolist())]
+            for (query_id, truth, _, rows, dim), lo in zip(records, starts.tolist())]
 
 
 def write_results(path: str, results: list, seed: int, universe: int, top_k: int) -> None:
@@ -521,8 +520,11 @@ def load_corpus(corpus_dir: str) -> Corpus:
     videos = read_manifest(manifest)
     if not videos:
         return Corpus([], {})
-    paths = [os.path.join(corpus_dir, v.feature_ref) for v in videos]
-    first = _member_features(paths[0], videos[0], None)
+
+    def path_of(o: int) -> str:  # built per file: 10,000 kept paths cost 1 MB of RSS
+        return os.path.join(corpus_dir, videos[o].feature_ref)
+
+    first = _member_features(path_of(0), videos[0], None)
     width = first.shape[1]
     counts = [v.num_clips for v in videos]
     starts = offsets(counts)
@@ -530,14 +532,15 @@ def load_corpus(corpus_dir: str) -> Corpus:
     features[:len(first)] = first
     buf = np.empty((max(counts), width), dtype="<f4")
     header, probe = bytearray(_FEATURE_HEADER.size), bytearray(1)
-    for v, path, lo in zip(videos[1:], paths[1:], starts[1:].tolist()):
+    for v, lo in zip(videos[1:], starts[1:].tolist()):
+        path = os.path.join(corpus_dir, v.feature_ref)
         rows = buf[:v.num_clips]
         if (_raw_read(path, (header, rows, probe)) != len(header) + rows.nbytes
                 or _FEATURE_HEADER.unpack(header)
                 != (FEATURE_MAGIC, FORMAT_VERSION, v.num_clips, width)):
-            rows = _member_features(path, v, width, paths[0])
+            rows = _member_features(path, v, width, path_of(0))
         features[lo:lo + v.num_clips] = rows
-    _check_finite(features.reshape(-1), starts * width, paths)
+    _check_finite(features.reshape(-1), starts * width, path_of)
     return Corpus(videos, features)
 
 
