@@ -528,9 +528,15 @@ def load_corpus(corpus_dir: str) -> Corpus:
     width = first.shape[1]
     counts = [v.num_clips for v in videos]
     starts = offsets(counts)
-    features = np.empty((sum(counts), width))
+    try:
+        features = np.empty((sum(counts), width))
+        buf = np.empty((max(counts), width), dtype="<f4")
+    except MemoryError:
+        # Refuse a manifest count too large to hold as its file's rows error.
+        for o, v in enumerate(videos):
+            _member_features(path_of(o), v, width, path_of(0))
+        raise
     features[:len(first)] = first
-    buf = np.empty((max(counts), width), dtype="<f4")
     header, probe = bytearray(_FEATURE_HEADER.size), bytearray(1)
     for v, lo in zip(videos[1:], starts[1:].tolist()):
         path = os.path.join(corpus_dir, v.feature_ref)

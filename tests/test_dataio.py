@@ -563,3 +563,15 @@ def test_feature_rows_must_equal_num_clips(tmp_path):
     write_features(paths[1], np.zeros((5, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="v1: feature rows 5 != num_clips 3"):
         load_corpus(str(tmp_path))
+
+
+def test_num_clips_too_large_to_hold_refused_as_a_rows_error(tmp_path):
+    # 10^9 clips of 4 features would take 30 GB: the loader must not stop
+    # at the allocation but name the video whose file holds 3 rows.
+    _save_shapes(str(tmp_path), [4, 4])
+    manifest = str(tmp_path / "manifest.jsonl")
+    videos = read_manifest(manifest)
+    videos[1] = dataclasses.replace(videos[1], num_clips=10 ** 9, duration=2.0 * 10 ** 9)
+    write_manifest(manifest, videos)
+    with pytest.raises(ValueError, match="v1: feature rows 3 != num_clips 1000000000"):
+        load_corpus(str(tmp_path))
