@@ -43,7 +43,6 @@ from .index import build_exact, build_ivf, save_index
 from .model import (
     ModelDims,
     assemble_visual_inputs,
-    compute_context,
     embed_query,
     init_params,
     mlp_forward,
@@ -198,9 +197,8 @@ def run_bench(cfg: BenchConfig, workdir: str, methods=METHODS) -> dict:
         firsts, lasts = _span_table(n, k_max)
         t0 = time.perf_counter()
         blocks = []
-        for video in corpus.videos:
+        for video, ctx in zip(corpus.videos, corpus.contexts):
             feats = corpus.features_for(video.video_id)
-            ctx = compute_context(feats)
             fp = np.vstack([np.zeros(cfg.visual_dim), np.cumsum(feats, axis=0)])
             pooled = (fp[lasts + 1] - fp[firsts]) / (lasts - firsts + 1)[:, None]
             inputs = assemble_visual_inputs(pooled, ctx, None, dims)

@@ -15,13 +15,14 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import BinaryIO, Callable, Optional, Union
 
 import numpy as np
 
 from .core import GroundTruth, Query, TemporalSpan, VideoMeta, offsets
 from .enumeration import DatasetPreset, candidate_clips, enumerate_moments
-from .model import ModelDims, ModelParams
+from .model import ModelDims, ModelParams, compute_context
 
 FEATURE_MAGIC = b"CALF"
 CHECKPOINT_MAGIC = b"CALW"
@@ -244,8 +245,16 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# Decodes one JSON value at a position: (value, end), as `json.loads` would.
+_scan_value = json.JSONDecoder().scan_once
+
+
 def _load_lines(path: str) -> list[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSON-lines file."""
+    """(line number, record) for each non-blank line of a JSON-lines file.
+
+    A line is taken from one `_scan_value` call only when the value it
+    decodes ends the line; any other line goes through `json.loads`, which
+    accepts exactly those lines and words every refusal."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -253,9 +262,15 @@ def _load_lines(path: str) -> list[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: invalid record: {e}") from None
+                record, end = _scan_value(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise FormatError(f"{path}:{lineno}: invalid record: {e}") from None
+            records.append((lineno, record))
     return records
 
 
@@ -411,10 +426,12 @@ class Corpus:
     laid end to end in corpus order) and `id_rank` (the lexicographic rank
     of the id, the tie-break of every ranking; built on first read).
     `clip_features` is every clip's features as one C-contiguous
-    (total_clips, visual_in) float64 matrix laid out by `clip_offsets`, and
-    `features[video_id]` is the row view of one video's clips.
-    `candidates` holds search's `retrieval.CandidateTable`, built by the
-    first search that needs it.
+    (total_clips, visual_in) float64 matrix laid out by `clip_offsets`;
+    `features_for(video_id)` is the row view of one video's clips.
+    `contexts` is the (videos, visual_in) table of each video's
+    `model.compute_context`, with the bytes of a per-video call
+    (`_video_contexts`). `candidates` holds search's
+    `retrieval.CandidateTable`, built by the first search that needs it.
 
     The constructor takes the flat matrix, or a dict of per-video blocks of
     one width, which it concatenates once.
@@ -437,8 +454,8 @@ class Corpus:
             raise ValueError(f"clip features of shape {features.shape} for "
                              f"{self.total_clips} clips")
         self.clip_features = np.ascontiguousarray(features, dtype=np.float64)
-        self.features = {v.video_id: self.clip_features[lo:lo + v.num_clips]
-                         for v, lo in zip(self.videos, self.clip_offsets.tolist())}
+        self.contexts = _video_contexts(self.clip_features, self.num_clips, self.clip_offsets)
+        self._mapped_ids = self._mapped = None  # `ordinals_for`'s last id table and its map
 
     def __len__(self) -> int:
         return len(self.videos)
@@ -447,7 +464,22 @@ class Corpus:
         return self.videos[self.ordinal_of[video_id]]
 
     def features_for(self, video_id: str) -> np.ndarray:
-        return self.features[video_id]
+        o = self.ordinal_of[video_id]
+        lo = int(self.clip_offsets[o])
+        return self.clip_features[lo:lo + int(self.num_clips[o])]
+
+    def ordinals_for(self, video_ids: tuple[str, ...]) -> np.ndarray:
+        """The corpus ordinal of each id of an index's id table, -1 for an id
+        the corpus lacks; an identity map when the table lists the corpus's
+        ids in corpus order. The map of the last table seen is kept."""
+        if video_ids is not self._mapped_ids:
+            if tuple(video_ids) == tuple(self.ordinal_of):  # the ids in corpus order
+                self._mapped = np.arange(len(self.videos))
+            else:
+                self._mapped = np.fromiter(map(self.ordinal_of.get, video_ids, repeat(-1)),
+                                           dtype=np.int64, count=len(video_ids))
+            self._mapped_ids = video_ids
+        return self._mapped
 
     @cached_property
     def id_rank(self) -> np.ndarray:
@@ -459,6 +491,22 @@ class Corpus:
 
     def total_candidates(self, enum_cfg) -> int:
         return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)
+
+
+def _video_contexts(clip_features: np.ndarray, num_clips: np.ndarray,
+                    clip_offsets: np.ndarray) -> np.ndarray:
+    """`compute_context` of every video, one call per run of consecutive
+    videos of equal clip count over a (videos, clips, width) view of their
+    rows: no row is copied. A stacked mean sums each video's rows in the
+    order a lone video's mean does, so every row has the bytes of a
+    per-video call (`np.add.reduceat` sums in another order and does not)."""
+    contexts = np.empty((len(num_clips), clip_features.shape[1]))
+    starts = np.flatnonzero(np.diff(num_clips, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(num_clips)]):
+        n, first = int(num_clips[lo]), int(clip_offsets[lo])
+        rows = clip_features[first:first + (hi - lo) * n]
+        contexts[lo:hi] = compute_context(rows.reshape(hi - lo, n, rows.shape[1]))
+    return contexts
 
 
 def _concatenate_blocks(videos: list[VideoMeta], features: dict[str, np.ndarray]) -> np.ndarray:

@@ -6,7 +6,9 @@ ordering matches the alignment cost without square roots. Ties are broken
 by (video_id, clip_idx).
 
 Searches are read-only after build; each search returns its hits as a
-`ClipHits` sequence and its own SearchStats.
+`ClipHits` sequence and its own SearchStats. An IVF search scans each
+probed inverted list in place, as one contiguous slice of the
+partition-sorted vectors (as FAISS does), so no probed row is gathered.
 """
 
 from __future__ import annotations
@@ -177,13 +179,18 @@ class IvfIndex(ClipIndex):
         cdiff = self.centroids - q
         cdist = np.einsum("ij,ij->i", cdiff, cdiff)
         probe = np.lexsort((np.arange(p), cdist))[:nprobe]
-        chunks = [
-            np.arange(int(self.offsets[part]), int(self.offsets[part + 1]))
-            for part in np.sort(probe)
-        ]
-        idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        diff = self.vectors[idx] - q
-        dists = np.einsum("ij,ij->i", diff, diff)
+        # Each probed list is one contiguous slice of `vectors`, scanned in
+        # place through one reused difference buffer.
+        starts = self.offsets[probe].astype(np.int64)
+        sizes = self.offsets[probe + 1].astype(np.int64) - starts
+        idx = ranges(starts, sizes)
+        dists = np.empty(len(idx), dtype=np.float32)
+        diff = np.empty((int(sizes.max()), self.dim), dtype=np.float32)
+        at = 0
+        for lo, n in zip(starts.tolist(), sizes.tolist()):
+            part = np.subtract(self.vectors[lo:lo + n], q, out=diff[:n])
+            dists[at:at + n] = np.einsum("ij,ij->i", part, part)
+            at += n
         stats = SearchStats(
             distance_evals=int(idx.shape[0]),
             centroid_evals=p,
@@ -205,8 +212,8 @@ def corpus_clip_matrix(corpus: Corpus, params: ModelParams,
     order (`model.embed_videos`), is cast instead when already at hand: the
     same cast that embedding into float32 makes."""
     if embeddings is None:
-        vectors = embed_videos([corpus.features_for(v.video_id) for v in corpus.videos], params,
-                               np.float32)
+        vectors = embed_videos(corpus.clip_features, corpus.clip_offsets, corpus.num_clips,
+                               corpus.contexts, params, np.float32)
     else:
         vectors = embeddings.astype(np.float32)
     num_clips = corpus.num_clips

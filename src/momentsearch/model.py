@@ -6,6 +6,10 @@ and, optionally, the containing moment's normalized temporal endpoints.
 The language head runs an LSTM over the query's word vectors and maps the
 last hidden state linearly into the shared embedding space.
 
+`embed_videos` embeds many videos' clips from arrays alone: the rows of a
+flat clip-feature matrix named by start and count, and one context row per
+video (a corpus holds both, `dataio.Corpus.clip_features` and `contexts`).
+
 Forward passes are pure given immutable parameters; parameter mutation
 happens only in the training module.
 """
@@ -226,34 +230,35 @@ def embed_clips(
     return mlp_forward(inputs, params)
 
 
-def embed_videos(blocks: list[np.ndarray], params: ModelParams, dtype=np.float64) -> np.ndarray:
-    """The non-TEF clip embeddings of videos given by their clip feature
-    blocks, stacked in order into one `dtype` matrix.
+def embed_videos(clip_features: np.ndarray, starts: np.ndarray, num_clips: np.ndarray,
+                 contexts: np.ndarray, params: ModelParams, dtype=np.float64) -> np.ndarray:
+    """The non-TEF clip embeddings of videos, stacked in order into one
+    `dtype` matrix. Video v's clips are rows starts[v] .. starts[v] +
+    num_clips[v] - 1 of the flat `clip_features`, and contexts[v] is its
+    `compute_context` row.
 
-    Videos of equal clip count are stacked into (videos, clips, visual_in)
-    chunks of at most `_EMBED_CHUNK_ROWS` rows (a longer video alone), and
-    each chunk takes one `embed_clips` call. A stacked GEMM is one BLAS call
-    per video with the per-video shape, so every row has the bytes of its
-    video's own `embed_clips` call; one flat GEMM over many videos would
-    round differently. A TEF model and a block that is not a non-empty
-    (num_clips, visual_in) matrix raise `ValueError` with the messages of
-    `embed_clips` and `compute_context`."""
-    feats = [np.asarray(b, dtype=np.float64) for b in blocks]
-    for f in feats:
-        if f.ndim != 2 or len(f) < 1:
-            raise ValueError(_EMPTY_CLIPS)
-        _check_width(f.shape, params.dims)
-    counts = np.asarray([len(f) for f in feats], dtype=np.int64)
-    starts = offsets(counts)
+    Videos of equal clip count are gathered, with one fancy index each, into
+    (videos, clips, visual_in) chunks of at most `_EMBED_CHUNK_ROWS` rows (a
+    longer video alone), and each chunk takes one `embed_clips` call. A
+    stacked GEMM is one BLAS call per video with the per-video shape, so
+    every row has the bytes of its video's own `embed_clips` call; one flat
+    GEMM over many videos would round differently. A TEF model, features of
+    another width and a video without clips raise `ValueError` with the
+    messages of `embed_clips` and `compute_context`."""
+    counts = np.asarray(num_clips, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    if counts.min(initial=1) < 1:
+        raise ValueError(_EMPTY_CLIPS)
+    out_starts = offsets(counts)
     matrix = np.empty((int(counts.sum()), params.dims.embed), dtype=dtype)
     for n in np.unique(counts).tolist():
         members = np.flatnonzero(counts == n)
         step = max(1, _EMBED_CHUNK_ROWS // n)
+        clips = np.arange(n)
         for s in range(0, len(members), step):
             chunk = members[s:s + step]
-            stack = np.stack([feats[i] for i in chunk.tolist()])
-            rows = starts[chunk, None] + np.arange(n)
-            matrix[rows] = embed_clips(stack, compute_context(stack), None, params)
+            matrix[out_starts[chunk, None] + clips] = embed_clips(
+                clip_features[starts[chunk, None] + clips], contexts[chunk], None, params)
     return matrix
 
 

@@ -10,17 +10,20 @@ Every search forms candidate rows, prices them and selects from them:
   priced again.
 * approximate (clip budget): the candidates of the videos holding a clip
   retrieved from the index that contain a retrieved clip. The hits arrive
-  as arrays (`index.ClipHits`), and the candidates form in one pass over
-  the touched videos: a padded prefix count of the retrieved clips, read
-  at each `candidate_clips` row's dilated window.
+  as arrays (`index.ClipHits`); one array maps the index's ordinals to the
+  corpus's (`Corpus.ordinals_for`), and the candidates form in one pass
+  over the touched videos: a padded prefix count of the retrieved clips,
+  read at the dilated window of each row of one `candidate_clips` grid per
+  distinct clip count.
 
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
 one run of rows per video, read against the corpus's per-ordinal arrays;
 costs are arrays aligned with them. `_price` gives the costs and `_select`
 the ranking. Under a clip-alignment, non-TEF model, `_price` embeds the
-videos' clips with `model.embed_videos` (one stacked call per clip count,
-with each video's own bytes), then one distance pass and one padded prefix
-sum price every row (`_padded_cal_costs`). TEF and aggregate rows depend on
+videos' clips with `model.embed_videos` from the corpus's arrays (its clip
+matrix and context table, read at the videos' ordinals; one stacked call
+per clip count, with each video's own bytes), then one distance pass and
+one padded prefix sum price every row (`_padded_cal_costs`). TEF and aggregate rows depend on
 the moment, so those variants score each video's run with `score_moments`.
 
 Exhaustive search reads the corpus's `CandidateTable` (`candidate_table`,
@@ -171,8 +174,8 @@ def _clip_model_key(params: ModelParams) -> tuple:
 
 def _embed_ordinals(corpus: Corpus, ordinals: np.ndarray, params: ModelParams) -> np.ndarray:
     """The clip embeddings of the corpus's videos `ordinals`, stacked in that order."""
-    return embed_videos([corpus.features[corpus.videos[o].video_id] for o in ordinals.tolist()],
-                        params)
+    return embed_videos(corpus.clip_features, corpus.clip_offsets[ordinals],
+                        corpus.num_clips[ordinals], corpus.contexts[ordinals], params)
 
 
 def _padded_layout(rows: np.ndarray, num_clips: np.ndarray, height: int
@@ -360,7 +363,7 @@ def _price(
     costs = np.empty(len(ordinal))
     for o, s, e in zip(videos.tolist(), starts.tolist(), (starts + sizes).tolist()):
         video = corpus.videos[o]
-        costs[s:e] = score_moments(video, corpus.features[video.video_id], q_emb, variant,
+        costs[s:e] = score_moments(video, corpus.features_for(video.video_id), q_emb, variant,
                                    params, firsts[s:e], lasts[s:e], counters)
     return costs, counters
 
@@ -395,22 +398,33 @@ def _hit_candidates(corpus: Corpus, hits: ClipHits, enum_cfg: EnumConfig, dilati
     clip in [f - dilation, l + dilation]: (ordinals, firsts, lasts), videos
     ascending, each video's rows in `candidate_clips` order."""
     hit_ordinal, clips, _ = hits.arrays()
-    # Hits name videos by the index's ordinals; map each touched one by id.
-    index_ordinal, hit_at = np.unique(hit_ordinal, return_inverse=True)
-    mapped = [corpus.ordinal_of[hits.video_ids[o]] for o in index_ordinal.tolist()]
-    videos, video_at = np.unique(np.asarray(mapped, dtype=np.int64), return_inverse=True)
+    # Hits name videos by the index's ordinals; the corpus maps its id table.
+    mapped = corpus.ordinals_for(hits.video_ids)[hit_ordinal]
+    if mapped.min() < 0:
+        raise KeyError(hits.video_ids[int(hit_ordinal[mapped < 0].min())])
+    videos, video_at = np.unique(mapped, return_inverse=True)
     num_clips = corpus.num_clips[videos]
     width = int(num_clips.max()) + 1
     # count[t, k]: hits among the first k clips of touched video t.
-    count = np.bincount(video_at[hit_at] * width + clips + 1, minlength=len(videos) * width)
+    count = np.bincount(video_at * width + clips + 1, minlength=len(videos) * width)
     count = count.reshape(len(videos), width).cumsum(axis=1)
-    grids = [candidate_clips(n, enum_cfg) for n in num_clips.tolist()]
-    row = np.repeat(np.arange(len(videos)), [len(g) for g in grids])
-    firsts, lasts = np.concatenate(grids).T
-    # The window [f - d, l + d] clamped to the video holds a hit.
-    hit = (count[row, np.minimum(lasts + dilation, num_clips[row] - 1) + 1]
-           > count[row, np.maximum(firsts - dilation, 0)])
-    return videos[row[hit]], firsts[hit], lasts[hit]
+    # One grid per distinct clip count, tested against its videos' counts at
+    # once: the window [f - d, l + d] clamped to the video holds a hit.
+    lengths, length_at = np.unique(num_clips, return_inverse=True)
+    parts = []
+    for j, n in enumerate(lengths.tolist()):
+        grid_firsts, grid_lasts = candidate_clips(n, enum_cfg).T
+        members = np.flatnonzero(length_at == j)
+        c = count[members]
+        hit = (c[:, np.minimum(grid_lasts + dilation, n - 1) + 1]
+               > c[:, np.maximum(grid_firsts - dilation, 0)])
+        t, g = np.nonzero(hit)  # touched video, then grid row, ascending
+        parts.append((members[t], grid_firsts[g], grid_lasts[g]))
+    touched, firsts, lasts = (np.concatenate(a) for a in zip(*parts))
+    if len(parts) > 1:
+        order = np.argsort(touched, kind="stable")
+        touched, firsts, lasts = touched[order], firsts[order], lasts[order]
+    return videos[touched], firsts, lasts
 
 
 def two_stage_search(

@@ -29,7 +29,6 @@ from .model import (
     ModelDims,
     ModelParams,
     assemble_visual_inputs,
-    compute_context,
     init_params,
     lstm_forward_batch,
     mlp_forward,
@@ -91,11 +90,11 @@ class TrainDataset:
     positive is its first maximum, an intra pool the rows below the exclusion.
 
     Batches gather clip rows from the corpus's flat `clip_features` (video
-    v's rows start at its `clip_offsets[v]`, v the corpus ordinal) and from
-    arrays built here: one context row per video in `contexts`, and every
-    trainable query's word vectors as float64 rows of `word_rows` (query q's
-    start at `word_offsets[q]`, `query_lengths[q]` of them). Video durations
-    are the corpus's `duration` array.
+    v's rows start at its `clip_offsets[v]`, v the corpus ordinal), context
+    rows from its `contexts` table and durations from its `duration` array,
+    and every trainable query's word vectors from `word_rows`, built here
+    (query q's float64 rows start at `word_offsets[q]`, `query_lengths[q]`
+    of them).
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
@@ -104,8 +103,6 @@ class TrainDataset:
         self.candidates: dict[str, list[Moment]] = {}
         self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
         self._norm_endpoints: dict[str, np.ndarray] = {}
-        self.contexts = np.stack([compute_context(corpus.features_for(v.video_id))
-                                  for v in corpus.videos])
         spans = {}
         for video in corpus.videos:
             cands = enumerate_moments(video, enum_cfg)
@@ -141,9 +138,6 @@ class TrainDataset:
         self.word_rows = np.concatenate(words) if words else np.zeros((0, 0))
         self.query_lengths = np.array([w.shape[0] for w in words], dtype=np.int64)
         self.word_offsets = offsets(self.query_lengths)
-
-    def context_for(self, video_id: str) -> np.ndarray:
-        return self.contexts[self.corpus.ordinal_of[video_id]]
 
     def intra_pool(self, query_index: int, exclusion_iou: float) -> list[Moment]:
         if self._pool_exclusion != exclusion_iou:
@@ -223,8 +217,8 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
     Each moment contributes its clip rows (one pooled row, its clips'
     `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
     its endpoints as `tef` computes them; one `assemble_visual_inputs` call
-    builds every row of the batch. Clip rows, offsets and durations are
-    gathered from the corpus's arrays, contexts and words from the dataset's.
+    builds every row of the batch. Clip rows, contexts, offsets and
+    durations are gathered from the corpus's arrays, words from the dataset's.
     """
     moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
     corpus = dataset.corpus
@@ -242,7 +236,7 @@ def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: 
     if dims.use_tef:
         spans = np.array([(m.span.start, m.span.end) for m in moments], dtype=np.float64)
         pairs = (spans / corpus.duration[vids, None])[seg]
-    x = assemble_visual_inputs(rows, dataset.contexts[vids[seg]], pairs, dims)
+    x = assemble_visual_inputs(rows, corpus.contexts[vids[seg]], pairs, dims)
     z_counts = counts.astype(np.float64)
 
     qidx = np.array([t.query_index for t in triples], dtype=np.int64)

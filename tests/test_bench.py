@@ -99,7 +99,7 @@ class TestCalRoute:
         embeds = []
         embed_videos = retrieval.embed_videos
         monkeypatch.setattr(retrieval, "embed_videos",
-                            lambda *a: embeds.append(len(a[0])) or embed_videos(*a))
+                            lambda *a: embeds.append(len(a[2])) or embed_videos(*a))
         seen = []
         search = bench.exhaustive_search
 
@@ -120,7 +120,7 @@ class TestCalRoute:
         embeds = []
         embed_videos = index.embed_videos
         monkeypatch.setattr(index, "embed_videos",
-                            lambda *a: embeds.append(len(a[0])) or embed_videos(*a))
+                            lambda *a: embeds.append(len(a[2])) or embed_videos(*a))
         run_bench(cfg, str(tmp_path), methods=("cal",))
         assert embeds == []  # every video has candidates: the table's pass feeds the index
         corpus = load_corpus(str(tmp_path / "bench_corpus"))

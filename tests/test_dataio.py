@@ -393,7 +393,8 @@ def _corpus_member_loader(root, rng):
     `load_corpus` of that corpus with the middle file read from the path given."""
     corpus_dir = os.path.join(root, "corpus")
     corpus = make_corpus(rng, num_videos=3, num_clips=3, visual_dim=2)
-    save_corpus(corpus_dir, corpus.videos, corpus.features)
+    save_corpus(corpus_dir, corpus.videos,
+                {v.video_id: corpus.features_for(v.video_id) for v in corpus.videos})
     videos = [dataclasses.replace(v, feature_ref=os.path.join(corpus_dir, "features",
                                                               f"{v.video_id}.calf"))
               for v in corpus.videos]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentsearch.core import Moment, TemporalSpan, VideoMeta
+from momentsearch.core import Moment, TemporalSpan, VideoMeta, offsets
 from momentsearch.model import (
     ModelDims,
     ModelParams,
@@ -164,33 +164,35 @@ def _refusal(call) -> str:
     return str(err.value)
 
 
+def _flat(blocks):
+    """(clip_features, starts, num_clips, contexts) of blocks laid end to end."""
+    counts = np.asarray([len(b) for b in blocks], dtype=np.int64)
+    return (np.concatenate(blocks), offsets(counts), counts,
+            np.stack([compute_context(b) for b in blocks]))
+
+
 class TestEmbedVideos:
     """`embed_videos` refuses what a per-video `embed_clips` call over
-    `compute_context` refuses, with the same message."""
+    `compute_context` refuses, with the same message. A corpus refuses
+    blocks of mixed widths (test_dataio), so one flat matrix has one."""
 
     def test_tef_model_rejected(self, rng):
         params = random_params(rng, use_tef=True)
         feats = rng.standard_normal((4, 3))
         want = _refusal(lambda: embed_clips(feats, compute_context(feats), None, params))
-        assert _refusal(lambda: embed_videos([feats, feats[:2]], params)) == want
+        assert _refusal(lambda: embed_videos(*_flat([feats, feats[:2]]), params)) == want
 
-    def test_block_of_wrong_width_rejected(self, rng):
+    def test_video_without_clips_rejected(self, rng):
         params = random_params(rng)
-        bad = rng.standard_normal((4, 5))
-        want = _refusal(lambda: embed_clips(bad, compute_context(bad), None, params))
-        blocks = [rng.standard_normal((4, 3)), bad, rng.standard_normal((2, 3))]
-        assert _refusal(lambda: embed_videos(blocks, params)) == want
-
-    def test_block_without_rows_rejected(self, rng):
-        params = random_params(rng)
-        empty = np.zeros((0, 3))
-        want = _refusal(lambda: compute_context(empty))
-        assert _refusal(lambda: embed_videos([rng.standard_normal((4, 3)), empty], params)) == want
+        want = _refusal(lambda: compute_context(np.zeros((0, 3))))
+        feats, starts, _, contexts = _flat([rng.standard_normal((4, 3))] * 2)
+        assert _refusal(lambda: embed_videos(feats, starts, [4, 0], contexts, params)) == want
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_no_videos_give_an_empty_matrix(self, rng, dtype):
         params = random_params(rng)
-        out = embed_videos([], params, dtype)
+        empty = np.zeros(0, dtype=np.int64)
+        out = embed_videos(np.zeros((0, 3)), empty, empty, np.zeros((0, 3)), params, dtype)
         assert out.shape == (0, params.dims.embed) and out.dtype == dtype
 
 

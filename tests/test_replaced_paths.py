@@ -1,12 +1,15 @@
 """The per-variant cost code, the per-moment batch assembly, the
 per-video ranking routes, the unbounded selection, the list-building index
-search and index build, the whole-matrix IVF build and save, the per-video
-embedding loop, and the masked-branch sigmoid, per-step-dict LSTM and
+search and index build, the gathering IVF scan, the dict-mapped hit
+candidates, the whole-matrix IVF build and save, the per-video embedding
+loop and contexts, and the masked-branch sigmoid, per-step-dict LSTM and
 concatenating LSTM backward that `costs.score_moments`,
 `training._assemble_batch`, the candidate-table and batched approximate
 search, `retrieval._select`'s per-video bound, `index.ClipHits`,
-`index.corpus_clip_matrix`, the row blocks of `index.build_ivf` and
-`index.save_index`, `model.embed_videos`'s stacked chunks, `model.sigmoid`,
+`IvfIndex.search`'s in-place list scan, `retrieval._hit_candidates`'
+ordinal map, `index.corpus_clip_matrix`, the row blocks of
+`index.build_ivf` and `index.save_index`, `model.embed_videos`'s gathered
+chunks, `dataio.Corpus.contexts`, `model.sigmoid`,
 `model.lstm_forward_batch` and `training._lstm_backward`, and the per-file
 `dataio.load_corpus` / `load_queries` and whole-payload `index.load_index`
 replaced, kept here as references: the merged
@@ -19,6 +22,7 @@ gradients by `tobytes()`.
 """
 
 import gc
+import json
 import os
 import weakref
 from dataclasses import replace
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 
 from momentsearch import index as index_mod
 from momentsearch import model
+from momentsearch import retrieval as retrieval_mod
 from momentsearch.core import (
     GroundTruth,
     Moment,
@@ -38,6 +43,7 @@ from momentsearch.core import (
     VideoMeta,
     clip_spans,
     grid_spans,
+    offsets,
 )
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch import dataio
@@ -309,6 +315,44 @@ def reference_index_search(index, query_emb, top_c, nprobe=None):
     return hits
 
 
+def reference_ivf_search(index, query_emb, top_c, nprobe):
+    """`IvfIndex.search` gathering every probed row into one matrix before
+    one distance pass: (hits, stats)."""
+    q = np.asarray(query_emb, dtype=np.float32)
+    p = index.num_partitions
+    cdiff = index.centroids - q
+    cdist = np.einsum("ij,ij->i", cdiff, cdiff)
+    probe = np.lexsort((np.arange(p), cdist))[:nprobe]
+    chunks = [np.arange(int(index.offsets[part]), int(index.offsets[part + 1]))
+              for part in np.sort(probe)]
+    idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    diff = index.vectors[idx] - q
+    dists = np.einsum("ij,ij->i", diff, diff)
+    stats = index_mod.SearchStats(distance_evals=int(idx.shape[0]), centroid_evals=p,
+                                  partitions_probed=int(nprobe))
+    return index._rank_hits(idx, dists, top_c), stats
+
+
+def reference_hit_candidates(corpus, hits, enum_cfg, dilation):
+    """`retrieval._hit_candidates` mapping each touched index ordinal to the
+    corpus by id through `ordinal_of`, with one `candidate_clips` grid per
+    touched video."""
+    hit_ordinal, clips, _ = hits.arrays()
+    index_ordinal, hit_at = np.unique(hit_ordinal, return_inverse=True)
+    mapped = [corpus.ordinal_of[hits.video_ids[o]] for o in index_ordinal.tolist()]
+    videos, video_at = np.unique(np.asarray(mapped, dtype=np.int64), return_inverse=True)
+    num_clips = corpus.num_clips[videos]
+    width = int(num_clips.max()) + 1
+    count = np.bincount(video_at[hit_at] * width + clips + 1, minlength=len(videos) * width)
+    count = count.reshape(len(videos), width).cumsum(axis=1)
+    grids = [candidate_clips(n, enum_cfg) for n in num_clips.tolist()]
+    row = np.repeat(np.arange(len(videos)), [len(g) for g in grids])
+    firsts, lasts = np.concatenate(grids).T
+    hit = (count[row, np.minimum(lasts + dilation, num_clips[row] - 1) + 1]
+           > count[row, np.maximum(firsts - dilation, 0)])
+    return videos[row[hit]], firsts[hit], lasts[hit]
+
+
 def reference_corpus_clip_matrix(corpus, params):
     """Embed each video's clips into its own float32 block, key by key."""
     keys = []
@@ -397,6 +441,21 @@ def reference_save_index(index, path):
             f.write(index.offsets.astype("<u8").tobytes())
 
 
+def reference_load_lines(path):
+    """`dataio._load_lines` decoding every line with `json.loads`."""
+    records = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as e:
+                raise FormatError(f"{path}:{lineno}: invalid record: {e}") from None
+    return records
+
+
 def reference_load_corpus(corpus_dir):
     """(videos, features): one `read_features` call and one float64 copy per video."""
     videos = read_manifest(os.path.join(corpus_dir, "manifest.jsonl"))
@@ -470,7 +529,7 @@ def reference_assemble_batch(dataset, triples, dims, variant):
             m_idx = 3 * t_idx + role_idx
             video = dataset.corpus.video(moment.video_id)
             feats = dataset.corpus.features_for(moment.video_id)
-            ctx = dataset.context_for(moment.video_id)
+            ctx = compute_context(feats)
             pair = tef(moment, video) if dims.use_tef else None
             clip_rows = feats[moment.first_clip:moment.last_clip + 1]
             if variant == "aggregate":
@@ -1144,6 +1203,7 @@ def test_corpus_clip_matrix_equals_per_video_reference(wide):
 def test_embed_videos_equals_per_video_reference(wide, dtype, row_cap, monkeypatch):
     # At a row cap of 7 the twelve 1-clip and four 3-clip videos span several
     # chunks, and every video longer than 7 clips takes a chunk of its own.
+    # The videos are embedded in another order than their rows lie in.
     if row_cap is not None:
         monkeypatch.setattr(model, "_EMBED_CHUNK_ROWS", row_cap)
     corpus, _ = shuffled_corpus(29, 3.0)
@@ -1151,9 +1211,138 @@ def test_embed_videos_equals_per_video_reference(wide, dtype, row_cap, monkeypat
     blocks = [corpus.features_for(v.video_id) for v in corpus.videos]
     for n in (1,) * 12 + (3,) * 4:
         blocks.insert(int(rng.integers(0, len(blocks) + 1)), rng.standard_normal((n, 3)))
+    counts = np.asarray([len(b) for b in blocks], dtype=np.int64)
+    starts = offsets(counts)
+    contexts = np.stack([compute_context(b) for b in blocks])
+    order = rng.permutation(len(blocks))
     params = _rerank_model("wide") if wide else init_params(_dims("plain", 3, 2), 31)
-    got, want = embed_videos(blocks, params, dtype), reference_embed_videos(blocks, params, dtype)
+    got = embed_videos(np.concatenate(blocks), starts[order], counts[order], contexts[order],
+                       params, dtype)
+    want = reference_embed_videos([blocks[i] for i in order.tolist()], params, dtype)
     assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_embed_ordinals_equals_per_video_reference(wide):
+    # Stage two's route: corpus ordinals, the corpus's context table. Two
+    # videos of 300 clips each take a chunk of their own.
+    corpus, _ = shuffled_corpus(33, 3.0)
+    rng = np.random.default_rng(34)
+    videos = list(corpus.videos) + [VideoMeta(f"long{i}", 900.0, 3.0, 300) for i in range(2)]
+    features = {v.video_id: corpus.features_for(v.video_id) for v in corpus.videos}
+    features.update({f"long{i}": rng.standard_normal((300, 3)) for i in range(2)})
+    corpus = Corpus(videos, features)
+    params = _rerank_model("wide") if wide else init_params(_dims("plain", 3, 2), 35)
+    for ordinals in (np.arange(len(corpus)), rng.permutation(len(corpus))[:9],
+                     np.asarray([len(corpus) - 1, 3, 0, len(corpus) - 2])):
+        got = retrieval_mod._embed_ordinals(corpus, ordinals, params)
+        want = reference_embed_videos(
+            [corpus.features_for(corpus.videos[o].video_id) for o in ordinals.tolist()], params)
+        assert got.tobytes() == want.tobytes()
+
+
+_CONTEXT_CLIPS = st.one_of(st.integers(2, 9), st.integers(255, 300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.one_of(_CONTEXT_CLIPS, st.just(4)), min_size=1, max_size=9),
+       width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed):
+    """Mixed clip counts in any order, with runs of equal counts and videos
+    of more than 256 clips; features of many magnitudes, so that another
+    summation order would show in the bytes."""
+    rng = np.random.default_rng(seed)
+    videos = [VideoMeta(f"v{i}", 2.0 * n, 2.0, n) for i, n in enumerate(counts)]
+    features = {v.video_id: rng.standard_normal((v.num_clips, width))
+                * 10.0 ** rng.uniform(-6, 6, (v.num_clips, 1)) for v in videos}
+    corpus = Corpus(videos, features)
+    want = np.stack([compute_context(features[v.video_id]) for v in videos])
+    got = corpus.contexts
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _ivf_with_empty_partitions(seed):
+    """An IVF index over a `shuffled_corpus` whose 12 partitions include
+    empty ones: the first, one in the middle and the last two."""
+    corpus, _ = shuffled_corpus(seed, 3.0)
+    built = build_ivf(corpus, init_params(_dims("plain", 3, 2), seed + 1), partitions=8, seed=1)
+    sizes = np.diff(built.offsets.astype(np.int64))
+    sizes = np.concatenate([[0], sizes[:4], [0], sizes[4:], [0, 0]])
+    rng = np.random.default_rng(seed + 2)
+    centroids = np.concatenate([built.centroids, rng.standard_normal((4, built.dim))])
+    centroids = centroids[[8, 0, 1, 2, 3, 9, 4, 5, 6, 7, 10, 11]].astype(np.float32)
+    offsets_ = np.concatenate([[0], np.cumsum(sizes)]).astype(np.uint64)
+    return IvfIndex(built.video_ids, built.keys, built.vectors, centroids, offsets_)
+
+
+def test_ivf_search_scans_lists_in_place_as_the_gathering_search():
+    rng = np.random.default_rng(37)
+    corpus, _ = shuffled_corpus(36, 3.0)
+    params = init_params(_dims("plain", 3, 2), 38)
+    indexes = [build_ivf(corpus, params, partitions=7, seed=3),
+               reordered_ids(build_ivf(corpus, params, partitions=5, seed=4), 39),
+               _ivf_with_empty_partitions(40)]
+    repair_corpus, repair_params, p, iters = _repair_case("stays_empty")
+    indexes.append(build_ivf(repair_corpus, repair_params, partitions=p, seed=0,
+                             kmeans_iters=iters))
+    assert 0 in np.diff(indexes[-1].offsets.astype(np.int64))
+    for index in indexes:
+        p = index.num_partitions
+        queries = [rng.standard_normal(index.dim) for _ in range(3)]
+        queries += [index.centroids[-1], np.full(index.dim, np.nan)]
+        for nprobe in sorted({1, 2, p - 1, p} - {0}):
+            for top_c in (1, 9, index.num_entries + 4):
+                for q in queries:
+                    got, got_stats = index.search(q, top_c=top_c, nprobe=nprobe)
+                    want, want_stats = reference_ivf_search(index, q, top_c, nprobe)
+                    assert got_stats == want_stats
+                    for a, b in zip(got.arrays(), want.arrays()):
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["exact", "ivf"])
+@pytest.mark.parametrize("enum_name", ["charades-sta", "min-above-clips"])
+def test_hit_candidates_equal_dict_mapped_reference(enum_name, flavor):
+    # The index is built from the same videos in another manifest order, so
+    # its ordinals are not the corpus's; and from the corpus itself.
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, _ = shuffled_corpus(41, enum_cfg.clip_length)
+    params = init_params(_dims("plain", 3, 2), 42)
+    perm = np.random.default_rng(43).permutation(len(corpus)).tolist()
+    reordered = Corpus([corpus.videos[o] for o in perm],
+                       {v.video_id: corpus.features_for(v.video_id) for v in corpus.videos})
+    rng = np.random.default_rng(44)
+    for source in (reordered, corpus):
+        index = build_exact(source, params) if flavor == "exact" else \
+            build_ivf(source, params, partitions=6, seed=5)
+        identity = np.array_equal(corpus.ordinals_for(index.video_ids), np.arange(len(corpus)))
+        assert identity == (source is corpus)
+        for q in rng.standard_normal((3, index.dim)):
+            for top_c in (1, 12, index.num_entries):
+                hits, _ = index.search(q, top_c=top_c, nprobe=2)
+                for dilation in (0, 2):
+                    got = retrieval_mod._hit_candidates(corpus, hits, enum_cfg, dilation)
+                    want = reference_hit_candidates(corpus, hits, enum_cfg, dilation)
+                    for a, b in zip(got, want):
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                        assert a.tobytes() == b.tobytes()
+
+
+def test_hit_on_a_video_the_corpus_lacks_names_it():
+    corpus, _ = shuffled_corpus(45, 3.0)
+    params = init_params(_dims("plain", 3, 2), 46)
+    index = build_exact(corpus, params)
+    kept = [v for v in corpus.videos if v.video_id != index.video_ids[3]]
+    smaller = Corpus(kept, {v.video_id: corpus.features_for(v.video_id) for v in kept})
+    hits = ClipHits(index.video_ids, index.keys[:, 0], index.keys[:, 1],
+                    np.zeros(index.num_entries, dtype=np.float32))
+    with pytest.raises(KeyError) as want:
+        reference_hit_candidates(smaller, hits, RANKING_ENUMS["charades-sta"], 0)
+    with pytest.raises(KeyError) as got:
+        retrieval_mod._hit_candidates(smaller, hits, RANKING_ENUMS["charades-sta"], 0)
+    assert got.value.args == want.value.args == (index.video_ids[3],)
 
 
 def test_searched_corpus_is_freed_once_its_last_reference_drops():
@@ -1191,7 +1380,8 @@ def saved_corpus(root, seed):
     """Save a `shuffled_corpus` (2-39 clips of 3 features a video) and two
     queries a video of 1-8 two-feature words; return (corpus dir, queries path)."""
     corpus, queries = shuffled_corpus(seed, 3.0)
-    save_corpus(root, corpus.videos, corpus.features)
+    save_corpus(root, corpus.videos,
+                {v.video_id: corpus.features_for(v.video_id) for v in corpus.videos})
     rng = np.random.default_rng(seed + 2)
     records = []
     for q in queries:
@@ -1235,9 +1425,9 @@ def test_loaders_equal_per_file_references(seed, words_read_bytes, raw_read, mon
 
     assert corpus.videos == want_videos
     assert {v.num_clips for v in corpus.videos} >= {2, 3, 4}
-    assert list(corpus.features) == list(want_features)
+    assert [v.video_id for v in corpus.videos] == list(want_features)
     for video_id, want in want_features.items():
-        got = corpus.features[video_id]
+        got = corpus.features_for(video_id)
         _assert_same_array(got, want, video_id)
         assert np.shares_memory(got, corpus.clip_features)
     _assert_same_array(corpus.clip_features,
@@ -1248,6 +1438,41 @@ def test_loaders_equal_per_file_references(seed, words_read_bytes, raw_read, mon
     assert {len(q.word_vectors) for q in queries} == set(range(1, 9))
     for got, want in zip(queries, want_queries):
         _assert_same_array(got.word_vectors, want.word_vectors, got.query_id)
+
+
+# JSON-lines bodies: accepted ones (blank lines, NaN, nesting, escapes,
+# unicode whitespace around a record) and refused ones, among them lines
+# that a parse of the joined lines as one array would accept.
+_JSON_LINES = {
+    "records": '{"a": 1, "b": [1, 2.5, {"c": null}]}\n\n  {"d": "x\\u00e9\\n"}\t\n'
+               '\u00a0[NaN, -Infinity, 1e400]\u2003\n7\n"s"\ntrue\n',
+    "split_array": "[1\n2]\n3, 4\n",
+    "trailing_data": '{"a": 1} x\n',
+    "two_values": '{"a": 1}{"b": 2}\n',
+    "trailing_comma": '{"a": 1},\n',
+    "unclosed": '{"a": 1}\n{"b": [1, 2\n',
+    "bad_inner_value": '{"a": 1}\n{"b": tru}\n',
+    "bad_escape": '{"a": "\\x"}\n',
+    "bom": '\ufeff{"a": 1}\n',
+    "bare_word": 'null\nnope\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_LINES))
+def test_load_lines_equal_per_line_json_loads(name, tmp_path):
+    path = str(tmp_path / "lines.jsonl")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_JSON_LINES[name])
+    try:
+        want = reference_load_lines(path)
+    except FormatError as e:
+        with pytest.raises(FormatError) as got:
+            _load_lines(path)
+        assert str(got.value) == str(e)
+        return
+    assert name == "records"
+    got = _load_lines(path)
+    assert repr(got) == repr(want) and [type(r) for _, r in got] == [type(r) for _, r in want]
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 10])

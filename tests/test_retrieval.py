@@ -635,7 +635,8 @@ def _keys(result):
 
 def _fresh(corpus):
     """A new corpus object over the same videos and features: no candidate table."""
-    return Corpus(list(corpus.videos), dict(corpus.features))
+    return Corpus(list(corpus.videos),
+                  {v.video_id: corpus.features_for(v.video_id) for v in corpus.videos})
 
 
 class TestRetrievalConfig:
