@@ -23,8 +23,9 @@ the ranking. Under a clip-alignment, non-TEF model, `_price` embeds the
 videos' clips with `model.embed_videos` from the corpus's arrays (its clip
 matrix and context table, read at the videos' ordinals; one stacked call
 per clip count, with each video's own bytes), then one distance pass and
-one padded prefix sum price every row (`_padded_cal_costs`). TEF and aggregate rows depend on
-the moment, so those variants score each video's run with `score_moments`.
+one padded prefix sum price every row (`_padded_cal_costs`). TEF and
+aggregate rows depend on the moment, so those variants score each video's
+run with `score_moments`.
 
 Exhaustive search reads the corpus's `CandidateTable` (`candidate_table`,
 kept on `Corpus.candidates`), built on its first search: the flat candidate
