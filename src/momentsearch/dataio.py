@@ -470,14 +470,10 @@ class Corpus:
 
     def ordinals_for(self, video_ids: tuple[str, ...]) -> np.ndarray:
         """The corpus ordinal of each id of an index's id table, -1 for an id
-        the corpus lacks; an identity map when the table lists the corpus's
-        ids in corpus order. The map of the last table seen is kept."""
+        the corpus lacks. The map of the last table seen is kept."""
         if video_ids is not self._mapped_ids:
-            if tuple(video_ids) == tuple(self.ordinal_of):  # the ids in corpus order
-                self._mapped = np.arange(len(self.videos))
-            else:
-                self._mapped = np.fromiter(map(self.ordinal_of.get, video_ids, repeat(-1)),
-                                           dtype=np.int64, count=len(video_ids))
+            self._mapped = np.fromiter(map(self.ordinal_of.get, video_ids, repeat(-1)),
+                                       dtype=np.int64, count=len(video_ids))
             self._mapped_ids = video_ids
         return self._mapped
 
@@ -493,19 +489,29 @@ class Corpus:
         return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)
 
 
+# Rows gathered for one `compute_context` call while building a corpus's
+# context table: 256 KB at 32 features per clip.
+_CONTEXT_CHUNK_ROWS = 1024
+
+
 def _video_contexts(clip_features: np.ndarray, num_clips: np.ndarray,
                     clip_offsets: np.ndarray) -> np.ndarray:
-    """`compute_context` of every video, one call per run of consecutive
-    videos of equal clip count over a (videos, clips, width) view of their
-    rows: no row is copied. A stacked mean sums each video's rows in the
-    order a lone video's mean does, so every row has the bytes of a
+    """`compute_context` of every video. Videos of equal clip count are
+    gathered into (videos, clips, width) stacks of at most
+    `_CONTEXT_CHUNK_ROWS` rows (a longer video alone), one call each, so
+    the calls number about the distinct clip counts plus total rows / cap,
+    whatever the order of the videos. A stacked mean sums each video's rows
+    in the order a lone video's mean does, so every row has the bytes of a
     per-video call (`np.add.reduceat` sums in another order and does not)."""
     contexts = np.empty((len(num_clips), clip_features.shape[1]))
-    starts = np.flatnonzero(np.diff(num_clips, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(num_clips)]):
-        n, first = int(num_clips[lo]), int(clip_offsets[lo])
-        rows = clip_features[first:first + (hi - lo) * n]
-        contexts[lo:hi] = compute_context(rows.reshape(hi - lo, n, rows.shape[1]))
+    for n in np.unique(num_clips).tolist():
+        members = np.flatnonzero(num_clips == n)
+        step = max(1, _CONTEXT_CHUNK_ROWS // n)
+        clips = np.arange(n)
+        for s in range(0, len(members), step):
+            chunk = members[s:s + step]
+            rows = np.take(clip_features, clip_offsets[chunk, None] + clips, axis=0)
+            contexts[chunk] = compute_context(rows)
     return contexts
 
 

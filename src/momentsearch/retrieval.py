@@ -13,8 +13,8 @@ Every search forms candidate rows, prices them and selects from them:
   as arrays (`index.ClipHits`); one array maps the index's ordinals to the
   corpus's (`Corpus.ordinals_for`), and the candidates form in one pass
   over the touched videos: a padded prefix count of the retrieved clips,
-  read at the dilated window of each row of one `candidate_clips` grid per
-  distinct clip count.
+  read at the dilated window of each of their `candidate_clips` rows, taken
+  from one cached table of the grids of every clip count.
 
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
 one run of rows per video, read against the corpus's per-ordinal arrays;
@@ -47,6 +47,7 @@ runs and do not depend on the order in which videos are scored.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -393,6 +394,24 @@ def exhaustive_search(
     })
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_windows(max_clips: int, enum_cfg: EnumConfig, dilation: int) -> tuple[np.ndarray, ...]:
+    """The `candidate_clips` grids of every clip count 0 .. max_clips laid
+    end to end, read-only: (firsts, lasts, lo, hi, starts, sizes). Count
+    n's grid is rows starts[n] .. starts[n] + sizes[n] - 1. A row's window
+    [f - dilation, l + dilation], clamped to a video of n clips, holds a hit
+    when the video's prefix count of hits at column hi exceeds that at lo."""
+    grids = [candidate_clips(n, enum_cfg) for n in range(max_clips + 1)]
+    sizes = np.asarray([len(g) for g in grids], dtype=np.int64)
+    firsts, lasts = np.concatenate(grids).T.copy()
+    clips = np.repeat(np.arange(max_clips + 1), sizes)
+    table = (firsts, lasts, np.maximum(firsts - dilation, 0),
+             np.minimum(lasts + dilation, clips - 1) + 1, offsets(sizes), sizes)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _hit_candidates(corpus: Corpus, hits: ClipHits, enum_cfg: EnumConfig, dilation: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates (f, l) of the videos holding a hit that have a hit
@@ -406,26 +425,18 @@ def _hit_candidates(corpus: Corpus, hits: ClipHits, enum_cfg: EnumConfig, dilati
     videos, video_at = np.unique(mapped, return_inverse=True)
     num_clips = corpus.num_clips[videos]
     width = int(num_clips.max()) + 1
-    # count[t, k]: hits among the first k clips of touched video t.
+    # count[t * width + k]: hits among the first k clips of touched video t.
     count = np.bincount(video_at * width + clips + 1, minlength=len(videos) * width)
-    count = count.reshape(len(videos), width).cumsum(axis=1)
-    # One grid per distinct clip count, tested against its videos' counts at
-    # once: the window [f - d, l + d] clamped to the video holds a hit.
-    lengths, length_at = np.unique(num_clips, return_inverse=True)
-    parts = []
-    for j, n in enumerate(lengths.tolist()):
-        grid_firsts, grid_lasts = candidate_clips(n, enum_cfg).T
-        members = np.flatnonzero(length_at == j)
-        c = count[members]
-        hit = (c[:, np.minimum(grid_lasts + dilation, n - 1) + 1]
-               > c[:, np.maximum(grid_firsts - dilation, 0)])
-        t, g = np.nonzero(hit)  # touched video, then grid row, ascending
-        parts.append((members[t], grid_firsts[g], grid_lasts[g]))
-    touched, firsts, lasts = (np.concatenate(a) for a in zip(*parts))
-    if len(parts) > 1:
-        order = np.argsort(touched, kind="stable")
-        touched, firsts, lasts = touched[order], firsts[order], lasts[order]
-    return videos[touched], firsts, lasts
+    count = count.reshape(len(videos), width).cumsum(axis=1).ravel()
+    # Every touched video's grid rows, as rows of one table of all clip counts.
+    firsts, lasts, lo, hi, grid_starts, grid_sizes = _grid_windows(
+        int(corpus.num_clips.max()), enum_cfg, dilation)
+    sizes = grid_sizes[num_clips]
+    rows = ranges(grid_starts[num_clips], sizes)
+    base = np.repeat(np.arange(len(videos)) * width, sizes)
+    hit = count.take(base + hi.take(rows)) > count.take(base + lo.take(rows))
+    keep = rows[hit]
+    return videos[base[hit] // width], firsts.take(keep), lasts.take(keep)
 
 
 def two_stage_search(

@@ -26,6 +26,7 @@ import json
 import os
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1246,16 +1247,20 @@ _CONTEXT_CLIPS = st.one_of(st.integers(2, 9), st.integers(255, 300))
 
 @settings(max_examples=100, deadline=None)
 @given(counts=st.lists(st.one_of(_CONTEXT_CLIPS, st.just(4)), min_size=1, max_size=9),
-       width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed):
+       width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       chunk_rows=st.sampled_from([dataio._CONTEXT_CHUNK_ROWS, 600, 8]))
+def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed, chunk_rows):
     """Mixed clip counts in any order, with runs of equal counts and videos
     of more than 256 clips; features of many magnitudes, so that another
-    summation order would show in the bytes."""
+    summation order would show in the bytes. At a chunk cap of 8 rows the
+    2- and 4-clip videos share chunks and every longer one takes its own;
+    at 600, two videos of 255-300 clips share one."""
     rng = np.random.default_rng(seed)
     videos = [VideoMeta(f"v{i}", 2.0 * n, 2.0, n) for i, n in enumerate(counts)]
     features = {v.video_id: rng.standard_normal((v.num_clips, width))
                 * 10.0 ** rng.uniform(-6, 6, (v.num_clips, 1)) for v in videos}
-    corpus = Corpus(videos, features)
+    with mock.patch.object(dataio, "_CONTEXT_CHUNK_ROWS", chunk_rows):
+        corpus = Corpus(videos, features)
     want = np.stack([compute_context(features[v.video_id]) for v in videos])
     got = corpus.contexts
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -1322,7 +1327,7 @@ def test_hit_candidates_equal_dict_mapped_reference(enum_name, flavor):
         for q in rng.standard_normal((3, index.dim)):
             for top_c in (1, 12, index.num_entries):
                 hits, _ = index.search(q, top_c=top_c, nprobe=2)
-                for dilation in (0, 2):
+                for dilation in (0, 2, 50):
                     got = retrieval_mod._hit_candidates(corpus, hits, enum_cfg, dilation)
                     want = reference_hit_candidates(corpus, hits, enum_cfg, dilation)
                     for a, b in zip(got, want):
