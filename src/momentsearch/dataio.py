@@ -430,8 +430,8 @@ class Corpus:
     `features_for(video_id)` is the row view of one video's clips.
     `contexts` is the (videos, visual_in) table of each video's
     `model.compute_context`, with the bytes of a per-video call
-    (`_video_contexts`). `candidates` holds search's
-    `retrieval.CandidateTable`, built by the first search that needs it.
+    (`_video_contexts`). `candidates` holds the `retrieval.CandidateTable`
+    that search and training read, built by the first that needs it.
 
     The constructor takes the flat matrix, or a dict of per-video blocks of
     one width, which it concatenates once.

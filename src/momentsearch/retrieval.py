@@ -27,11 +27,11 @@ one padded prefix sum price every row (`_padded_cal_costs`). TEF and
 aggregate rows depend on the moment, so those variants score each video's
 run with `score_moments`.
 
-Exhaustive search reads the corpus's `CandidateTable` (`candidate_table`,
-kept on `Corpus.candidates`), built on its first search: the flat candidate
-rows under one `EnumConfig` and, for a non-TEF model, every video's clip
-embeddings under one model, so that a clip-alignment query takes one
-distance pass over the corpus's clip matrix.
+Exhaustive search and training read the corpus's `CandidateTable`
+(`candidate_table`, kept on `Corpus.candidates`), built on first use: the
+flat candidate rows under one `EnumConfig` and, for search under a non-TEF
+model, every video's clip embeddings under one model, so that a
+clip-alignment query takes one distance pass over the corpus's clip matrix.
 
 A ranked list stays in array form (`RankedMoments`) and builds a `Moment`
 only for an item that is read. Non-maximum suppression runs only at the

@@ -4,7 +4,8 @@ The loss over a batch of (positive, intra-negative, inter-negative)
 triples is a sum of hinge ranking terms on alignment costs; gradients are
 accumulated analytically through the visual MLP, the LSTM, the output
 projection, the distance average, and the hinge. The hinge subgradient at
-the kink is taken as 0, so fully satisfied margins step silently.
+the kink is taken as 0, so fully satisfied margins step silently. No
+`Moment` is built: moments are candidate-table rows or integer arrays.
 
 The loop is single-threaded and deterministic given the config seed. It
 stops with `TrainingDiverged` once a step's loss exceeds
@@ -21,10 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Moment, Query, clip_spans, offsets, ranges, span_ious
+from .core import Moment, Query, grid_spans, offsets, ranges, span_ious
 from .costs import VARIANTS
 from .dataio import Corpus
-from .enumeration import EnumConfig, candidate_clips, enumerate_moments
+from .enumeration import EnumConfig, candidate_clips
 from .model import (
     ModelDims,
     ModelParams,
@@ -32,8 +33,8 @@ from .model import (
     init_params,
     lstm_forward_batch,
     mlp_forward,
-    tef,
 )
+from .retrieval import candidate_table
 
 
 # `train` raises `TrainingDiverged` when a step's loss exceeds this multiple
@@ -68,14 +69,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown training variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class TrainingTriple:
-    query_index: int
-    positive: Moment
-    intra_negative: Moment
-    inter_negative: Moment
+        if self.batch_triples < 1 or self.lr_decay_every < 1 or self.epochs < 0:
+            raise ValueError("need batch_triples >= 1, lr_decay_every >= 1, epochs >= 0")
 
 
 def ranking_loss(x, y, b):
@@ -84,75 +79,77 @@ def ranking_loss(x, y, b):
 
 
 class TrainDataset:
-    """Corpus + aligned queries + cached candidate sets for sampling.
-
-    Per query, one array holds each candidate's best annotation IoU: the
-    positive is its first maximum, an intra pool the rows below the exclusion.
+    """Corpus + aligned queries + negative pools over the corpus's candidate
+    table under `enum_cfg` (`table`, one run of rows per video). Per query,
+    one array holds each of its video's rows' best annotation IoU: the
+    positive row is its first maximum, an intra pool the rows below the
+    exclusion.
 
     Batches gather clip rows from the corpus's flat `clip_features` (video
     v's rows start at its `clip_offsets[v]`, v the corpus ordinal), context
-    rows from its `contexts` table and durations from its `duration` array,
-    and every trainable query's word vectors from `word_rows`, built here
-    (query q's float64 rows start at `word_offsets[q]`, `query_lengths[q]`
-    of them).
+    rows from its `contexts` table, clip lengths and durations from its
+    arrays, and every trainable query's word vectors from `word_rows`, built
+    here (query q's float64 rows start at `word_offsets[q]`,
+    `query_lengths[q]` of them).
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
         self.corpus = corpus
-        self.enum_cfg = enum_cfg
-        self.candidates: dict[str, list[Moment]] = {}
-        self.candidate_keys: dict[str, dict[tuple[int, int], Moment]] = {}
-        self._norm_endpoints: dict[str, np.ndarray] = {}
-        spans = {}
-        for video in corpus.videos:
-            cands = enumerate_moments(video, enum_cfg)
-            self.candidates[video.video_id] = cands
-            self.candidate_keys[video.video_id] = {
-                (m.first_clip, m.last_clip): m for m in cands
-            }
-            spans[video.video_id] = clip_spans(
-                video, *candidate_clips(video.num_clips, enum_cfg).T)
-            self._norm_endpoints[video.video_id] = spans[video.video_id] / video.duration
-        self.enumerable_video_ids = [
-            v.video_id for v in corpus.videos if self.candidates[v.video_id]
-        ]
-        self._enumerable_pos = {vid: i for i, vid in enumerate(self.enumerable_video_ids)}
+        self.table = table = candidate_table(corpus, enum_cfg)
+        num_clips = corpus.num_clips[table.scored].tolist()
+        # Sampling reads Python ints and lists per draw: per video with candidates, its
+        # ordinal, first row and the (first, last) pairs of its clip count's grid.
+        grids = {n: set(zip(*candidate_clips(n, enum_cfg).T.tolist())) for n in set(num_clips)}
+        self._videos = [(o, start, grids[n]) for o, start, n in
+                        zip(table.scored.tolist(), table.starts.tolist(), num_clips)]
+        position = dict(zip(table.scored.tolist(), range(len(num_clips))))
 
         self.queries: list[Query] = []
-        self.positives: list[Moment] = []
-        self._best_ious: list[np.ndarray] = []
+        self.positives: list[int] = []
+        # Per query: its video's place in `_videos`, the positive's (first, last)
+        # and endpoints divided by the duration, and its video's rows' best IoUs.
+        self._query_info = []
         for q in queries:
-            if q.ground_truth is None:
+            v = position.get(corpus.ordinal_of.get(q.ground_truth.video_id)) \
+                if q.ground_truth is not None else None
+            if v is None:
                 continue
-            cands = self.candidates.get(q.ground_truth.video_id, [])
-            if not cands:
-                continue
-            best = np.max([span_ious(spans[q.ground_truth.video_id], a.start, a.end)
-                           for a in q.ground_truth.annotations], axis=0)
+            o, start, grid = self._videos[v]
+            rows = slice(start, start + len(grid))
+            spans = grid_spans(corpus.clip_length[o], corpus.duration[o], table.firsts[rows],
+                               table.lasts[rows])
+            best = np.max([span_ious(spans, a.start, a.end) for a in q.ground_truth.annotations],
+                          axis=0)
+            i = int(np.argmax(best))
             self.queries.append(q)
-            self.positives.append(cands[int(np.argmax(best))])
-            self._best_ious.append(best)
-        self.intra_pools: list[list[Moment]] = [[] for _ in self.queries]
-        self._pool_exclusion: Optional[float] = None
+            self.positives.append(start + i)
+            self._query_info.append((v, (int(table.firsts[start + i]), int(table.lasts[start + i])),
+                                     spans[i] / corpus.duration[o], best))
+        self._pools, self._pool_exclusion = [], None
         words = [np.asarray(q.word_vectors, dtype=np.float64) for q in self.queries]
         self.word_rows = np.concatenate(words) if words else np.zeros((0, 0))
         self.query_lengths = np.array([w.shape[0] for w in words], dtype=np.int64)
         self.word_offsets = offsets(self.query_lengths)
 
-    def intra_pool(self, query_index: int, exclusion_iou: float) -> list[Moment]:
+    def intra_pools(self, exclusion_iou: float) -> list[list[int]]:
+        """Per query, the rows of its video whose best annotation IoU is below
+        `exclusion_iou`; built on the first call with each exclusion."""
         if self._pool_exclusion != exclusion_iou:
             self._pool_exclusion = exclusion_iou
-            self.intra_pools = [
-                [self.candidates[q.ground_truth.video_id][i]
-                 for i in np.flatnonzero(best < exclusion_iou).tolist()]
-                for q, best in zip(self.queries, self._best_ious)
-            ]
-        return self.intra_pools[query_index]
+            self._pools = [(self._videos[v][1] + np.flatnonzero(best < exclusion_iou)).tolist()
+                           for v, _, _, best in self._query_info]
+        return self._pools
 
-    def nearest_candidate(self, video_id: str, s_norm: float, e_norm: float) -> Moment:
-        pts = self._norm_endpoints[video_id]
-        deltas = np.abs(pts[:, 0] - s_norm) + np.abs(pts[:, 1] - e_norm)
-        return self.candidates[video_id][int(np.argmin(deltas))]
+    def _nearest(self, query_index: int, video: int) -> tuple[int, int, int]:
+        """(ordinal, first, last) of `_videos[video]`'s first row nearest the
+        query's positive in summed absolute `tef` endpoint difference."""
+        s_norm, e_norm = self._query_info[query_index][2]
+        o, start, grid = self._videos[video]
+        rows, duration = slice(start, start + len(grid)), self.corpus.duration[o]
+        pts = grid_spans(self.corpus.clip_length[o], duration, self.table.firsts[rows],
+                         self.table.lasts[rows]) / duration
+        row = start + int(np.argmin(np.abs(pts[:, 0] - s_norm) + np.abs(pts[:, 1] - e_norm)))
+        return o, int(self.table.firsts[row]), int(self.table.lasts[row])
 
 
 def sample_triples(
@@ -160,49 +157,49 @@ def sample_triples(
     cfg: TrainConfig,
     rng: np.random.Generator,
     size: Optional[int] = None,
-    inter_sampler: Optional[Callable[[int, np.random.Generator], Optional[Moment]]] = None,
-) -> list[TrainingTriple]:
+    inter_sampler: Optional[Callable] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform positives; intra negatives below the exclusion IoU; inter
-    negatives at the positive's clip range in a random other video when that
-    range is enumerable there, else the nearest normalized-endpoint candidate.
+    negatives as `inter_sampler(qi, rng)` gives them (ordinal, first, last),
+    else at the positive's clip range in a random other video when that range
+    is enumerable there, else the nearest normalized-endpoint candidate.
+    Returns int64 arrays (query_index, moments): moments[t, r] is the
+    (ordinal, first, last) of triple t's positive, intra or inter negative.
     """
-    if len(dataset.enumerable_video_ids) < 2:
+    if len(dataset._videos) < 2:
         raise ValueError("triplet sampling needs at least two enumerable videos")
-    if not dataset.queries:
-        raise ValueError("no trainable queries in dataset")
+    pools = dataset.intra_pools(cfg.intra_iou_exclusion)
+    if not any(pools):
+        raise ValueError("no trainable query has an intra negative below "
+                         f"intra_iou_exclusion {cfg.intra_iou_exclusion}")
     size = cfg.batch_triples if size is None else size
-    pool_ids = dataset.enumerable_video_ids
-    triples = []
+    query_index, rows, inters = [], [], []
     for _ in range(size):
-        qi, pool = -1, []
         for _attempt in range(100):
             qi = int(rng.integers(len(dataset.queries)))
-            pool = dataset.intra_pool(qi, cfg.intra_iou_exclusion)
+            pool = pools[qi]
             if pool:
                 break
         else:
             raise RuntimeError("no query with a valid intra negative after 100 draws")
-        positive = dataset.positives[qi]
         intra = pool[int(rng.integers(len(pool)))]
 
         inter = inter_sampler(qi, rng) if inter_sampler is not None else None
         if inter is None:
-            own_pos = dataset._enumerable_pos.get(positive.video_id)
-            if own_pos is None:
-                pick = int(rng.integers(len(pool_ids)))
-            else:
-                pick = int(rng.integers(len(pool_ids) - 1))
-                if pick >= own_pos:
-                    pick += 1
-            other = pool_ids[pick]
-            key = (positive.first_clip, positive.last_clip)
-            inter = dataset.candidate_keys[other].get(key)
-            if inter is None:
-                video = dataset.corpus.video(positive.video_id)
-                s_norm, e_norm = tef(positive, video)
-                inter = dataset.nearest_candidate(other, s_norm, e_norm)
-        triples.append(TrainingTriple(qi, positive, intra, inter))
-    return triples
+            own, key, _, _ = dataset._query_info[qi]
+            pick = int(rng.integers(len(dataset._videos) - 1))
+            if pick >= own:
+                pick += 1
+            o, _, grid = dataset._videos[pick]
+            inter = (o, *key) if key in grid else dataset._nearest(qi, pick)
+        query_index.append(qi)
+        rows += (dataset.positives[qi], intra)
+        inters.append(inter)
+    rows, table = np.array(rows, dtype=np.int64).reshape(size, 2), dataset.table
+    moments = np.empty((size, 3, 3), dtype=np.int64)
+    moments[:, :2] = np.stack([table.ordinal[rows], table.firsts[rows], table.lasts[rows]], axis=2)
+    moments[:, 2] = np.reshape(inters, (size, 3))
+    return np.array(query_index, dtype=np.int64), moments
 
 
 # ---------------------------------------------------------------------------
@@ -210,40 +207,40 @@ def sample_triples(
 # ---------------------------------------------------------------------------
 
 
-def _assemble_batch(dataset: TrainDataset, triples: list[TrainingTriple], dims: ModelDims,
-                    variant: str):
-    """Flatten a batch into MLP input rows plus padded query word tensors.
+def _assemble_batch(dataset: TrainDataset, triples: tuple, dims: ModelDims, variant: str):
+    """Flatten a batch (`sample_triples`' arrays) into MLP input rows plus
+    padded query word tensors.
 
     Each moment contributes its clip rows (one pooled row, its clips'
     `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
-    its endpoints as `tef` computes them; one `assemble_visual_inputs` call
-    builds every row of the batch. Clip rows, contexts, offsets and
-    durations are gathered from the corpus's arrays, words from the dataset's.
+    its `grid_spans` endpoints over its duration, as `tef` computes them;
+    one `assemble_visual_inputs` call builds every row of the batch. Clip
+    rows, contexts, offsets, clip lengths and durations are gathered from
+    the corpus's arrays, words from the dataset's.
     """
-    moments = [m for t in triples for m in (t.positive, t.intra_negative, t.inter_negative)]
+    query_index, moments = triples
+    vids, firsts, lasts = moments.reshape(-1, 3).T
     corpus = dataset.corpus
-    vids, firsts, lasts = np.array(
-        [(corpus.ordinal_of[m.video_id], m.first_clip, m.last_clip) for m in moments], dtype=np.int64).T
+    starts = corpus.clip_offsets[vids] + firsts
+    counts = lasts - firsts + 1
     if variant == "aggregate":
-        counts = np.ones(len(moments), dtype=np.int64)
-        rows = np.array([corpus.features_for(m.video_id)[
-            m.first_clip:m.last_clip + 1].mean(axis=0) for m in moments])
+        rows = np.array([corpus.clip_features[s:s + c].mean(axis=0)
+                         for s, c in zip(starts.tolist(), counts.tolist())])
+        counts = np.ones_like(counts)
     else:
-        counts = lasts - firsts + 1
-        rows = corpus.clip_features[ranges(corpus.clip_offsets[vids] + firsts, counts)]
-    seg = np.repeat(np.arange(len(moments)), counts)
+        rows = corpus.clip_features[ranges(starts, counts)]
+    seg = np.repeat(np.arange(len(vids)), counts)
     pairs = None
     if dims.use_tef:
-        spans = np.array([(m.span.start, m.span.end) for m in moments], dtype=np.float64)
-        pairs = (spans / corpus.duration[vids, None])[seg]
+        pairs = grid_spans(corpus.clip_length[vids], corpus.duration[vids], firsts, lasts)
+        pairs = (pairs / corpus.duration[vids, None])[seg]
     x = assemble_visual_inputs(rows, corpus.contexts[vids[seg]], pairs, dims)
     z_counts = counts.astype(np.float64)
 
-    qidx = np.array([t.query_index for t in triples], dtype=np.int64)
-    lengths = dataset.query_lengths[qidx]
+    lengths = dataset.query_lengths[query_index]
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)
     words = np.zeros(mask.shape + (dims.word_in,))
-    words[mask > 0] = dataset.word_rows[ranges(dataset.word_offsets[qidx], lengths)]
+    words[mask > 0] = dataset.word_rows[ranges(dataset.word_offsets[query_index], lengths)]
     return x, seg, z_counts, words, mask
 
 
@@ -318,16 +315,16 @@ def _lstm_backward(d_ht, steps, params: ModelParams):
     return d_wx, d_wh, d_b
 
 
-def batch_loss(dataset: TrainDataset, triples: list[TrainingTriple],
-               params: ModelParams, cfg: TrainConfig) -> float:
+def batch_loss(dataset: TrainDataset, triples: tuple, params: ModelParams,
+               cfg: TrainConfig) -> float:
     """Eq-style batch loss only; used directly by finite-difference oracles."""
     x, seg, z, words, mask = _assemble_batch(dataset, triples, params.dims, cfg.variant)
     loss, _ = _forward(x, seg, z, words, mask, params, cfg, want_cache=False)
     return loss
 
 
-def loss_and_grads(dataset: TrainDataset, triples: list[TrainingTriple],
-                   params: ModelParams, cfg: TrainConfig, activity: Optional[dict] = None):
+def loss_and_grads(dataset: TrainDataset, triples: tuple, params: ModelParams,
+                   cfg: TrainConfig, activity: Optional[dict] = None):
     """Batch loss and exact gradients for every parameter tensor.
 
     When `activity` is a dict, it receives the number of triples whose intra
@@ -438,7 +435,7 @@ def train(
                     f"{DIVERGENCE_FACTOR:g} x the first step's; lower lr0 or momentum")
             lr = sgd_step(params, grads, velocity, epoch, cfg)
             epoch_losses.append(loss)
-            triples_seen += len(triples)
+            triples_seen += len(triples[0])
             active.update(activity)
             for name, g in grads.items():
                 flat = g.ravel()
@@ -482,14 +479,16 @@ def make_rank_sampler(
     """Inter-negative sampler drawing from each query's retrieved list.
 
     Eligible moments come from videos other than the query's ground-truth
-    video; weights decay exponentially in the original retrieval rank.
-    Queries with no eligible retrieved moment fall back to corpus-uniform
-    sampling (the sampler returns None).
+    video; weights decay exponentially in the original retrieval rank. Each
+    is converted once to the (ordinal, first, last) the sampler returns, on
+    the dataset's grid or not. Queries with no eligible retrieved moment fall
+    back to corpus-uniform sampling (the sampler returns None).
     """
-    eligible: list[tuple[list[Moment], np.ndarray]] = []
+    eligible: list[tuple[list[tuple[int, int, int]], np.ndarray]] = []
     for q in dataset.queries:
         ranked = retrieved.get(q.query_id, [])
-        keep = [(rank, m) for rank, m in enumerate(ranked, start=1)
+        keep = [(rank, (dataset.corpus.ordinal_of[m.video_id], m.first_clip, m.last_clip))
+                for rank, m in enumerate(ranked, start=1)
                 if m.video_id != q.ground_truth.video_id]
         if keep:
             eligible.append(([m for _, m in keep],
@@ -497,7 +496,7 @@ def make_rank_sampler(
         else:
             eligible.append(([], np.zeros(0)))
 
-    def sampler(query_index: int, rng: np.random.Generator) -> Optional[Moment]:
+    def sampler(query_index: int, rng: np.random.Generator) -> Optional[tuple[int, int, int]]:
         moments, weights = eligible[query_index]
         if not moments:
             return None

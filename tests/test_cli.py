@@ -422,6 +422,22 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not os.path.exists(ckpt) and not os.path.exists(ckpt + ".loss.jsonl")
 
+    @pytest.mark.parametrize("bad", [{"batch_triples": 0}, {"lr_decay_every": 0},
+                                     {"epochs": -1}, {"intra_iou_exclusion": 0.0}])
+    def test_untrainable_config_is_invalid(self, pipeline, tmp_path, capsys, bad):
+        cfg = str(tmp_path / "bad.json")
+        with open(cfg, "w") as f:
+            json.dump({"epochs": 1, "batch_triples": 6, **bad,
+                       "dims": {"hidden_mlp": 8, "embed": 6, "hidden_lstm": 6}}, f)
+        ckpt = str(tmp_path / "bad.calw")
+        capsys.readouterr()
+        rc = main(["train", "--corpus", pipeline["corpus"], "--preset", "didemo",
+                   "--config", cfg, "--out", ckpt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: ") and err.count("\n") == 1
+        assert not os.path.exists(ckpt)
+
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")
         with open(cfg, "w") as f:

@@ -25,6 +25,7 @@ import gc
 import json
 import os
 import weakref
+from collections import namedtuple
 from dataclasses import replace
 from unittest import mock
 
@@ -45,6 +46,7 @@ from momentsearch.core import (
     clip_spans,
     grid_spans,
     offsets,
+    span_ious,
 )
 from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
 from momentsearch import dataio
@@ -65,7 +67,7 @@ from momentsearch.dataio import (
     write_features,
     write_jsonl,
 )
-from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips
+from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips, enumerate_moments
 from momentsearch.index import (
     INDEX_MAGIC,
     ClipHit,
@@ -108,7 +110,10 @@ from momentsearch.training import (
     TrainDataset,
     _assemble_batch,
     _lstm_backward,
+    batch_loss,
+    exponential_rank_weights,
     loss_and_grads,
+    make_rank_sampler,
     ranking_loss,
     sample_triples,
 )
@@ -522,6 +527,99 @@ def reference_load_index(path, video_ids):
     return index
 
 
+class ReferenceTrainDataset:
+    """The per-`Moment` training dataset: each video's `enumerate_moments`
+    list, a (first, last) -> `Moment` dict and normalized endpoints."""
+
+    def __init__(self, corpus, queries, enum_cfg):
+        self.corpus = corpus
+        self.candidates, self.candidate_keys, self.norm_endpoints, spans = {}, {}, {}, {}
+        for video in corpus.videos:
+            cands = enumerate_moments(video, enum_cfg)
+            self.candidates[video.video_id] = cands
+            self.candidate_keys[video.video_id] = {(m.first_clip, m.last_clip): m for m in cands}
+            spans[video.video_id] = clip_spans(video, *candidate_clips(video.num_clips,
+                                                                       enum_cfg).T)
+            self.norm_endpoints[video.video_id] = spans[video.video_id] / video.duration
+        self.enumerable_video_ids = [v.video_id for v in corpus.videos
+                                     if self.candidates[v.video_id]]
+        self.enumerable_pos = {vid: i for i, vid in enumerate(self.enumerable_video_ids)}
+        self.queries, self.positives, self.best_ious = [], [], []
+        for q in queries:
+            if q.ground_truth is None or not self.candidates.get(q.ground_truth.video_id):
+                continue
+            best = np.max([span_ious(spans[q.ground_truth.video_id], a.start, a.end)
+                           for a in q.ground_truth.annotations], axis=0)
+            self.queries.append(q)
+            self.positives.append(self.candidates[q.ground_truth.video_id][int(np.argmax(best))])
+            self.best_ious.append(best)
+
+    def intra_pool(self, query_index, exclusion_iou):
+        q, best = self.queries[query_index], self.best_ious[query_index]
+        return [self.candidates[q.ground_truth.video_id][i]
+                for i in np.flatnonzero(best < exclusion_iou).tolist()]
+
+    def nearest_candidate(self, video_id, s_norm, e_norm):
+        pts = self.norm_endpoints[video_id]
+        deltas = np.abs(pts[:, 0] - s_norm) + np.abs(pts[:, 1] - e_norm)
+        return self.candidates[video_id][int(np.argmin(deltas))]
+
+
+ReferenceTriple = namedtuple("ReferenceTriple",
+                             "query_index positive intra_negative inter_negative")
+
+
+def reference_sample_triples(dataset, cfg, rng, size=None, inter_sampler=None):
+    """The per-`Moment` sampler, generator call for generator call."""
+    if len(dataset.enumerable_video_ids) < 2:
+        raise ValueError("triplet sampling needs at least two enumerable videos")
+    if not dataset.queries:
+        raise ValueError("no trainable queries in dataset")
+    size = cfg.batch_triples if size is None else size
+    pool_ids = dataset.enumerable_video_ids
+    triples = []
+    for _ in range(size):
+        for _attempt in range(100):
+            qi = int(rng.integers(len(dataset.queries)))
+            pool = dataset.intra_pool(qi, cfg.intra_iou_exclusion)
+            if pool:
+                break
+        else:
+            raise RuntimeError("no query with a valid intra negative after 100 draws")
+        positive = dataset.positives[qi]
+        intra = pool[int(rng.integers(len(pool)))]
+        inter = inter_sampler(qi, rng) if inter_sampler is not None else None
+        if inter is None:
+            own_pos = dataset.enumerable_pos[positive.video_id]
+            pick = int(rng.integers(len(pool_ids) - 1))
+            if pick >= own_pos:
+                pick += 1
+            other = pool_ids[pick]
+            inter = dataset.candidate_keys[other].get((positive.first_clip, positive.last_clip))
+            if inter is None:
+                s_norm, e_norm = tef(positive, dataset.corpus.video(positive.video_id))
+                inter = dataset.nearest_candidate(other, s_norm, e_norm)
+        triples.append(ReferenceTriple(qi, positive, intra, inter))
+    return triples
+
+
+def reference_rank_sampler(dataset, retrieved, rank_rate):
+    """The rank sampler that returns the retrieved `Moment` itself."""
+    eligible = []
+    for q in dataset.queries:
+        keep = [(rank, m) for rank, m in enumerate(retrieved.get(q.query_id, []), start=1)
+                if m.video_id != q.ground_truth.video_id]
+        eligible.append(([m for _, m in keep],
+                         exponential_rank_weights([r for r, _ in keep], rank_rate)
+                         if keep else None))
+
+    def sampler(query_index, rng):
+        moments, weights = eligible[query_index]
+        return moments[int(rng.choice(len(moments), p=weights))] if moments else None
+
+    return sampler
+
+
 def reference_assemble_batch(dataset, triples, dims, variant):
     blocks, seg = [], []
     for t_idx, triple in enumerate(triples):
@@ -745,11 +843,14 @@ def test_assemble_batch_equals_per_moment_reference(preset_name, variant, mode):
     enum_cfg = PRESETS[preset_name].enum
     corpus, queries = varied_corpus(np.random.default_rng(5), enum_cfg.clip_length)
     dataset = TrainDataset(corpus, queries, enum_cfg)
+    reference = ReferenceTrainDataset(corpus, queries, enum_cfg)
     dims = _dims(mode, visual_in=3, word_in=2)
     cfg = TrainConfig(batch_triples=16, variant=variant, seed=3)
-    triples = sample_triples(dataset, cfg, np.random.default_rng(3))
-    got = _assemble_batch(dataset, triples, dims, variant)
-    want = reference_assemble_batch(dataset, triples, dims, variant)
+    got = _assemble_batch(dataset, sample_triples(dataset, cfg, np.random.default_rng(3)),
+                          dims, variant)
+    want = reference_assemble_batch(
+        reference, reference_sample_triples(reference, cfg, np.random.default_rng(3)), dims,
+        variant)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -827,6 +928,7 @@ def test_loss_and_grads_equal_reference(variant, mode):
     queries = [Query(q.query_id, np.random.default_rng(k).standard_normal((1 + k % 6, 2)),
                      q.ground_truth) for k, q in enumerate(queries)]  # 1-6 words each
     dataset = TrainDataset(corpus, queries, enum_cfg)
+    reference = ReferenceTrainDataset(corpus, queries, enum_cfg)
     dims = ModelDims(3, 2, hidden_mlp=9, embed=6, hidden_lstm=8, use_tef=mode != "plain",
                      tef_only=mode == "tef_only")
     params = init_params(dims, 14)
@@ -835,7 +937,9 @@ def test_loss_and_grads_equal_reference(variant, mode):
                           inter_weight=0.4)
         triples = sample_triples(dataset, cfg, np.random.default_rng(seed))
         loss, grads = loss_and_grads(dataset, triples, params, cfg)
-        want_loss, want_grads = reference_loss_and_grads(dataset, triples, params, cfg)
+        want_loss, want_grads = reference_loss_and_grads(
+            reference, reference_sample_triples(reference, cfg, np.random.default_rng(seed)),
+            params, cfg)
         assert loss.hex() == want_loss.hex()
         assert sorted(grads) == sorted(want_grads)
         for name, g in grads.items():
@@ -849,6 +953,88 @@ RANKING_ENUMS = {
     "min-above-clips": EnumConfig(clip_length=3.0, max_moment_clips=9, stride_ratio=0.3,
                                   min_moment_clips=6),
 }
+
+
+def random_retrievals(corpus, queries, seed):
+    """Per query, up to 8 random clip ranges of random videos, the query's own
+    among them, most of them off the candidate grid; some queries get none."""
+    rng = np.random.default_rng(seed)
+    retrieved = {}
+    for q in queries[::2]:
+        moments = []
+        for _ in range(int(rng.integers(0, 9))):
+            video = corpus.videos[int(rng.integers(len(corpus)))]
+            first = int(rng.integers(0, video.num_clips - 1))
+            moments.append(Moment.from_clips(video, first,
+                                             int(rng.integers(first + 1, video.num_clips))))
+        retrieved[q.query_id] = moments
+    return retrieved
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**20), enum_name=st.sampled_from(sorted(RANKING_ENUMS)),
+       exclusion=st.sampled_from([0.35, 0.5, 1.0]), with_ranks=st.booleans(),
+       variant_mode=st.sampled_from([("cal", "plain"), ("aggregate", "tef"),
+                                     ("cal", "tef_only")]))
+def test_sampled_batches_equal_per_moment_reference(seed, enum_name, exclusion, with_ranks,
+                                                    variant_mode):
+    # 2-39-clip corpora under every preset and a minimum length above some
+    # videos' clip counts, with and without a rank sampler.
+    enum_cfg = RANKING_ENUMS[enum_name]
+    corpus, queries = varied_corpus(np.random.default_rng(seed), enum_cfg.clip_length,
+                                    num_videos=10, max_clips=39)
+    dataset = TrainDataset(corpus, queries, enum_cfg)
+    reference = ReferenceTrainDataset(corpus, queries, enum_cfg)
+    assert [q.query_id for q in dataset.queries] == [q.query_id for q in reference.queries]
+    cfg = TrainConfig(batch_triples=24, intra_iou_exclusion=exclusion, variant=variant_mode[0])
+    ranks = random_retrievals(corpus, queries, seed) if with_ranks else None
+    got_sampler = make_rank_sampler(dataset, ranks, 0.3) if with_ranks else None
+    want_sampler = reference_rank_sampler(reference, ranks, 0.3) if with_ranks else None
+    try:
+        want = reference_sample_triples(reference, cfg, np.random.default_rng(seed),
+                                        inter_sampler=want_sampler)
+    except (ValueError, RuntimeError):
+        # Fewer than two videos with candidates, or no intra negative at all.
+        with pytest.raises(ValueError):
+            sample_triples(dataset, cfg, np.random.default_rng(seed), inter_sampler=got_sampler)
+        return
+    got = sample_triples(dataset, cfg, np.random.default_rng(seed), inter_sampler=got_sampler)
+    ordinal_of = corpus.ordinal_of
+    assert got[0].tolist() == [t.query_index for t in want]
+    assert got[1].tolist() == [[[ordinal_of[m.video_id], m.first_clip, m.last_clip]
+                                for m in t[1:]] for t in want]
+    dims = _dims(variant_mode[1], visual_in=3, word_in=2)
+    for g, w in zip(_assemble_batch(dataset, got, dims, cfg.variant),
+                    reference_assemble_batch(reference, want, dims, cfg.variant)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("variant, mode", VARIANT_MODES)
+def test_off_grid_retrieved_moment_is_sampled_as_given(variant, mode):
+    # didemo's grid steps lengths by 2 clips, so a 3-clip moment is never a
+    # candidate; the rank sampler still draws it and training prices it.
+    enum_cfg = PRESETS["didemo"].enum
+    corpus, queries = varied_corpus(np.random.default_rng(21), enum_cfg.clip_length,
+                                    num_videos=6, max_clips=12)
+    dataset = TrainDataset(corpus, queries, enum_cfg)
+    reference = ReferenceTrainDataset(corpus, queries, enum_cfg)
+    retrieved = {}
+    for q in dataset.queries:
+        other = next(v for v in corpus.videos
+                     if v.video_id != q.ground_truth.video_id and v.num_clips >= 4)
+        retrieved[q.query_id] = [Moment.from_clips(other, 1, 3)]
+        assert [1, 3] not in candidate_clips(other.num_clips, enum_cfg).tolist()
+    cfg = TrainConfig(batch_triples=16, intra_iou_exclusion=1.0, variant=variant)
+    got = sample_triples(dataset, cfg, np.random.default_rng(4),
+                         inter_sampler=make_rank_sampler(dataset, retrieved, 0.02))
+    want = reference_sample_triples(reference, cfg, np.random.default_rng(4),
+                                    inter_sampler=reference_rank_sampler(reference, retrieved,
+                                                                         0.02))
+    assert got[1][:, 2].tolist() == [[corpus.ordinal_of[t.inter_negative.video_id], 1, 3]
+                                     for t in want]
+    params = init_params(_dims(mode, visual_in=3, word_in=2), 5)
+    want_loss, _ = reference_loss_and_grads(reference, want, params, cfg)
+    assert batch_loss(dataset, got, params, cfg).hex() == want_loss.hex()
 
 
 def shuffled_corpus(seed, clip_length, num_videos=24, max_clips=39):

@@ -12,7 +12,6 @@ from momentsearch.model import (
     embed_clips,
     embed_query,
     init_params,
-    tef,
 )
 import momentsearch.training as training
 from momentsearch.training import (
@@ -20,7 +19,6 @@ from momentsearch.training import (
     TrainConfig,
     TrainDataset,
     TrainingDiverged,
-    TrainingTriple,
     _assemble_batch,
     _forward,
     batch_loss,
@@ -71,6 +69,20 @@ def intra_pool_reference(query, candidates, exclusion_iou):
             < exclusion_iou]
 
 
+def row_moment(dataset, row):
+    """The `Moment` of a row of the dataset's candidate table."""
+    table = dataset.table
+    return Moment.from_clips(dataset.corpus.videos[int(table.ordinal[row])],
+                             int(table.firsts[row]), int(table.lasts[row]))
+
+
+def batch_moments(dataset, batch):
+    """Per triple: (query index, positive, intra negative, inter negative)."""
+    query_index, moments = batch
+    return [(qi, *(Moment.from_clips(dataset.corpus.videos[o], f, l) for o, f, l in triple))
+            for qi, triple in zip(query_index.tolist(), moments.tolist())]
+
+
 @pytest.mark.parametrize("preset_name", ["didemo", "charades-sta", "activitynet"])
 def test_dataset_equals_per_candidate_reference(preset_name):
     enum = get_preset(preset_name).enum
@@ -79,21 +91,23 @@ def test_dataset_equals_per_candidate_reference(preset_name):
                                       min_moment_clips=6)):
         corpus, queries = varied_corpus(np.random.default_rng(7), enum_cfg.clip_length)
         dataset = TrainDataset(corpus, queries, enum_cfg)
-        for video in corpus.videos:
-            cands = enumerate_moments(video, enum_cfg)
-            assert dataset.candidates[video.video_id] == cands
-            assert dataset._norm_endpoints[video.video_id].tolist() == \
-                [list(tef(m, video)) for m in cands]
-        kept = [q for q in queries if dataset.candidates[q.ground_truth.video_id]]
+        cands = {v.video_id: enumerate_moments(v, enum_cfg) for v in corpus.videos}
+        table_moments = [row_moment(dataset, r) for r in range(dataset.table.size)]
+        assert table_moments == [m for v in corpus.videos for m in cands[v.video_id]]
+        kept = [q for q in queries if cands[q.ground_truth.video_id]]
         assert [q.query_id for q in dataset.queries] == [q.query_id for q in kept]
         for qi, q in enumerate(kept):
-            cands = dataset.candidates[q.ground_truth.video_id]
-            assert dataset.positives[qi] is align_reference(q, cands)
+            assert row_moment(dataset, dataset.positives[qi]) == \
+                align_reference(q, cands[q.ground_truth.video_id])
         for exclusion in (0.35, 0.5, 1.0, 0.0):
             for qi, q in enumerate(kept):
-                cands = dataset.candidates[q.ground_truth.video_id]
-                assert dataset.intra_pool(qi, exclusion) == \
-                    intra_pool_reference(q, cands, exclusion)
+                assert [row_moment(dataset, r) for r in dataset.intra_pools(exclusion)[qi]] == \
+                    intra_pool_reference(q, cands[q.ground_truth.video_id], exclusion)
+
+
+def ordinal_key(dataset, moment):
+    """A `Moment` as the (ordinal, first, last) a rank sampler returns."""
+    return (dataset.corpus.ordinal_of[moment.video_id], moment.first_clip, moment.last_clip)
 
 
 def finite_difference_grads(dataset, triples, params, cfg, h=1e-5):
@@ -202,8 +216,7 @@ class TestGradientFidelity:
         cfg1 = TrainConfig(variant="cal", inter_weight=0.4, intra_iou_exclusion=0.5)
         triples = sample_triples(dataset, cfg1, rng, size=3)
         # make every intra hinge inactive by reusing the positive as intra negative
-        triples = [TrainingTriple(t.query_index, t.positive, t.positive, t.inter_negative)
-                   for t in triples]
+        triples[1][:, 1] = triples[1][:, 0]
         # identical costs mean intra_arg == margin > 0: still active. Use
         # margin 0 so x - y + b == 0 sits exactly on the (flat) kink.
         cfg1 = TrainConfig(variant="cal", inter_weight=0.4, margin=1e-12,
@@ -223,8 +236,8 @@ class TestGradientFidelity:
         cfg = TrainConfig(variant="cal", inter_weight=0.0, intra_iou_exclusion=0.5)
         rng = np.random.default_rng(1)
         triples = sample_triples(dataset, cfg, rng, size=3)
-        swapped = [TrainingTriple(t.query_index, t.positive, t.intra_negative, t.intra_negative)
-                   for t in triples]
+        swapped = (triples[0], triples[1].copy())
+        swapped[1][:, 2] = swapped[1][:, 1]
         loss_a, grads_a = loss_and_grads(dataset, triples, params, cfg)
         loss_b, grads_b = loss_and_grads(dataset, swapped, params, cfg)
         assert loss_a == loss_b
@@ -239,7 +252,7 @@ class TestGradientFidelity:
         rng = np.random.default_rng(2)
         triples = sample_triples(dataset, cfg, rng, size=6)
         loss_fwd = batch_loss(dataset, triples, params, cfg)
-        loss_rev = batch_loss(dataset, triples[::-1], params, cfg)
+        loss_rev = batch_loss(dataset, (triples[0][::-1], triples[1][::-1]), params, cfg)
         assert loss_fwd == loss_rev
 
     def test_all_equal_costs_forced_loss(self):
@@ -263,14 +276,16 @@ class TestSampling:
         cfg = TrainConfig(intra_iou_exclusion=0.5)
         batch_a = sample_triples(dataset, cfg, np.random.default_rng(42), size=8)
         batch_b = sample_triples(dataset, cfg, np.random.default_rng(42), size=8)
-        assert batch_a == batch_b
+        for a, b in zip(batch_a, batch_b):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        assert batch_a[0].shape == (8,) and batch_a[1].shape == (8, 3, 3)
 
     def test_exclusion_one_never_duplicates_ground_truth(self):
         dataset = tiny_dataset(12)
         cfg = TrainConfig(intra_iou_exclusion=1.0)
         rng = np.random.default_rng(0)
-        for t in sample_triples(dataset, cfg, rng, size=200):
-            pos, neg = t.positive, t.intra_negative
+        for _, pos, neg, _ in batch_moments(dataset, sample_triples(dataset, cfg, rng, size=200)):
             assert (neg.first_clip, neg.last_clip) != (pos.first_clip, pos.last_clip)
             assert neg.video_id == pos.video_id
 
@@ -280,27 +295,25 @@ class TestSampling:
         dataset = tiny_dataset(13, num_videos=4, num_clips=8)
         cfg = TrainConfig(intra_iou_exclusion=0.35)
         rng = np.random.default_rng(1)
-        for t in sample_triples(dataset, cfg, rng, size=2000):
-            q = dataset.queries[t.query_index]
-            iou = max(temporal_iou(t.intra_negative.span, a)
-                      for a in q.ground_truth.annotations)
+        for qi, _, neg, _ in batch_moments(dataset, sample_triples(dataset, cfg, rng, size=2000)):
+            q = dataset.queries[qi]
+            iou = max(temporal_iou(neg.span, a) for a in q.ground_truth.annotations)
             assert iou < 0.35
 
     def test_inter_negative_from_other_video(self):
         dataset = tiny_dataset(14)
         cfg = TrainConfig(intra_iou_exclusion=0.5)
         rng = np.random.default_rng(2)
-        for t in sample_triples(dataset, cfg, rng, size=300):
-            assert t.inter_negative.video_id != t.positive.video_id
+        for _, pos, _, inter in batch_moments(dataset, sample_triples(dataset, cfg, rng, size=300)):
+            assert inter.video_id != pos.video_id
 
     def test_inter_prefers_same_clip_range(self):
         # equal-length videos: the positive's clip range exists everywhere
         dataset = tiny_dataset(15, num_videos=5, num_clips=6)
         cfg = TrainConfig(intra_iou_exclusion=0.5)
         rng = np.random.default_rng(3)
-        for t in sample_triples(dataset, cfg, rng, size=200):
-            assert (t.inter_negative.first_clip, t.inter_negative.last_clip) == \
-                (t.positive.first_clip, t.positive.last_clip)
+        for _, pos, _, inter in batch_moments(dataset, sample_triples(dataset, cfg, rng, size=200)):
+            assert (inter.first_clip, inter.last_clip) == (pos.first_clip, pos.last_clip)
 
     def test_nearest_endpoint_fallback(self):
         # other video too short for the positive's range: nearest candidate used
@@ -314,9 +327,25 @@ class TestSampling:
         dataset = TrainDataset(Corpus([long_video, short_video], features), queries, cfg_enum)
         cfg = TrainConfig(intra_iou_exclusion=0.5)
         triples = sample_triples(dataset, cfg, np.random.default_rng(0), size=20)
-        for t in triples:
-            assert t.inter_negative.video_id == "short"
-            assert (t.inter_negative.first_clip, t.inter_negative.last_clip) == (0, 1)
+        for _, _, _, inter in batch_moments(dataset, triples):
+            assert inter.video_id == "short"
+            assert (inter.first_clip, inter.last_clip) == (0, 1)
+
+
+def test_no_intra_negative_anywhere_fails_before_any_draw():
+    dataset = tiny_dataset(16)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no trainable query has an intra negative"):
+        sample_triples(dataset, TrainConfig(intra_iou_exclusion=0.0), rng, size=4)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("field, value", [("batch_triples", 0), ("batch_triples", -3),
+                                          ("lr_decay_every", 0), ("epochs", -1)])
+def test_config_refuses_counts_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 class TestSgdStep:
@@ -382,13 +411,13 @@ class TestTrainLoop:
         rng = np.random.default_rng(999)
         triples = sample_triples(dataset, cfg, rng, size=64)
         pos_costs, neg_costs = [], []
-        for t in triples:
-            q = dataset.queries[t.query_index]
+        for qi, positive, intra, _ in batch_moments(dataset, triples):
+            q = dataset.queries[qi]
             q_emb = embed_query(q.word_vectors, params)
-            feats = dataset.corpus.features_for(t.positive.video_id)
+            feats = dataset.corpus.features_for(positive.video_id)
             d = sq_distances(embed_clips(feats, compute_context(feats), None, params), q_emb)
-            pos, neg = cal_costs(d, np.array([t.positive.first_clip, t.intra_negative.first_clip]),
-                                 np.array([t.positive.last_clip, t.intra_negative.last_clip]))
+            pos, neg = cal_costs(d, np.array([positive.first_clip, intra.first_clip]),
+                                 np.array([positive.last_clip, intra.last_clip]))
             pos_costs.append(pos)
             neg_costs.append(neg)
         assert np.mean(pos_costs) < np.mean(neg_costs)
@@ -498,18 +527,17 @@ class TestReranker:
     def test_empirical_frequencies_match_exponential(self):
         dataset = tiny_dataset(21, num_videos=4, num_clips=6)
         gt_video = dataset.queries[0].ground_truth.video_id
-        other_ids = [v for v in dataset.candidates if v != gt_video]
-        distinct = [m for vid in other_ids for m in dataset.candidates[vid]]
+        distinct = [m for v in dataset.corpus.videos if v.video_id != gt_video
+                    for m in enumerate_moments(v, dataset.table.enum_cfg)]
         ranked = distinct[:30]
         assert len({(m.video_id, m.first_clip, m.last_clip) for m in ranked}) == 30
         sampler = make_rank_sampler(dataset, {dataset.queries[0].query_id: ranked}, 0.02)
         rng = np.random.default_rng(0)
         draws = 100_000
         counts = np.zeros(30)
-        key = {(m.video_id, m.first_clip, m.last_clip): r for r, m in enumerate(ranked)}
+        key = {ordinal_key(dataset, m): r for r, m in enumerate(ranked)}
         for _ in range(draws):
-            m = sampler(0, rng)
-            counts[key[(m.video_id, m.first_clip, m.last_clip)]] += 1
+            counts[key[sampler(0, rng)]] += 1
         expected = exponential_rank_weights(np.arange(1, 31), 0.02) * draws
         sigma = np.sqrt(expected * (1 - expected / draws))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
@@ -517,25 +545,24 @@ class TestReranker:
     def test_high_rate_collapses_to_top_rank(self):
         dataset = tiny_dataset(22, num_videos=3, num_clips=6)
         gt_video = dataset.queries[0].ground_truth.video_id
-        other = next(v for v in dataset.candidates if v != gt_video)
-        ranked = dataset.candidates[other][:5]
+        other = next(v for v in dataset.corpus.videos if v.video_id != gt_video)
+        ranked = enumerate_moments(other, dataset.table.enum_cfg)[:5]
         sampler = make_rank_sampler(dataset, {dataset.queries[0].query_id: ranked}, 1000.0)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            got = sampler(0, rng)
-            assert (got.video_id, got.first_clip, got.last_clip) == \
-                (ranked[0].video_id, ranked[0].first_clip, ranked[0].last_clip)
+            assert sampler(0, rng) == ordinal_key(dataset, ranked[0])
 
     def test_same_video_moments_excluded(self):
         dataset = tiny_dataset(23, num_videos=3, num_clips=6)
         q = dataset.queries[0]
-        own = dataset.candidates[q.ground_truth.video_id][:3]
-        other_vid = next(v for v in dataset.candidates if v != q.ground_truth.video_id)
-        ranked = own + dataset.candidates[other_vid][:2]
+        enum_cfg = dataset.table.enum_cfg
+        own = enumerate_moments(dataset.corpus.video(q.ground_truth.video_id), enum_cfg)[:3]
+        other = next(v for v in dataset.corpus.videos if v.video_id != q.ground_truth.video_id)
+        ranked = own + enumerate_moments(other, enum_cfg)[:2]
         sampler = make_rank_sampler(dataset, {q.query_id: ranked}, 0.0)
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            assert sampler(0, rng).video_id != q.ground_truth.video_id
+        got = {sampler(0, rng) for _ in range(100)}
+        assert got == {ordinal_key(dataset, m) for m in ranked[3:]}
 
     def test_empty_retrieval_falls_back_to_none(self):
         dataset = tiny_dataset(24)
