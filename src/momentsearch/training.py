@@ -25,7 +25,7 @@ import numpy as np
 from .core import Moment, Query, grid_spans, offsets, ranges, span_ious
 from .costs import VARIANTS
 from .dataio import Corpus
-from .enumeration import EnumConfig, candidate_clips
+from .enumeration import EnumConfig, candidate_clips, enumerate_moments
 from .model import (
     ModelDims,
     ModelParams,
@@ -69,8 +69,9 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown training variant {self.variant!r}")
-        if self.batch_triples < 1 or self.lr_decay_every < 1 or self.epochs < 0:
-            raise ValueError("need batch_triples >= 1, lr_decay_every >= 1, epochs >= 0")
+        for field, low in (("batch_triples", 1), ("lr_decay_every", 1), ("epochs", 0)):
+            if getattr(self, field) < low:
+                raise ValueError(f"{field} must be >= {low}, got {getattr(self, field)}")
 
 
 def ranking_loss(x, y, b):
@@ -83,7 +84,7 @@ class TrainDataset:
     table under `enum_cfg` (`table`, one run of rows per video). Per query,
     one array holds each of its video's rows' best annotation IoU: the
     positive row is its first maximum, an intra pool the rows below the
-    exclusion.
+    exclusion, and `_endpoints` each row's `tef` endpoints.
 
     Batches gather clip rows from the corpus's flat `clip_features` (video
     v's rows start at its `clip_offsets[v]`, v the corpus ordinal), context
@@ -96,6 +97,8 @@ class TrainDataset:
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
         self.corpus = corpus
         self.table = table = candidate_table(corpus, enum_cfg)
+        for o in np.flatnonzero(corpus.num_clips < enum_cfg.min_moment_clips).tolist():
+            enumerate_moments(corpus.videos[o], enum_cfg)  # logs that it has no candidates
         num_clips = corpus.num_clips[table.scored].tolist()
         # Sampling reads Python ints and lists per draw: per video with candidates, its
         # ordinal, first row and the (first, last) pairs of its clip count's grid.
@@ -103,11 +106,12 @@ class TrainDataset:
         self._videos = [(o, start, grids[n]) for o, start, n in
                         zip(table.scored.tolist(), table.starts.tolist(), num_clips)]
         position = dict(zip(table.scored.tolist(), range(len(num_clips))))
+        duration = corpus.duration[table.ordinal]
+        spans = grid_spans(corpus.clip_length[table.ordinal], duration, table.firsts, table.lasts)
 
         self.queries: list[Query] = []
         self.positives: list[int] = []
-        # Per query: its video's place in `_videos`, the positive's (first, last)
-        # and endpoints divided by the duration, and its video's rows' best IoUs.
+        # Per query: its video's place in `_videos`, positive (first, last), rows' best IoUs.
         self._query_info = []
         for q in queries:
             v = position.get(corpus.ordinal_of.get(q.ground_truth.video_id)) \
@@ -115,16 +119,14 @@ class TrainDataset:
             if v is None:
                 continue
             o, start, grid = self._videos[v]
-            rows = slice(start, start + len(grid))
-            spans = grid_spans(corpus.clip_length[o], corpus.duration[o], table.firsts[rows],
-                               table.lasts[rows])
-            best = np.max([span_ious(spans, a.start, a.end) for a in q.ground_truth.annotations],
-                          axis=0)
-            i = int(np.argmax(best))
+            best = np.max([span_ious(spans[start:start + len(grid)], a.start, a.end)
+                           for a in q.ground_truth.annotations], axis=0)
+            row = start + int(np.argmax(best))
             self.queries.append(q)
-            self.positives.append(start + i)
-            self._query_info.append((v, (int(table.firsts[start + i]), int(table.lasts[start + i])),
-                                     spans[i] / corpus.duration[o], best))
+            self.positives.append(row)
+            self._query_info.append((v, (int(table.firsts[row]), int(table.lasts[row])), best))
+        spans /= duration[:, None]
+        self._endpoints = spans
         self._pools, self._pool_exclusion = [], None
         words = [np.asarray(q.word_vectors, dtype=np.float64) for q in self.queries]
         self.word_rows = np.concatenate(words) if words else np.zeros((0, 0))
@@ -137,17 +139,15 @@ class TrainDataset:
         if self._pool_exclusion != exclusion_iou:
             self._pool_exclusion = exclusion_iou
             self._pools = [(self._videos[v][1] + np.flatnonzero(best < exclusion_iou)).tolist()
-                           for v, _, _, best in self._query_info]
+                           for v, _, best in self._query_info]
         return self._pools
 
     def _nearest(self, query_index: int, video: int) -> tuple[int, int, int]:
         """(ordinal, first, last) of `_videos[video]`'s first row nearest the
         query's positive in summed absolute `tef` endpoint difference."""
-        s_norm, e_norm = self._query_info[query_index][2]
+        s_norm, e_norm = self._endpoints[self.positives[query_index]]
         o, start, grid = self._videos[video]
-        rows, duration = slice(start, start + len(grid)), self.corpus.duration[o]
-        pts = grid_spans(self.corpus.clip_length[o], duration, self.table.firsts[rows],
-                         self.table.lasts[rows]) / duration
+        pts = self._endpoints[start:start + len(grid)]
         row = start + int(np.argmin(np.abs(pts[:, 0] - s_norm) + np.abs(pts[:, 1] - e_norm)))
         return o, int(self.table.firsts[row]), int(self.table.lasts[row])
 
@@ -186,7 +186,7 @@ def sample_triples(
 
         inter = inter_sampler(qi, rng) if inter_sampler is not None else None
         if inter is None:
-            own, key, _, _ = dataset._query_info[qi]
+            own, key, _ = dataset._query_info[qi]
             pick = int(rng.integers(len(dataset._videos) - 1))
             if pick >= own:
                 pick += 1

@@ -332,6 +332,21 @@ class TestSampling:
             assert (inter.first_clip, inter.last_clip) == (0, 1)
 
 
+def test_video_too_short_for_the_grid_is_logged(caplog):
+    cfg_enum = EnumConfig(clip_length=1.0, max_moment_clips=8, stride_seconds=1.0,
+                          min_moment_clips=3)
+    videos = [VideoMeta("long", 8.0, 1.0, 8), VideoMeta("tiny", 2.0, 1.0, 2)]
+    rng = np.random.default_rng(5)
+    features = {v.video_id: rng.standard_normal((v.num_clips, 3)) for v in videos}
+    queries = [Query(f"q{v.video_id}", rng.standard_normal((2, 4)),
+                     GroundTruth(v.video_id, (Moment.from_clips(v, 0, 1).span,))) for v in videos]
+    with caplog.at_level("WARNING"):
+        dataset = TrainDataset(Corpus(videos, features), queries, cfg_enum)
+    assert [r.getMessage() for r in caplog.records] == [
+        "tiny has 2 clips, below the 3-clip minimum; no candidates"]
+    assert [q.query_id for q in dataset.queries] == ["qlong"]
+
+
 def test_no_intra_negative_anywhere_fails_before_any_draw():
     dataset = tiny_dataset(16)
     rng = np.random.default_rng(0)
@@ -344,7 +359,7 @@ def test_no_intra_negative_anywhere_fails_before_any_draw():
 @pytest.mark.parametrize("field, value", [("batch_triples", 0), ("batch_triples", -3),
                                           ("lr_decay_every", 0), ("epochs", -1)])
 def test_config_refuses_counts_out_of_range(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= \d, got {value}$"):
         TrainConfig(**{field: value})
 
 
