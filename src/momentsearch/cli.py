@@ -119,7 +119,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
-    queries = load_queries(os.path.join(args.corpus, "queries.jsonl"), args.corpus)
+    queries_path = os.path.join(args.corpus, "queries.jsonl")
+    queries = load_queries(queries_path, args.corpus)
+    if not len(corpus):
+        raise CliError("E_INVALID", f"{args.corpus}: the corpus has no videos to train on")
+    if not queries:
+        raise CliError("E_INVALID", f"{queries_path}: no queries to train on")
     preset = get_preset(args.preset)
     config_data = _load_json(args.config) if args.config else {}
     cfg = _train_config(args, preset, config_data)
@@ -263,7 +268,9 @@ def cmd_eval(args) -> int:
     }
     if args.single_video:
         report = single_video_eval(results, gts, ks=ks, ious=ious,
-                                   min_judgments=preset.min_judgments, config=config_echo)
+                                   min_judgments=preset.min_judgments, corpus=corpus,
+                                   enum_cfg=preset.enum if corpus else None,
+                                   config=config_echo)
     else:
         report = build_report(
             results, gts, ks=ks, ious=ious,

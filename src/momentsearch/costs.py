@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Moment, VideoMeta, clip_spans
-from .model import ModelParams, compute_context, embed_clips
+from .model import ModelParams, compute_context, embed_clips, moment_rows
 
 VARIANTS = ("cal", "aggregate")
 
@@ -69,7 +69,9 @@ def score_moments(
     """Cost of each candidate (firsts[i], lasts[i]) of one video.
 
     "cal" under a non-TEF model computes one distance per clip and reuses it
-    for every moment; every other case pays per moment row.
+    for every moment; every other case pays per moment row, with the rows
+    of `model.moment_rows` (each clip, or one pooled row under "aggregate"),
+    the video's context and, under TEF, the moment's endpoints.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -86,15 +88,7 @@ def score_moments(
         costs = cal_costs(dists, firsts, lasts)
     else:
         n = len(firsts)
-        if variant == "aggregate":
-            rows = np.stack([feats[first:last + 1].mean(axis=0)
-                             for first, last in zip(firsts.tolist(), lasts.tolist())])
-            seg = np.arange(n)
-        else:
-            lengths = lasts - firsts + 1
-            seg = np.repeat(np.arange(n), lengths)
-            starts = np.cumsum(lengths) - lengths  # each moment's first row
-            rows = feats[np.arange(len(seg)) - starts[seg] + firsts[seg]]
+        rows, seg = moment_rows(feats, firsts, lasts - firsts + 1, variant == "aggregate")
         pairs = ((clip_spans(video, firsts, lasts) / video.duration)[seg]
                  if params.dims.use_tef else None)
         dists = sq_distances(embed_clips(rows, context, pairs, params), q)

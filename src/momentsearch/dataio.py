@@ -2,7 +2,8 @@
 
 Binary layouts are little-endian and versioned; every loader validates
 magic bytes, consumes the file fully, and rejects non-finite payloads.
-Exact byte layouts live in FORMATS.md at the repo root.
+Exact byte layouts live in FORMATS.md at the repo root. A `Corpus` holds
+one flat clip matrix; its context table comes from `model.range_means`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import GroundTruth, Query, TemporalSpan, VideoMeta, offsets
 from .enumeration import DatasetPreset, candidate_clips, enumerate_moments
-from .model import ModelDims, ModelParams, compute_context
+from .model import ModelDims, ModelParams, range_means
 
 FEATURE_MAGIC = b"CALF"
 CHECKPOINT_MAGIC = b"CALW"
@@ -430,7 +431,7 @@ class Corpus:
     `features_for(video_id)` is the row view of one video's clips.
     `contexts` is the (videos, visual_in) table of each video's
     `model.compute_context`, with the bytes of a per-video call
-    (`_video_contexts`). `candidates` holds the `retrieval.CandidateTable`
+    (`model.range_means`). `candidates` holds the `retrieval.CandidateTable`
     that search and training read, built by the first that needs it.
 
     The constructor takes the flat matrix, or a dict of per-video blocks of
@@ -454,7 +455,7 @@ class Corpus:
             raise ValueError(f"clip features of shape {features.shape} for "
                              f"{self.total_clips} clips")
         self.clip_features = np.ascontiguousarray(features, dtype=np.float64)
-        self.contexts = _video_contexts(self.clip_features, self.num_clips, self.clip_offsets)
+        self.contexts = range_means(self.clip_features, self.clip_offsets, self.num_clips)
         self._mapped_ids = self._mapped = None  # `ordinals_for`'s last id table and its map
 
     def __len__(self) -> int:
@@ -487,32 +488,6 @@ class Corpus:
 
     def total_candidates(self, enum_cfg) -> int:
         return sum(len(candidate_clips(v.num_clips, enum_cfg)) for v in self.videos)
-
-
-# Rows gathered for one `compute_context` call while building a corpus's
-# context table: 256 KB at 32 features per clip.
-_CONTEXT_CHUNK_ROWS = 1024
-
-
-def _video_contexts(clip_features: np.ndarray, num_clips: np.ndarray,
-                    clip_offsets: np.ndarray) -> np.ndarray:
-    """`compute_context` of every video. Videos of equal clip count are
-    gathered into (videos, clips, width) stacks of at most
-    `_CONTEXT_CHUNK_ROWS` rows (a longer video alone), one call each, so
-    the calls number about the distinct clip counts plus total rows / cap,
-    whatever the order of the videos. A stacked mean sums each video's rows
-    in the order a lone video's mean does, so every row has the bytes of a
-    per-video call (`np.add.reduceat` sums in another order and does not)."""
-    contexts = np.empty((len(num_clips), clip_features.shape[1]))
-    for n in np.unique(num_clips).tolist():
-        members = np.flatnonzero(num_clips == n)
-        step = max(1, _CONTEXT_CHUNK_ROWS // n)
-        clips = np.arange(n)
-        for s in range(0, len(members), step):
-            chunk = members[s:s + step]
-            rows = np.take(clip_features, clip_offsets[chunk, None] + clips, axis=0)
-            contexts[chunk] = compute_context(rows)
-    return contexts
 
 
 def _concatenate_blocks(videos: list[VideoMeta], features: dict[str, np.ndarray]) -> np.ndarray:

@@ -273,9 +273,12 @@ def single_video_eval(
     ks: Sequence[int] = (1, 5),
     ious: Sequence[float] = (0.5, 0.7),
     min_judgments: int = 1,
+    corpus: Optional[Corpus] = None,
+    enum_cfg: Optional[EnumConfig] = None,
     config: Optional[dict] = None,
 ) -> MetricsReport:
-    """Recall over per-video rankings (each query scored in its own video)."""
+    """Recall over per-video rankings (each query scored in its own video),
+    with the oracle bound when the corpus is given, as `build_report`."""
     for qid, ranked in results.items():
         gt = ground_truths[qid]
         for pred in ranked:
@@ -285,4 +288,5 @@ def single_video_eval(
                     f"requires {gt.video_id}"
                 )
     return build_report(results, ground_truths, ks=ks, ious=ious,
-                        min_judgments=min_judgments, config=config)
+                        min_judgments=min_judgments, corpus=corpus, enum_cfg=enum_cfg,
+                        config=config)

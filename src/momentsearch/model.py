@@ -6,9 +6,10 @@ and, optionally, the containing moment's normalized temporal endpoints.
 The language head runs an LSTM over the query's word vectors and maps the
 last hidden state linearly into the shared embedding space.
 
-`embed_videos` embeds many videos' clips from arrays alone: the rows of a
-flat clip-feature matrix named by start and count, and one context row per
-video (a corpus holds both, `dataio.Corpus.clip_features` and `contexts`).
+Ranges of a flat clip-feature matrix, named by start and count, are cut
+only here: `embed_videos` embeds videos' clips, `range_means` gives each
+range's mean (context tables, aggregate moments) and `moment_rows` each
+moment's rows. Equal-count ranges go in capped stacks, with per-range bytes.
 
 Forward passes are pure given immutable parameters; parameter mutation
 happens only in the training module.
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Moment, VideoMeta, offsets
+from .core import Moment, VideoMeta, offsets, ranges
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,10 @@ _EMPTY_CLIPS = "clip features must be a non-empty (num_clips, dim) matrix"
 # RSS rose 2.4%, at 256 rows 0.3%, and larger chunks are barely faster.
 _EMBED_CHUNK_ROWS = 256
 
+# Rows gathered for one stacked `mean` in `range_means`: 256 KB at 32
+# features per clip.
+_MEAN_CHUNK_ROWS = 1024
+
 
 def compute_context(clip_features: np.ndarray) -> np.ndarray:
     """Video-level context: mean of the raw clip features over the whole video.
@@ -230,6 +235,39 @@ def embed_clips(
     return mlp_forward(inputs, params)
 
 
+def _equal_count_chunks(counts: np.ndarray, cap_rows: int):
+    """Yield (n, indices of `counts` entries equal to n) in chunks of at most
+    `cap_rows` summed rows (a longer entry alone): about the distinct counts
+    plus total rows / cap chunks, whatever the entries' order."""
+    for n in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == n)
+        step = max(1, cap_rows // n)
+        for s in range(0, len(members), step):
+            yield n, members[s:s + step]
+
+
+def range_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """values[starts[i]:starts[i] + counts[i]].mean(axis=0) of each range (int
+    arrays, counts >= 1; ranges may overlap and come in any order), gathered in
+    (ranges, count, width) stacks of at most `_MEAN_CHUNK_ROWS` rows. A stacked
+    mean sums each range's rows in a lone range's order, so every row has the
+    bytes of a per-range call (`np.add.reduceat` sums in another order)."""
+    means = np.empty((len(counts), values.shape[1]))
+    for n, chunk in _equal_count_chunks(counts, _MEAN_CHUNK_ROWS):
+        means[chunk] = np.take(values, starts[chunk, None] + np.arange(n), axis=0).mean(axis=1)
+    return means
+
+
+def moment_rows(clip_features: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                pooled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, moment of each row) for moments that are ranges of
+    `clip_features` (starts[i], counts[i]): each moment's clip rows in order,
+    or under `pooled` (the "aggregate" variant) its one `range_means` row."""
+    if pooled:
+        return range_means(clip_features, starts, counts), np.arange(len(counts))
+    return clip_features[ranges(starts, counts)], np.repeat(np.arange(len(counts)), counts)
+
+
 def embed_videos(clip_features: np.ndarray, starts: np.ndarray, num_clips: np.ndarray,
                  contexts: np.ndarray, params: ModelParams, dtype=np.float64) -> np.ndarray:
     """The non-TEF clip embeddings of videos, stacked in order into one
@@ -237,9 +275,8 @@ def embed_videos(clip_features: np.ndarray, starts: np.ndarray, num_clips: np.nd
     num_clips[v] - 1 of the flat `clip_features`, and contexts[v] is its
     `compute_context` row.
 
-    Videos of equal clip count are gathered, with one fancy index each, into
-    (videos, clips, visual_in) chunks of at most `_EMBED_CHUNK_ROWS` rows (a
-    longer video alone), and each chunk takes one `embed_clips` call. A
+    Equal-count videos are gathered into (videos, clips, visual_in) chunks of
+    at most `_EMBED_CHUNK_ROWS` rows, one `embed_clips` call each. A
     stacked GEMM is one BLAS call per video with the per-video shape, so
     every row has the bytes of its video's own `embed_clips` call; one flat
     GEMM over many videos would round differently. A TEF model, features of
@@ -251,14 +288,10 @@ def embed_videos(clip_features: np.ndarray, starts: np.ndarray, num_clips: np.nd
         raise ValueError(_EMPTY_CLIPS)
     out_starts = offsets(counts)
     matrix = np.empty((int(counts.sum()), params.dims.embed), dtype=dtype)
-    for n in np.unique(counts).tolist():
-        members = np.flatnonzero(counts == n)
-        step = max(1, _EMBED_CHUNK_ROWS // n)
+    for n, chunk in _equal_count_chunks(counts, _EMBED_CHUNK_ROWS):
         clips = np.arange(n)
-        for s in range(0, len(members), step):
-            chunk = members[s:s + step]
-            matrix[out_starts[chunk, None] + clips] = embed_clips(
-                clip_features[starts[chunk, None] + clips], contexts[chunk], None, params)
+        matrix[out_starts[chunk, None] + clips] = embed_clips(
+            clip_features[starts[chunk, None] + clips], contexts[chunk], None, params)
     return matrix
 
 

@@ -33,6 +33,7 @@ from .model import (
     init_params,
     lstm_forward_batch,
     mlp_forward,
+    moment_rows,
 )
 from .retrieval import candidate_table
 
@@ -165,6 +166,8 @@ def sample_triples(
     is enumerable there, else the nearest normalized-endpoint candidate.
     Returns int64 arrays (query_index, moments): moments[t, r] is the
     (ordinal, first, last) of triple t's positive, intra or inter negative.
+    Raises `ValueError` when fewer than two videos have candidates, when no
+    query has an intra negative, or when 100 query draws in a row find none.
     """
     if len(dataset._videos) < 2:
         raise ValueError("triplet sampling needs at least two enumerable videos")
@@ -181,7 +184,7 @@ def sample_triples(
             if pool:
                 break
         else:
-            raise RuntimeError("no query with a valid intra negative after 100 draws")
+            raise ValueError("no query with a valid intra negative after 100 draws")
         intra = pool[int(rng.integers(len(pool)))]
 
         inter = inter_sampler(qi, rng) if inter_sampler is not None else None
@@ -211,31 +214,24 @@ def _assemble_batch(dataset: TrainDataset, triples: tuple, dims: ModelDims, vari
     """Flatten a batch (`sample_triples`' arrays) into MLP input rows plus
     padded query word tensors.
 
-    Each moment contributes its clip rows (one pooled row, its clips'
-    `mean(axis=0)`, under "aggregate"), its video's context and, under TEF,
-    its `grid_spans` endpoints over its duration, as `tef` computes them;
-    one `assemble_visual_inputs` call builds every row of the batch. Clip
-    rows, contexts, offsets, clip lengths and durations are gathered from
-    the corpus's arrays, words from the dataset's.
+    Each moment contributes its `model.moment_rows` (its clip rows, or one
+    pooled row under "aggregate"), its video's context and, under TEF, its
+    `grid_spans` endpoints over its duration, as `tef` computes them; one
+    `assemble_visual_inputs` call builds every row of the batch. Contexts,
+    offsets, clip lengths and durations are gathered from the corpus's
+    arrays, words from the dataset's.
     """
     query_index, moments = triples
     vids, firsts, lasts = moments.reshape(-1, 3).T
     corpus = dataset.corpus
-    starts = corpus.clip_offsets[vids] + firsts
-    counts = lasts - firsts + 1
-    if variant == "aggregate":
-        rows = np.array([corpus.clip_features[s:s + c].mean(axis=0)
-                         for s, c in zip(starts.tolist(), counts.tolist())])
-        counts = np.ones_like(counts)
-    else:
-        rows = corpus.clip_features[ranges(starts, counts)]
-    seg = np.repeat(np.arange(len(vids)), counts)
+    rows, seg = moment_rows(corpus.clip_features, corpus.clip_offsets[vids] + firsts,
+                            lasts - firsts + 1, variant == "aggregate")
     pairs = None
     if dims.use_tef:
         pairs = grid_spans(corpus.clip_length[vids], corpus.duration[vids], firsts, lasts)
         pairs = (pairs / corpus.duration[vids, None])[seg]
     x = assemble_visual_inputs(rows, corpus.contexts[vids[seg]], pairs, dims)
-    z_counts = counts.astype(np.float64)
+    z_counts = np.bincount(seg, minlength=len(vids)).astype(np.float64)
 
     lengths = dataset.query_lengths[query_index]
     mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float64)

@@ -1,13 +1,24 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from momentsearch.cli import build_parser, main
-from momentsearch.dataio import read_checkpoint, read_kv_report, read_results, write_checkpoint
+from momentsearch.core import VideoMeta
+from momentsearch.dataio import (
+    read_checkpoint,
+    read_kv_report,
+    read_results,
+    save_corpus,
+    write_checkpoint,
+    write_features,
+    write_jsonl,
+)
 from momentsearch.model import ModelDims, ModelParams, init_params
 
 
@@ -107,6 +118,14 @@ class TestPipeline:
         kv = read_kv_report(report)
         assert "recall@5_iou0.50" in kv
         assert kv["config.mode"] == "single_video"
+        assert "oracle_recall_iou0.50" not in kv
+        # With the corpus, the report carries the oracle bound as corpus mode does.
+        assert main(["eval", "--results", results, "--gt", pipeline["queries"],
+                     "--preset", "didemo", "--single-video", "--ks", "1,5",
+                     "--corpus", pipeline["corpus"], "--out", report]) == 0
+        kv = read_kv_report(report)
+        assert float(kv["oracle_recall_iou0.50"]) == 1.0
+        assert "oracle_recall_iou0.70" in kv
 
     def test_retrain_rerank_runs(self, pipeline, tmp_path):
         results = str(tmp_path / "r.jsonl")
@@ -437,6 +456,55 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("E_INVALID: ") and err.count("\n") == 1
         assert not os.path.exists(ckpt)
+
+    @pytest.mark.parametrize("empty", ["manifest", "queries"])
+    def test_training_on_an_empty_corpus_or_queries_file_is_invalid(
+            self, pipeline, tmp_path, capsys, empty):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(pipeline["corpus"], corpus)
+        open(os.path.join(corpus, "queries.jsonl"), "w").close()
+        if empty == "manifest":
+            open(os.path.join(corpus, "manifest.jsonl"), "w").close()
+        ckpt = str(tmp_path / "model.calw")
+        capsys.readouterr()
+        rc = main(["train", "--corpus", corpus, "--preset", "didemo", "--out", ckpt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: ") and err.count("\n") == 1
+        assert ("no videos" if empty == "manifest" else "queries.jsonl: no queries") in err
+        assert not os.path.exists(ckpt) and not os.path.exists(ckpt + ".loss.jsonl")
+
+    def test_training_with_too_few_intra_negatives_is_invalid(self, tmp_path, capsys):
+        # Under charades-sta a two-clip video's one candidate is its query's
+        # positive, so only the four-clip video's query has an intra negative:
+        # 100 query draws in a row miss it within the first batch.
+        rng = np.random.default_rng(5)
+        videos = [VideoMeta(f"v{i:03d}", 6.0, 3.0, 2) for i in range(200)]
+        videos.append(VideoMeta("v200", 12.0, 3.0, 4))
+        corpus = str(tmp_path / "corpus")
+        save_corpus(corpus, videos, {v.video_id: rng.standard_normal((v.num_clips, 3))
+                                     for v in videos})
+        os.makedirs(os.path.join(corpus, "words"))
+        records = []
+        for v in videos:
+            words = os.path.join("words", f"q{v.video_id}.calf")
+            write_features(os.path.join(corpus, words),
+                           rng.standard_normal((3, 2)).astype(np.float32))
+            records.append({"query_id": f"q{v.video_id}", "video_id": v.video_id,
+                            "spans": [[0.0, 6.0]], "words_path": words})
+        write_jsonl(os.path.join(corpus, "queries.jsonl"), records)
+        cfg = str(tmp_path / "train.json")
+        with open(cfg, "w") as f:
+            json.dump({"epochs": 1, "batch_triples": 64,
+                       "dims": {"hidden_mlp": 8, "embed": 6, "hidden_lstm": 6}}, f)
+        ckpt = str(tmp_path / "model.calw")
+        capsys.readouterr()
+        rc = main(["train", "--corpus", corpus, "--preset", "charades-sta", "--config", cfg,
+                   "--out", ckpt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "E_INVALID: no query with a valid intra negative after 100 draws\n"
+        assert not os.path.exists(ckpt) and not os.path.exists(ckpt + ".loss.jsonl")
 
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")

@@ -9,7 +9,7 @@ search, `retrieval._select`'s per-video bound, `index.ClipHits`,
 `IvfIndex.search`'s in-place list scan, `retrieval._hit_candidates`'
 ordinal map, `index.corpus_clip_matrix`, the row blocks of
 `index.build_ivf` and `index.save_index`, `model.embed_videos`'s gathered
-chunks, `dataio.Corpus.contexts`, `model.sigmoid`,
+chunks, `dataio.Corpus.contexts` and `model.range_means`, `model.sigmoid`,
 `model.lstm_forward_batch` and `training._lstm_backward`, and the per-file
 `dataio.load_corpus` / `load_queries` and whole-payload `index.load_index`
 replaced, kept here as references: the merged
@@ -1002,9 +1002,9 @@ def test_sampled_batches_equal_per_moment_reference(seed, enum_name, exclusion, 
     except RuntimeError:
         # 100 draws found no query with an intra negative. With none at all
         # the sampler refuses before drawing; with some, it retries as the
-        # reference does and gives up alike.
+        # reference does and gives up alike, with a `ValueError`.
         some_pool = any(reference.intra_pool(qi, exclusion) for qi in range(len(reference.queries)))
-        with pytest.raises(RuntimeError if some_pool else ValueError,
+        with pytest.raises(ValueError,
                            match="after 100 draws" if some_pool else "no trainable query"):
             sample_triples(dataset, cfg, np.random.default_rng(seed), inter_sampler=got_sampler)
         return
@@ -1444,7 +1444,7 @@ _CONTEXT_CLIPS = st.one_of(st.integers(2, 9), st.integers(255, 300))
 @settings(max_examples=100, deadline=None)
 @given(counts=st.lists(st.one_of(_CONTEXT_CLIPS, st.just(4)), min_size=1, max_size=9),
        width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       chunk_rows=st.sampled_from([dataio._CONTEXT_CHUNK_ROWS, 600, 8]))
+       chunk_rows=st.sampled_from([model._MEAN_CHUNK_ROWS, 600, 8]))
 def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed, chunk_rows):
     """Mixed clip counts in any order, with runs of equal counts and videos
     of more than 256 clips; features of many magnitudes, so that another
@@ -1455,10 +1455,31 @@ def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed, ch
     videos = [VideoMeta(f"v{i}", 2.0 * n, 2.0, n) for i, n in enumerate(counts)]
     features = {v.video_id: rng.standard_normal((v.num_clips, width))
                 * 10.0 ** rng.uniform(-6, 6, (v.num_clips, 1)) for v in videos}
-    with mock.patch.object(dataio, "_CONTEXT_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(model, "_MEAN_CHUNK_ROWS", chunk_rows):
         corpus = Corpus(videos, features)
     want = np.stack([compute_context(features[v.video_id]) for v in videos])
     got = corpus.contexts
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.one_of(_CONTEXT_CLIPS, st.integers(1, 4), st.just(4)), max_size=12),
+       width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       chunk_rows=st.sampled_from([model._MEAN_CHUNK_ROWS, 600, 8]))
+def test_range_means_equal_per_range_mean(counts, width, seed, chunk_rows):
+    """Ranges as moments are: of any start, overlapping and unsorted, with
+    runs of equal counts, counts of 1 and counts above the cap of 8 rows;
+    rows of magnitudes 1e-6 to 1e6, so that another summation order would
+    show in the bytes."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((310, width)) * 10.0 ** rng.uniform(-6, 6, (310, 1))
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = rng.integers(0, len(values) - counts + 1) if len(counts) else counts
+    with mock.patch.object(model, "_MEAN_CHUNK_ROWS", chunk_rows):
+        got = model.range_means(values, starts, counts)
+    want = np.array([values[s:s + n].mean(axis=0)
+                     for s, n in zip(starts.tolist(), counts.tolist())]).reshape(-1, width)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
 
