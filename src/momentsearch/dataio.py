@@ -425,7 +425,8 @@ class Corpus:
     per-ordinal arrays are `num_clips`, `clip_length`, `duration`,
     `clip_offsets` (where video o's clips start when every video's clips are
     laid end to end in corpus order) and `id_rank` (the lexicographic rank
-    of the id, the tie-break of every ranking; built on first read).
+    of the id, the tie-break of every ranking; built on first read);
+    `clip_counts` is the tuple of distinct clip counts, ascending.
     `clip_features` is every clip's features as one C-contiguous
     (total_clips, visual_in) float64 matrix laid out by `clip_offsets`;
     `features_for(video_id)` is the row view of one video's clips.
@@ -446,6 +447,7 @@ class Corpus:
             raise ValueError("duplicate video ids in corpus")
         self.candidates = None
         self.num_clips = np.asarray([v.num_clips for v in self.videos], dtype=np.int64)
+        self.clip_counts = tuple(np.unique(self.num_clips).tolist())
         self.clip_length = np.asarray([v.clip_length for v in self.videos], dtype=np.float64)
         self.duration = np.asarray([v.duration for v in self.videos], dtype=np.float64)
         self.clip_offsets = offsets(self.num_clips)

@@ -6,9 +6,10 @@ ordering matches the alignment cost without square roots. Ties are broken
 by (video_id, clip_idx).
 
 Searches are read-only after build; each search returns its hits as a
-`ClipHits` sequence and its own SearchStats. An IVF search scans each
-probed inverted list in place, as one contiguous slice of the
-partition-sorted vectors (as FAISS does), so no probed row is gathered.
+`ClipHits` sequence and its own SearchStats. One step, `ClipIndex._scan`,
+scans and ranks lists of entries, each a contiguous slice of the vectors
+read in place: an IVF search's probed inverted lists (as FAISS does), or
+an exact search's one list of every entry.
 """
 
 from __future__ import annotations
@@ -120,7 +121,20 @@ class ClipIndex:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def _rank_hits(self, idx: np.ndarray, dists: np.ndarray, top_c: int) -> ClipHits:
+    def _scan(self, q: np.ndarray, starts: np.ndarray, sizes: np.ndarray, top_c: int) -> ClipHits:
+        """The top_c entries of lists [starts[k], starts[k] + sizes[k]) by
+        (distance, video_id, clip). Each list is one contiguous slice of
+        `vectors`, scanned in place through one reused difference buffer."""
+        if top_c < 1:
+            raise ValueError("top_c must be at least 1")
+        idx = ranges(starts, sizes)
+        dists = np.empty(len(idx), dtype=np.float32)
+        diff = np.empty((int(sizes.max()), self.dim), dtype=np.float32)
+        at = 0
+        for lo, n in zip(starts.tolist(), sizes.tolist()):
+            part = np.subtract(self.vectors[lo:lo + n], q, out=diff[:n])
+            dists[at:at + n] = np.einsum("ij,ij->i", part, part)
+            at += n
         if top_c < len(dists):
             # Only entries no farther than the top_c-th distance can place;
             # NaN distances sort last.
@@ -141,15 +155,10 @@ class ClipIndex:
         return q
 
     def search(self, query_emb: np.ndarray, top_c: int, nprobe: int = 0):
-        """Scan every entry; returns (hits, stats). `nprobe` is ignored."""
-        if top_c < 1:
-            raise ValueError("top_c must be at least 1")
-        q = self._query(query_emb)
-        diff = self.vectors - q
-        dists = np.einsum("ij,ij->i", diff, diff)
-        stats = SearchStats(distance_evals=self.num_entries)
-        idx = np.arange(self.num_entries)
-        return self._rank_hits(idx, dists, top_c), stats
+        """Scan every entry, as one list; returns (hits, stats). `nprobe` is ignored."""
+        n = self.num_entries
+        hits = self._scan(self._query(query_emb), np.array([0]), np.array([n]), top_c)
+        return hits, SearchStats(distance_evals=n)
 
 
 class IvfIndex(ClipIndex):
@@ -170,8 +179,6 @@ class IvfIndex(ClipIndex):
         return self.centroids.shape[0]
 
     def search(self, query_emb: np.ndarray, top_c: int, nprobe: int = 8):
-        if top_c < 1:
-            raise ValueError("top_c must be at least 1")
         p = self.num_partitions
         if not 1 <= nprobe <= p:
             raise ValueError(f"nprobe must lie in [1, {p}], got {nprobe}")
@@ -179,24 +186,14 @@ class IvfIndex(ClipIndex):
         cdiff = self.centroids - q
         cdist = np.einsum("ij,ij->i", cdiff, cdiff)
         probe = np.lexsort((np.arange(p), cdist))[:nprobe]
-        # Each probed list is one contiguous slice of `vectors`, scanned in
-        # place through one reused difference buffer.
         starts = self.offsets[probe].astype(np.int64)
         sizes = self.offsets[probe + 1].astype(np.int64) - starts
-        idx = ranges(starts, sizes)
-        dists = np.empty(len(idx), dtype=np.float32)
-        diff = np.empty((int(sizes.max()), self.dim), dtype=np.float32)
-        at = 0
-        for lo, n in zip(starts.tolist(), sizes.tolist()):
-            part = np.subtract(self.vectors[lo:lo + n], q, out=diff[:n])
-            dists[at:at + n] = np.einsum("ij,ij->i", part, part)
-            at += n
         stats = SearchStats(
-            distance_evals=int(idx.shape[0]),
+            distance_evals=int(sizes.sum()),
             centroid_evals=p,
             partitions_probed=int(nprobe),
         )
-        return self._rank_hits(idx, dists, top_c), stats
+        return self._scan(q, starts, sizes, top_c), stats
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +316,8 @@ def build_ivf(
     and the sorted copy are made block by block. Keys, vectors, centroids
     and offsets keep the bytes of a build over whole matrices.
     """
+    if kmeans_iters < 0:
+        raise ValueError(f"kmeans_iters must be non-negative, got {kmeans_iters}")
     keys, vectors = corpus_clip_matrix(corpus, params)
     n, dim = vectors.shape
     p = partitions if partitions is not None else int(np.ceil(np.sqrt(n)))

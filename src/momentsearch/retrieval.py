@@ -14,7 +14,7 @@ Every search forms candidate rows, prices them and selects from them:
   corpus's (`Corpus.ordinals_for`), and the candidates form in one pass
   over the touched videos: a padded prefix count of the retrieved clips,
   read at the dilated window of each of their `candidate_clips` rows, taken
-  from one cached table of the grids of every clip count.
+  from one cached table of the grids of the corpus's clip counts.
 
 Candidates travel as (video ordinal, first_clip, last_clip) integer arrays,
 one run of rows per video, read against the corpus's per-ordinal arrays;
@@ -29,8 +29,9 @@ run with `score_moments`.
 
 Exhaustive search and training read the corpus's `CandidateTable`
 (`candidate_table`, kept on `Corpus.candidates`), built on first use: the
-flat candidate rows under one `EnumConfig` and, for search under a non-TEF
-model, every video's clip embeddings under one model, so that a
+flat candidate rows under one `EnumConfig`, gathered from that same grid
+table (`_grid_table`) at each video's clip count, and, for search under a
+non-TEF model, every video's clip embeddings under one model, so that a
 clip-alignment query takes one distance pass over the corpus's clip matrix.
 
 A ranked list stays in array form (`RankedMoments`) and builds a `Moment`
@@ -208,9 +209,9 @@ def _padded_cal_costs(matrix: np.ndarray, q_emb: np.ndarray, slots: np.ndarray, 
 
 
 class CandidateTable:
-    """Every candidate of a corpus under one `EnumConfig`: `candidate_clips`
-    rows of each video concatenated in corpus order, as flat (ordinal,
-    first, last) arrays: one run of rows per video with candidates.
+    """Every candidate of a corpus under one `EnumConfig`, gathered from
+    `_grid_table`: each video's `candidate_clips` rows in corpus order, as
+    flat (ordinal, first, last) arrays, one run per video with candidates.
 
     The corpus holds its table, which therefore takes the corpus as an
     argument and keeps no reference to it: a cycle would leave an unused
@@ -222,11 +223,11 @@ class CandidateTable:
 
     def __init__(self, corpus: Corpus, enum_cfg: EnumConfig):
         self.enum_cfg = enum_cfg
-        grids = [candidate_clips(n, enum_cfg) for n in corpus.num_clips.tolist()]
-        counts = np.asarray([len(g) for g in grids], dtype=np.int64)
+        firsts, lasts, _, _, grid_starts, grid_sizes = _grid_table(corpus.clip_counts, enum_cfg, 0)
+        counts = grid_sizes[corpus.num_clips]
+        rows = ranges(grid_starts[corpus.num_clips], counts)
         self.ordinal = np.repeat(np.arange(len(corpus), dtype=np.int32), counts)
-        rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
-        self.firsts, self.lasts = rows[:, 0].copy(), rows[:, 1].copy()
+        self.firsts, self.lasts = firsts[rows].astype(np.int32), lasts[rows].astype(np.int32)
         self.scored = np.flatnonzero(counts)  # videos with candidates
         self.starts = offsets(counts)[self.scored]  # each scored video's first row
         self._clip_slots, self._padded_shape = _padded_layout(
@@ -395,16 +396,18 @@ def exhaustive_search(
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_windows(max_clips: int, enum_cfg: EnumConfig, dilation: int) -> tuple[np.ndarray, ...]:
-    """The `candidate_clips` grids of every clip count 0 .. max_clips laid
-    end to end, read-only: (firsts, lasts, lo, hi, starts, sizes). Count
-    n's grid is rows starts[n] .. starts[n] + sizes[n] - 1. A row's window
+def _grid_table(clip_counts: tuple, enum_cfg: EnumConfig, dilation: int) -> tuple[np.ndarray, ...]:
+    """The `candidate_clips` grids of the clip counts `clip_counts` (a
+    corpus's, `Corpus.clip_counts`) laid end to end, read-only: (firsts,
+    lasts, lo, hi, starts, sizes). Count n's grid is rows starts[n] ..
+    starts[n] + sizes[n] - 1, none for a count not listed. A row's window
     [f - dilation, l + dilation], clamped to a video of n clips, holds a hit
     when the video's prefix count of hits at column hi exceeds that at lo."""
-    grids = [candidate_clips(n, enum_cfg) for n in range(max_clips + 1)]
-    sizes = np.asarray([len(g) for g in grids], dtype=np.int64)
-    firsts, lasts = np.concatenate(grids).T.copy()
-    clips = np.repeat(np.arange(max_clips + 1), sizes)
+    grids = [candidate_clips(n, enum_cfg) for n in clip_counts]
+    sizes = np.zeros(max(clip_counts, default=0) + 1, dtype=np.int64)
+    sizes[list(clip_counts)] = [len(g) for g in grids]
+    firsts, lasts = np.concatenate([np.empty((0, 2), np.int64), *grids]).T.copy()
+    clips = np.repeat(np.arange(len(sizes)), sizes)
     table = (firsts, lasts, np.maximum(firsts - dilation, 0),
              np.minimum(lasts + dilation, clips - 1) + 1, offsets(sizes), sizes)
     for a in table:
@@ -428,9 +431,9 @@ def _hit_candidates(corpus: Corpus, hits: ClipHits, enum_cfg: EnumConfig, dilati
     # count[t * width + k]: hits among the first k clips of touched video t.
     count = np.bincount(video_at * width + clips + 1, minlength=len(videos) * width)
     count = count.reshape(len(videos), width).cumsum(axis=1).ravel()
-    # Every touched video's grid rows, as rows of one table of all clip counts.
-    firsts, lasts, lo, hi, grid_starts, grid_sizes = _grid_windows(
-        int(corpus.num_clips.max()), enum_cfg, dilation)
+    # Every touched video's grid rows, as rows of one table of the corpus's clip counts.
+    firsts, lasts, lo, hi, grid_starts, grid_sizes = _grid_table(
+        corpus.clip_counts, enum_cfg, dilation)
     sizes = grid_sizes[num_clips]
     rows = ranges(grid_starts[num_clips], sizes)
     base = np.repeat(np.arange(len(videos)) * width, sizes)

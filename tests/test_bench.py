@@ -53,6 +53,13 @@ class TestBenchCounts:
             report["extrapolated_1m_videos.clip_index_gb"]
         assert extr_ratio == pytest.approx(9.45, abs=0.01)
 
+    def test_every_route_reports_the_same_keys(self, small_report):
+        _, report = small_report
+        keys = {m: sorted(k[len(m) + 1:] for k in report if k.startswith(m + "."))
+                for m in bench.METHODS}
+        assert len(keys["cal"]) == 7
+        assert keys["cal"] == keys["aggregate"] == keys["approx"]
+
     def test_provenance_fields_present(self, small_report):
         _, report = small_report
         assert "seed" in report and "config_hash" in report and "git_revision" in report

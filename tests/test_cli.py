@@ -296,6 +296,16 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not os.path.exists(out) and not os.path.exists(tmp_path / "w")
 
+    def test_bench_without_queries_rejected(self, tmp_path, capsys):
+        spec = str(tmp_path / "bench.json")
+        with open(spec, "w") as f:
+            json.dump({"num_videos": 12, "n_queries": 0}, f)
+        out = str(tmp_path / "bench_report.txt")
+        rc = main(["bench", "--spec", spec, "--workdir", str(tmp_path / "w"), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "E_INVALID: n_queries must be at least 1, got 0\n"
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "w")
+
     def test_approx_without_index(self, pipeline, capsys):
         rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
                    "--queries", pipeline["queries"], "--mode", "approx",
@@ -505,6 +515,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == "E_INVALID: no query with a valid intra negative after 100 draws\n"
         assert not os.path.exists(ckpt) and not os.path.exists(ckpt + ".loss.jsonl")
+
+    def test_negative_kmeans_iters_rejected(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "ivf.calx")
+        rc = main(["index", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
+                   "--flavor", "ivf", "--kmeans-iters", "-3", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "E_INVALID: kmeans_iters must be non-negative, got -3\n"
+        assert not os.path.exists(out)
 
     def test_tef_model_rejected_for_index(self, pipeline, tmp_path, capsys):
         cfg = str(tmp_path / "t.json")

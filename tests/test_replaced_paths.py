@@ -1,21 +1,22 @@
 """The per-variant cost code, the per-moment batch assembly, the
 per-video ranking routes, the unbounded selection, the list-building index
-search and index build, the gathering IVF scan, the dict-mapped hit
-candidates, the whole-matrix IVF build and save, the per-video embedding
-loop and contexts, and the masked-branch sigmoid, per-step-dict LSTM and
-concatenating LSTM backward that `costs.score_moments`,
-`training._assemble_batch`, the candidate-table and batched approximate
-search, `retrieval._select`'s per-video bound, `index.ClipHits`,
-`IvfIndex.search`'s in-place list scan, `retrieval._hit_candidates`'
-ordinal map, `index.corpus_clip_matrix`, the row blocks of
-`index.build_ivf` and `index.save_index`, `model.embed_videos`'s gathered
-chunks, `dataio.Corpus.contexts` and `model.range_means`, `model.sigmoid`,
-`model.lstm_forward_batch` and `training._lstm_backward`, and the per-file
-`dataio.load_corpus` / `load_queries` and whole-payload `index.load_index`
-replaced, kept here as references: the merged
-paths must give the same bytes. Suppression in the references is the greedy
-`temporal_iou` loop, not the product's `nms`, except in `reference_select`,
-which isolates the bound.
+search and index build, the gathering exact and IVF scan, the per-video
+candidate grids, the dict-mapped hit candidates, the whole-matrix IVF
+build and save, the per-video embedding loop and contexts, and the
+masked-branch sigmoid, per-step-dict LSTM and concatenating LSTM backward
+that `costs.score_moments`, `training._assemble_batch`, the
+candidate-table and batched approximate search, `retrieval._select`'s
+per-video bound, `index.ClipHits`, `ClipIndex._scan`'s in-place list
+scan, `CandidateTable`'s gather from `retrieval._grid_table`,
+`retrieval._hit_candidates`' ordinal map, `index.corpus_clip_matrix`, the
+row blocks of `index.build_ivf` and `index.save_index`,
+`model.embed_videos`'s gathered chunks, `dataio.Corpus.contexts` and
+`model.range_means`, `model.sigmoid`, `model.lstm_forward_batch` and
+`training._lstm_backward`, and the per-file `dataio.load_corpus` /
+`load_queries` and whole-payload `index.load_index` replaced, kept here as
+references: the merged paths must give the same bytes. Suppression in the
+references is the greedy `temporal_iou` loop, not the product's `nms`,
+except in `reference_select`, which isolates the bound.
 
 Costs and distances are compared by `float.hex`, batch tensors and
 gradients by `tobytes()`.
@@ -96,6 +97,7 @@ from momentsearch.model import (
     tef,
 )
 from momentsearch.retrieval import (
+    CandidateTable,
     RankedMoments,
     RetrievalConfig,
     _select,
@@ -321,22 +323,32 @@ def reference_index_search(index, query_emb, top_c, nprobe=None):
     return hits
 
 
-def reference_ivf_search(index, query_emb, top_c, nprobe):
-    """`IvfIndex.search` gathering every probed row into one matrix before
-    one distance pass: (hits, stats)."""
+def reference_gathering_search(index, query_emb, top_c, nprobe):
+    """`ClipIndex.search` or `IvfIndex.search` gathering every scanned row
+    (every entry, or every probed list's) into one matrix before one
+    distance pass and one lexsort of all of them: (hits, stats)."""
     q = np.asarray(query_emb, dtype=np.float32)
-    p = index.num_partitions
-    cdiff = index.centroids - q
-    cdist = np.einsum("ij,ij->i", cdiff, cdiff)
-    probe = np.lexsort((np.arange(p), cdist))[:nprobe]
-    chunks = [np.arange(int(index.offsets[part]), int(index.offsets[part + 1]))
-              for part in np.sort(probe)]
-    idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    if isinstance(index, IvfIndex):
+        p = index.num_partitions
+        cdiff = index.centroids - q
+        cdist = np.einsum("ij,ij->i", cdiff, cdiff)
+        probe = np.lexsort((np.arange(p), cdist))[:nprobe]
+        chunks = [np.arange(int(index.offsets[part]), int(index.offsets[part + 1]))
+                  for part in np.sort(probe)]
+        idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        stats = index_mod.SearchStats(distance_evals=int(idx.shape[0]), centroid_evals=p,
+                                      partitions_probed=int(nprobe))
+    else:
+        idx = np.arange(index.num_entries)
+        stats = index_mod.SearchStats(distance_evals=index.num_entries)
     diff = index.vectors[idx] - q
     dists = np.einsum("ij,ij->i", diff, diff)
-    stats = index_mod.SearchStats(distance_evals=int(idx.shape[0]), centroid_evals=p,
-                                  partitions_probed=int(nprobe))
-    return index._rank_hits(idx, dists, top_c), stats
+    id_rank = np.argsort(np.argsort(np.asarray(index.video_ids)))
+    id_rank = id_rank[index.keys[:, 0].astype(np.int64)]
+    order = np.lexsort((index.keys[idx, 1], id_rank[idx], dists))[:top_c]
+    entry = idx[order]
+    return ClipHits(index.video_ids, index.keys[entry, 0], index.keys[entry, 1],
+                    dists[order]), stats
 
 
 def reference_hit_candidates(corpus, hits, enum_cfg, dilation):
@@ -1498,10 +1510,11 @@ def _ivf_with_empty_partitions(seed):
     return IvfIndex(built.video_ids, built.keys, built.vectors, centroids, offsets_)
 
 
-def test_ivf_search_scans_lists_in_place_as_the_gathering_search():
+def test_index_search_scans_lists_in_place_as_the_gathering_search():
     rng = np.random.default_rng(37)
     corpus, _ = shuffled_corpus(36, 3.0)
     params = init_params(_dims("plain", 3, 2), 38)
+    exact = build_exact(corpus, params)
     indexes = [build_ivf(corpus, params, partitions=7, seed=3),
                reordered_ids(build_ivf(corpus, params, partitions=5, seed=4), 39),
                _ivf_with_empty_partitions(40)]
@@ -1509,15 +1522,21 @@ def test_ivf_search_scans_lists_in_place_as_the_gathering_search():
     indexes.append(build_ivf(repair_corpus, repair_params, partitions=p, seed=0,
                              kmeans_iters=iters))
     assert 0 in np.diff(indexes[-1].offsets.astype(np.int64))
+    # Exact search is the scan over one list; rounded vectors give integer
+    # distances under the zero query, so many entries tie on distance.
+    indexes += [exact, reordered_ids(exact, 41),
+                ClipIndex(exact.video_ids, exact.keys, np.round(exact.vectors))]
     for index in indexes:
-        p = index.num_partitions
+        ivf = isinstance(index, IvfIndex)
+        p = index.num_partitions if ivf else 0
         queries = [rng.standard_normal(index.dim) for _ in range(3)]
-        queries += [index.centroids[-1], np.full(index.dim, np.nan)]
-        for nprobe in sorted({1, 2, p - 1, p} - {0}):
-            for top_c in (1, 9, index.num_entries + 4):
+        queries += [index.centroids[-1]] if ivf else []
+        queries += [np.zeros(index.dim), np.full(index.dim, np.nan)]
+        for nprobe in sorted({1, 2, p - 1, p} - {0}) if ivf else [0]:
+            for top_c in (1, 9, index.num_entries, index.num_entries + 4):
                 for q in queries:
                     got, got_stats = index.search(q, top_c=top_c, nprobe=nprobe)
-                    want, want_stats = reference_ivf_search(index, q, top_c, nprobe)
+                    want, want_stats = reference_gathering_search(index, q, top_c, nprobe)
                     assert got_stats == want_stats
                     for a, b in zip(got.arrays(), want.arrays()):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
@@ -1550,6 +1569,45 @@ def test_hit_candidates_equal_dict_mapped_reference(enum_name, flavor):
                     for a, b in zip(got, want):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
+
+
+# The ranking enumerations plus a minimum length that only the 2- and
+# 3-clip videos fall below.
+TABLE_ENUMS = {
+    **RANKING_ENUMS,
+    "min-4": EnumConfig(clip_length=3.0, max_moment_clips=9, stride_ratio=0.3,
+                        min_moment_clips=4),
+}
+
+
+@pytest.mark.parametrize("enum_name", sorted(TABLE_ENUMS))
+def test_candidate_table_equals_per_video_grids(enum_name):
+    """The table's rows are every video's `candidate_clips` grid laid end to
+    end in corpus order, as int32 (ordinal, first, last) arrays."""
+    enum_cfg = TABLE_ENUMS[enum_name]
+    corpora = [varied_corpus(np.random.default_rng(seed), enum_cfg.clip_length, num_videos=20,
+                             max_clips=39)[0] for seed in range(5)]
+    # One long video among short ones: its grid is read, no other count's.
+    long = [VideoMeta(f"v{n}", n * enum_cfg.clip_length, enum_cfg.clip_length, n)
+            for n in (3, 400, 2)]
+    corpora.append(Corpus(long, {v.video_id: np.zeros((v.num_clips, 1)) for v in long}))
+    without = 0  # videos with no candidate
+    for corpus in corpora + [Corpus([], {})]:
+        table = CandidateTable(corpus, enum_cfg)
+        grids = [candidate_clips(n, enum_cfg) for n in corpus.num_clips.tolist()]
+        counts = np.asarray([len(g) for g in grids], dtype=np.int64)
+        rows = np.concatenate([np.empty((0, 2), np.int64), *grids]).astype(np.int32)
+        want = (np.repeat(np.arange(len(corpus), dtype=np.int32), counts), rows[:, 0].copy(),
+                rows[:, 1].copy())
+        for a, b in zip((table.ordinal, table.firsts, table.lasts), want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        assert table.scored.tolist() == np.flatnonzero(counts).tolist()
+        assert table.starts.tolist() == offsets(counts)[table.scored].tolist()
+        assert table.size == len(rows)
+        without += len(corpus) - len(table.scored)
+    # Every `varied_corpus` holds videos of 2 and 3 clips.
+    assert without > 0 if enum_cfg.min_moment_clips > 3 else without == 0
 
 
 def test_hit_on_a_video_the_corpus_lacks_names_it():

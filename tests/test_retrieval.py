@@ -11,6 +11,7 @@ from momentsearch.model import ModelDims, init_params
 from momentsearch.retrieval import (
     MomentPrior,
     RetrievalConfig,
+    _grid_table,
     baseline_scores,
     exhaustive_search,
     fit_moment_prior,
@@ -680,6 +681,18 @@ class TestCandidateTable:
         res = exhaustive_search(short, query, params, enum_cfg, cfg)
         assert res.ranked == []
         assert res.stage_counters == {"stage1_distances": 0, "stage1_moments": 0}
+
+    def test_grid_table_holds_only_the_corpus_clip_counts(self):
+        # A table of every count up to the longest video grows with its square.
+        enum_cfg = get_preset("activitynet").enum
+        videos = [VideoMeta(vid, n * 5.0, 5.0, n) for vid, n in (("a", 3), ("b", 400), ("c", 3))]
+        corpus = Corpus(videos, {v.video_id: np.zeros((v.num_clips, 2)) for v in videos})
+        assert corpus.clip_counts == (3, 400)
+        firsts, _, _, _, _, sizes = _grid_table(corpus.clip_counts, enum_cfg, 0)
+        grid_rows = [len(candidate_clips(n, enum_cfg)) for n in (3, 400)]
+        assert len(firsts) == sum(grid_rows)
+        assert np.flatnonzero(sizes).tolist() == [3, 400]
+        assert candidate_table(corpus, enum_cfg).size == 2 * grid_rows[0] + grid_rows[1]
 
     def test_single_video_search_builds_a_table_per_restricted_corpus(self, planted):
         preset, corpus, queries, params = planted
