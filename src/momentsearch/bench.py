@@ -74,8 +74,10 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_queries < 1:
-            raise ValueError(f"n_queries must be at least 1, got {self.n_queries}")
+        # Refused before any corpus is generated or file written.
+        for name, low in (("n_queries", 1), ("nprobe", 1), ("clip_budget", 1), ("kmeans_iters", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
     def enum_config(self) -> EnumConfig:
         return EnumConfig(

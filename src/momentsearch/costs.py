@@ -10,6 +10,11 @@ clip, "aggregate" mean-pools the moment's raw clip features into one row.
 A model trained with TEF (`ModelDims.use_tef`) appends the moment's
 normalized endpoints to every row; those rows depend on the moment, so each
 moment's cost is then the mean squared distance over its own rows.
+
+`score_moments` prices one video's candidates from its `VideoMeta` and
+feature rows: it is the per-video reference that tests compare against.
+Search and training build the same rows from the corpus's arrays with
+`retrieval.moment_inputs`.
 """
 
 from __future__ import annotations
@@ -40,14 +45,6 @@ class ScoredMoment:
     cost: float
 
 
-@dataclass
-class CostCounters:
-    """Vector-distance evaluation accounting for benchmark reports."""
-
-    distance_evals: int = 0
-    moments_scored: int = 0
-
-
 def cal_costs(distances: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
     """Mean of distances[firsts[i]..lasts[i]] for each range, read from one
     float64 prefix sum."""
@@ -64,7 +61,6 @@ def score_moments(
     params: ModelParams,
     firsts: np.ndarray,
     lasts: np.ndarray,
-    counters: CostCounters | None = None,
 ) -> np.ndarray:
     """Cost of each candidate (firsts[i], lasts[i]) of one video.
 
@@ -77,22 +73,15 @@ def score_moments(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if len(firsts) == 0:
         return np.empty(0, dtype=np.float64)
-    if counters is None:
-        counters = CostCounters()
     feats = np.asarray(video_features, dtype=np.float64)
     context = compute_context(feats)
     q = np.asarray(query_emb, dtype=np.float64)
 
     if variant == "cal" and not params.dims.use_tef:
-        dists = sq_distances(embed_clips(feats, context, None, params), q)
-        costs = cal_costs(dists, firsts, lasts)
-    else:
-        n = len(firsts)
-        rows, seg = moment_rows(feats, firsts, lasts - firsts + 1, variant == "aggregate")
-        pairs = ((clip_spans(video, firsts, lasts) / video.duration)[seg]
-                 if params.dims.use_tef else None)
-        dists = sq_distances(embed_clips(rows, context, pairs, params), q)
-        costs = np.bincount(seg, weights=dists, minlength=n) / np.bincount(seg, minlength=n)
-    counters.distance_evals += len(dists)
-    counters.moments_scored += len(firsts)
-    return costs
+        return cal_costs(sq_distances(embed_clips(feats, context, None, params), q), firsts, lasts)
+    n = len(firsts)
+    rows, seg = moment_rows(feats, firsts, lasts - firsts + 1, variant == "aggregate")
+    pairs = ((clip_spans(video, firsts, lasts) / video.duration)[seg]
+             if params.dims.use_tef else None)
+    dists = sq_distances(embed_clips(rows, context, pairs, params), q)
+    return np.bincount(seg, weights=dists, minlength=n) / np.bincount(seg, minlength=n)

@@ -21,7 +21,7 @@ from typing import BinaryIO, Callable, Optional, Union
 
 import numpy as np
 
-from .core import GroundTruth, Query, TemporalSpan, VideoMeta, offsets
+from .core import GroundTruth, Moment, Query, TemporalSpan, VideoMeta, offsets
 from .enumeration import DatasetPreset, candidate_clips, enumerate_moments
 from .model import ModelDims, ModelParams, range_means
 
@@ -294,17 +294,20 @@ def write_manifest(path: str, videos: list[VideoMeta]) -> None:
 
 
 def read_manifest(path: str) -> list[VideoMeta]:
+    """The manifest's videos; a record with a missing key or a bad value
+    is refused with its file and line."""
     videos = []
     for lineno, rec in _load_lines(path):
         _require(rec, ("video_id", "duration_s", "clip_length_s", "num_clips", "features_path"),
                  path, lineno)
-        videos.append(VideoMeta(
-            video_id=rec["video_id"],
-            duration=float(rec["duration_s"]),
-            clip_length=float(rec["clip_length_s"]),
-            num_clips=int(rec["num_clips"]),
-            feature_ref=rec["features_path"],
-        ))
+        try:
+            num_clips = int(rec["num_clips"])
+            if num_clips != rec["num_clips"]:
+                raise ValueError(f"num_clips must be a whole number, got {rec['num_clips']!r}")
+            videos.append(VideoMeta(rec["video_id"], float(rec["duration_s"]),
+                                    float(rec["clip_length_s"]), num_clips, rec["features_path"]))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from None
     return videos
 
 
@@ -340,7 +343,11 @@ def load_queries(path: str, base_dir: str) -> list[Query]:
         if rec["query_id"] in seen:
             raise FormatError(f"{path}:{lineno}: duplicate query_id {rec['query_id']!r}")
         seen.add(rec["query_id"])
-        spans = tuple(TemporalSpan(float(s), float(e)) for s, e in rec["spans"])
+        try:
+            truth = GroundTruth(rec["video_id"],
+                                tuple(TemporalSpan(float(s), float(e)) for s, e in rec["spans"]))
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{path}:{lineno}: bad spans: {e}") from None
         words_path = os.path.join(base_dir, rec["words_path"])
         if len(buf) - used < _WORDS_READ_BYTES:
             buf = np.concatenate([buf[:used], np.empty(len(buf), dtype=np.uint8)])
@@ -354,8 +361,7 @@ def load_queries(path: str, base_dir: str) -> list[Query]:
             if len(buf) - used < size:
                 buf = np.concatenate([buf[:used], np.empty(size, dtype=np.uint8)])
             buf[used:used + size] = m.reshape(-1).view(np.uint8)
-        records.append((rec["query_id"], GroundTruth(rec["video_id"], spans), rec["words_path"],
-                        rows, dim))
+        records.append((rec["query_id"], truth, rec["words_path"], rows, dim))
         used += size
     starts = offsets([rows * dim for *_, rows, dim in records])
     flat = buf[:used].view("<f4")
@@ -625,6 +631,11 @@ class SyntheticSpec:
             raise ValueError("need 1 <= words_min <= words_max")
         if self.annotations_per_query < 1:
             raise ValueError("annotations_per_query must be at least 1")
+        clips = self.clips_per_video
+        bounds = (clips, clips) if isinstance(clips, int) else tuple(clips)
+        if len(bounds) != 2 or not 2 <= bounds[0] <= bounds[1]:
+            raise ValueError("clips_per_video must be at least 2, or a [low, high] range with "
+                             f"2 <= low <= high; got {clips}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
@@ -633,24 +644,24 @@ class SyntheticSpec:
         return cls(**data)
 
 
-def _pick_disjoint_moments(candidates, count, rng):
-    """Randomly pick `count` candidates, preferring clip-disjoint ones."""
-    order = rng.permutation(len(candidates))
+def _pick_disjoint_moments(pairs: list, count: int, rng) -> list:
+    """Randomly pick `count` of the (first, last) clip ranges `pairs`,
+    preferring clip-disjoint ones."""
+    order = rng.permutation(len(pairs))
     picked = []
     used = set()
     for idx in order:
-        m = candidates[idx]
-        clips = set(range(m.first_clip, m.last_clip + 1))
-        if not clips & used:
-            picked.append(m)
-            used |= clips
+        first, last = pairs[idx]
+        if used.isdisjoint(range(first, last + 1)):
+            picked.append(pairs[idx])
+            used.update(range(first, last + 1))
             if len(picked) == count:
                 return picked
     for idx in order:  # not enough disjoint ones; allow overlap
         if len(picked) == count:
             break
-        if candidates[idx] not in picked:
-            picked.append(candidates[idx])
+        if pairs[idx] not in picked:
+            picked.append(pairs[idx])
     return picked
 
 
@@ -684,25 +695,24 @@ def generate_synthetic(
         video = VideoMeta(video_id, n * clip_len, clip_len, n)
         feats = rng.standard_normal((n, spec.visual_dim))
 
-        candidates = enumerate_moments(video, preset.enum)
-        if candidates:
-            target_len = spec.planted_moment_clips or min(m.num_clips for m in candidates)
-            plantable = [m for m in candidates if m.num_clips == target_len] or candidates
-        else:
-            plantable = []
+        if n < preset.enum.min_moment_clips:
+            enumerate_moments(video, preset.enum)  # logs that it has no candidates
+        grid = candidate_clips(n, preset.enum)
+        # Every video of min_moment_clips or more clips has candidates of that length.
+        lengths = grid[:, 1] - grid[:, 0] + 1
+        target = lengths == (spec.planted_moment_clips or preset.enum.min_moment_clips)
+        plantable = (grid[target] if target.any() else grid).tolist()
         planted = _pick_disjoint_moments(
             plantable, min(spec.queries_per_video, len(plantable)), rng)
-        for qi, moment in enumerate(planted):
+        for qi, (first, last) in enumerate(planted):
+            moment = Moment.from_clips(video, first, last)
             query_id = f"q{vi:05d}_{qi}"
             t = int(rng.integers(spec.words_min, spec.words_max + 1))
             word_ids = rng.integers(0, spec.vocab_size, size=t)
             words = vocab[word_ids]
             latent = readout.astype(np.float64) @ words.astype(np.float64).mean(axis=0)
-            z = moment.num_clips
-            noise = spec.signal_noise * rng.standard_normal((z, spec.visual_dim))
-            feats[moment.first_clip:moment.last_clip + 1] = (
-                latent[None, :].astype(np.float32).astype(np.float64) + noise
-            )
+            noise = spec.signal_noise * rng.standard_normal((moment.num_clips, spec.visual_dim))
+            feats[first:last + 1] = latent[None, :].astype(np.float32).astype(np.float64) + noise
             words_rel = os.path.join("words", f"{query_id}.calf")
             write_features(os.path.join(out_dir, words_rel), words)
             span = [moment.span.start, moment.span.end]

@@ -24,8 +24,9 @@ videos' clips with `model.embed_videos` from the corpus's arrays (its clip
 matrix and context table, read at the videos' ordinals; one stacked call
 per clip count, with each video's own bytes), then one distance pass and
 one padded prefix sum price every row (`_padded_cal_costs`). TEF and
-aggregate rows depend on the moment, so those variants score each video's
-run with `score_moments`.
+aggregate rows depend on the moment: `moment_inputs`, which also builds
+training's batches, gives each video's run its MLP input rows, priced with
+the per-video `costs.score_moments`' operations and bytes.
 
 Exhaustive search and training read the corpus's `CandidateTable`
 (`candidate_table`, kept on `Corpus.candidates`), built on first use: the
@@ -57,11 +58,12 @@ from typing import Optional
 import numpy as np
 
 from .core import Moment, Query, VideoMeta, grid_spans, offsets, ranges
-from .costs import VARIANTS, CostCounters, ScoredMoment, score_moments, sq_distances
+from .costs import VARIANTS, ScoredMoment, sq_distances
 from .dataio import Corpus, stable_u32
 from .enumeration import EnumConfig, candidate_clips
 from .index import ClipHits, ClipIndex, IvfIndex
-from .model import ModelParams, embed_query, embed_videos
+from .model import (ModelDims, ModelParams, assemble_visual_inputs, embed_query, embed_videos,
+                    mlp_forward, moment_rows)
 
 log = logging.getLogger(__name__)
 
@@ -179,6 +181,24 @@ def _embed_ordinals(corpus: Corpus, ordinals: np.ndarray, params: ModelParams) -
     """The clip embeddings of the corpus's videos `ordinals`, stacked in that order."""
     return embed_videos(corpus.clip_features, corpus.clip_offsets[ordinals],
                         corpus.num_clips[ordinals], corpus.contexts[ordinals], params)
+
+
+def moment_inputs(corpus: Corpus, ordinal, firsts: np.ndarray, lasts: np.ndarray,
+                  pooled: bool, dims: ModelDims) -> tuple[np.ndarray, np.ndarray]:
+    """(MLP input rows, moment of each row) of the corpus's moments (ordinal[i],
+    firsts[i], lasts[i]), or of one video's if `ordinal` is a scalar, whose one
+    context row is then broadcast. Each moment gives its `model.moment_rows`, its
+    video's context and, under TEF, its `model.tef` endpoints from `grid_spans`."""
+    ordinal = np.asarray(ordinal)
+    rows, seg = moment_rows(corpus.clip_features, corpus.clip_offsets[ordinal] + firsts,
+                            lasts - firsts + 1, pooled)
+    pairs = None
+    if dims.use_tef:
+        duration = corpus.duration[ordinal]
+        pairs = grid_spans(corpus.clip_length[ordinal], duration, firsts, lasts)
+        pairs = (pairs / duration[..., None])[seg]
+    context = corpus.contexts[ordinal if ordinal.ndim == 0 else ordinal[seg]]
+    return assemble_visual_inputs(rows, context, pairs, dims), seg
 
 
 def _padded_layout(rows: np.ndarray, num_clips: np.ndarray, height: int
@@ -348,12 +368,13 @@ def _select(
 def _price(
     corpus: Corpus, ordinal: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
     q_emb: np.ndarray, variant: str, params: ModelParams, starts: np.ndarray,
-) -> tuple[np.ndarray, CostCounters]:
-    """(costs, counters) of candidate rows that come in one run per video,
-    the runs starting at `starts` (`run_starts`).
+) -> tuple[np.ndarray, int]:
+    """(costs, distance evaluations) of candidate rows that come in one run
+    per video, the runs starting at `starts` (`run_starts`).
     Under a clip-alignment, non-TEF model the runs' videos are embedded with
     `model.embed_videos` and one padded gather prices every row; otherwise
-    `score_moments` scores each run's rows in the order given."""
+    each run's rows, in the order given, get their `moment_inputs`, one
+    `mlp_forward` with the run's own shape and a mean distance per moment."""
     sizes = np.diff(starts, append=len(ordinal))
     videos = np.asarray(ordinal[starts], dtype=np.int64)
     if variant == "cal" and not params.dims.use_tef:
@@ -361,14 +382,16 @@ def _price(
         slots, shape = _padded_layout(runs, corpus.num_clips[videos], len(videos))
         costs = _padded_cal_costs(_embed_ordinals(corpus, videos, params), q_emb, slots, shape,
                                   np.repeat(runs, sizes), firsts, lasts)
-        return costs, CostCounters(len(slots), len(costs))
-    counters = CostCounters()
+        return costs, len(slots)
+    evals = 0
     costs = np.empty(len(ordinal))
-    for o, s, e in zip(videos.tolist(), starts.tolist(), (starts + sizes).tolist()):
-        video = corpus.videos[o]
-        costs[s:e] = score_moments(video, corpus.features_for(video.video_id), q_emb, variant,
-                                   params, firsts[s:e], lasts[s:e], counters)
-    return costs, counters
+    for o, s, n in zip(videos.tolist(), starts.tolist(), sizes.tolist()):
+        x, seg = moment_inputs(corpus, o, firsts[s:s + n], lasts[s:s + n],
+                               variant == "aggregate", params.dims)
+        dists = sq_distances(mlp_forward(x, params), q_emb)
+        costs[s:s + n] = np.bincount(seg, weights=dists) / np.bincount(seg)
+        evals += len(dists)
+    return costs, evals
 
 
 def exhaustive_search(
@@ -382,17 +405,14 @@ def exhaustive_search(
     q_emb = embed_query(query.word_vectors, params)
     table = candidate_table(corpus, enum_cfg)
     if cfg.variant == "cal" and not params.dims.use_tef:
-        costs = table.cal_costs(corpus, params, q_emb)
-        counters = CostCounters(table.clips_scored, table.size)
+        costs, evals = table.cal_costs(corpus, params, q_emb), table.clips_scored
     else:
-        costs, counters = _price(corpus, table.ordinal, table.firsts, table.lasts, q_emb,
-                                 cfg.variant, params, table.starts)
+        costs, evals = _price(corpus, table.ordinal, table.firsts, table.lasts, q_emb,
+                              cfg.variant, params, table.starts)
     ranked = _select(corpus, table.ordinal, table.firsts, table.lasts, costs, cfg.nms_iou,
                      cfg.top_k, table.starts)
-    return RankedResult(query.query_id, ranked, {
-        "stage1_distances": counters.distance_evals,
-        "stage1_moments": counters.moments_scored,
-    })
+    return RankedResult(query.query_id, ranked,
+                        {"stage1_distances": evals, "stage1_moments": len(costs)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,16 +526,15 @@ def two_stage_search(
             and not stage1_params.dims.use_tef
 
     starts = run_starts(ordinal)
-    if final:
-        stage2 = CostCounters(0, len(costs))
-    else:
+    evals = 0
+    if not final:
         # Approximate stage one embedded the query under this same model.
         q2 = q1 if same_model and q1 is not None else \
             embed_query(query.word_vectors, rerank_params)
-        costs, stage2 = _price(corpus, ordinal, firsts, lasts, q2, rerank_variant,
-                               rerank_params, starts)
-    counters["stage2_distances"] = stage2.distance_evals
-    counters["stage2_moments"] = stage2.moments_scored
+        costs, evals = _price(corpus, ordinal, firsts, lasts, q2, rerank_variant,
+                              rerank_params, starts)
+    counters["stage2_distances"] = evals
+    counters["stage2_moments"] = len(costs)
     ranked = _select(corpus, ordinal, firsts, lasts, costs, cfg.nms_iou, cfg.top_k, starts)
     return RankedResult(query.query_id, ranked, counters)
 

@@ -26,16 +26,8 @@ from .core import Moment, Query, grid_spans, offsets, ranges, span_ious
 from .costs import VARIANTS
 from .dataio import Corpus
 from .enumeration import EnumConfig, candidate_clips, enumerate_moments
-from .model import (
-    ModelDims,
-    ModelParams,
-    assemble_visual_inputs,
-    init_params,
-    lstm_forward_batch,
-    mlp_forward,
-    moment_rows,
-)
-from .retrieval import candidate_table
+from .model import ModelDims, ModelParams, init_params, lstm_forward_batch, mlp_forward
+from .retrieval import candidate_table, moment_inputs
 
 
 # `train` raises `TrainingDiverged` when a step's loss exceeds this multiple
@@ -87,12 +79,9 @@ class TrainDataset:
     positive row is its first maximum, an intra pool the rows below the
     exclusion, and `_endpoints` each row's `tef` endpoints.
 
-    Batches gather clip rows from the corpus's flat `clip_features` (video
-    v's rows start at its `clip_offsets[v]`, v the corpus ordinal), context
-    rows from its `contexts` table, clip lengths and durations from its
-    arrays, and every trainable query's word vectors from `word_rows`, built
-    here (query q's float64 rows start at `word_offsets[q]`,
-    `query_lengths[q]` of them).
+    Batches take their moments' MLP rows from `retrieval.moment_inputs` and
+    every trainable query's word vectors from `word_rows`, built here (query
+    q's float64 rows start at `word_offsets[q]`, `query_lengths[q]` of them).
     """
 
     def __init__(self, corpus: Corpus, queries: list[Query], enum_cfg: EnumConfig):
@@ -212,25 +201,12 @@ def sample_triples(
 
 def _assemble_batch(dataset: TrainDataset, triples: tuple, dims: ModelDims, variant: str):
     """Flatten a batch (`sample_triples`' arrays) into MLP input rows plus
-    padded query word tensors.
-
-    Each moment contributes its `model.moment_rows` (its clip rows, or one
-    pooled row under "aggregate"), its video's context and, under TEF, its
-    `grid_spans` endpoints over its duration, as `tef` computes them; one
-    `assemble_visual_inputs` call builds every row of the batch. Contexts,
-    offsets, clip lengths and durations are gathered from the corpus's
-    arrays, words from the dataset's.
+    padded query word tensors: one `retrieval.moment_inputs` call builds
+    every moment's rows, words are gathered from the dataset's arrays.
     """
     query_index, moments = triples
     vids, firsts, lasts = moments.reshape(-1, 3).T
-    corpus = dataset.corpus
-    rows, seg = moment_rows(corpus.clip_features, corpus.clip_offsets[vids] + firsts,
-                            lasts - firsts + 1, variant == "aggregate")
-    pairs = None
-    if dims.use_tef:
-        pairs = grid_spans(corpus.clip_length[vids], corpus.duration[vids], firsts, lasts)
-        pairs = (pairs / corpus.duration[vids, None])[seg]
-    x = assemble_visual_inputs(rows, corpus.contexts[vids[seg]], pairs, dims)
+    x, seg = moment_inputs(dataset.corpus, vids, firsts, lasts, variant == "aggregate", dims)
     z_counts = np.bincount(seg, minlength=len(vids)).astype(np.float64)
 
     lengths = dataset.query_lengths[query_index]

@@ -306,6 +306,35 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "E_INVALID: n_queries must be at least 1, got 0\n"
         assert not os.path.exists(out) and not os.path.exists(tmp_path / "w")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kmeans_iters", -1, "kmeans_iters must be at least 0, got -1"),
+        ("nprobe", 0, "nprobe must be at least 1, got 0"),
+        ("clip_budget", 0, "clip_budget must be at least 1, got 0"),
+    ])
+    def test_bad_bench_setting_rejected_before_any_file(self, tmp_path, capsys, field, value,
+                                                         message):
+        spec = str(tmp_path / "bench.json")
+        with open(spec, "w") as f:
+            json.dump({"num_videos": 12, field: value}, f)
+        out = str(tmp_path / "bench_report.txt")
+        rc = main(["bench", "--spec", spec, "--workdir", str(tmp_path / "w"), "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"E_INVALID: {message}\n"
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "w")
+
+    @pytest.mark.parametrize("clips, shown", [(1, "1"), ([1, 39], "(1, 39)"), ([5, 3], "(5, 3)")])
+    def test_bad_clips_per_video_rejected_before_any_file(self, tmp_path, capsys, clips, shown):
+        spec = str(tmp_path / "gen.json")
+        with open(spec, "w") as f:
+            json.dump({"num_videos": 200, "clips_per_video": clips}, f)
+        out = tmp_path / "c"
+        rc = main(["gen", "--spec", spec, "--preset", "charades-sta", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("E_INVALID: clips_per_video must be at least 2, or "
+                                           "a [low, high] range with 2 <= low <= high; "
+                                           f"got {shown}\n")
+        assert not os.path.exists(out)
+
     def test_approx_without_index(self, pipeline, capsys):
         rc = main(["search", "--corpus", pipeline["corpus"], "--ckpt", pipeline["ckpt"],
                    "--queries", pipeline["queries"], "--mode", "approx",

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from momentsearch.core import Moment, VideoMeta
-from momentsearch.costs import (
-    CostCounters,
-    cal_costs,
-    score_moments,
-    sq_distances,
-)
+from momentsearch.core import Moment, Query, VideoMeta
+from momentsearch.costs import cal_costs, score_moments, sq_distances
+from momentsearch.dataio import Corpus
 from momentsearch.enumeration import EnumConfig, candidate_clips, enumerate_moments
 from momentsearch.model import ModelDims, compute_context, init_params
+from momentsearch.retrieval import RetrievalConfig, exhaustive_search
 from conftest import identity_visual_params
 
 
@@ -158,22 +155,29 @@ class TestScoreAllMoments:
         return cfg, video, feats, params, q
 
     @staticmethod
-    def _score_all(video, feats, q, variant, cfg, params, counters=None):
+    def _score_all(video, feats, q, variant, cfg, params):
         grid = candidate_clips(video.num_clips, cfg)
-        return grid, score_moments(video, feats, q, variant, params, *grid.T, counters)
+        return grid, score_moments(video, feats, q, variant, params, *grid.T)
+
+    @staticmethod
+    def _search_counters(video, feats, variant, cfg, params, rng):
+        """Search's stage counters on a corpus of the one video."""
+        corpus = Corpus([video], {video.video_id: feats})
+        query = Query("q", rng.standard_normal((3, params.dims.word_in)))
+        return exhaustive_search(corpus, query, params, cfg,
+                                 RetrievalConfig(variant=variant)).stage_counters
 
     def test_cal_counts_one_distance_per_clip(self, rng):
-        cfg, video, feats, params, q = self._setup(rng)
-        counters = CostCounters()
-        _, costs = self._score_all(video, feats, q, "cal", cfg, params, counters)
-        assert counters.distance_evals == video.num_clips
-        assert counters.moments_scored == len(costs) == len(enumerate_moments(video, cfg))
+        cfg, video, feats, params, _ = self._setup(rng)
+        counters = self._search_counters(video, feats, "cal", cfg, params, rng)
+        assert counters == {"stage1_distances": video.num_clips,
+                            "stage1_moments": len(enumerate_moments(video, cfg))}
 
     def test_aggregate_counts_one_distance_per_moment(self, rng):
-        cfg, video, feats, params, q = self._setup(rng)
-        counters = CostCounters()
-        _, costs = self._score_all(video, feats, q, "aggregate", cfg, params, counters)
-        assert counters.distance_evals == len(costs)
+        cfg, video, feats, params, _ = self._setup(rng)
+        counters = self._search_counters(video, feats, "aggregate", cfg, params, rng)
+        assert counters["stage1_distances"] == counters["stage1_moments"] \
+            == len(enumerate_moments(video, cfg))
 
     def test_cal_costs_match_direct_table(self, rng):
         cfg, video, feats, params, q = self._setup(rng)

@@ -253,6 +253,30 @@ class TestLineFormats:
         with pytest.raises(FormatError, match=":2:"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("field, value", [("duration_s", "abc"), ("num_clips", 4.7),
+                                              ("num_clips", 1), ("clip_length_s", None)])
+    def test_manifest_bad_value_positioned(self, tmp_path, field, value):
+        path = str(tmp_path / "manifest.jsonl")
+        good = {"video_id": "a", "duration_s": 10.0, "clip_length_s": 2.0, "num_clips": 5,
+                "features_path": "features/a.calf"}
+        write_jsonl(path, [good, dict(good, video_id="b", **{field: value})])
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("spans", [[[2.0, 1.0]], [], [[1.0]], 3, [["x", 1.0]]])
+    def test_queries_bad_spans_positioned(self, tmp_path, spans):
+        spec = SyntheticSpec(num_videos=3, clips_per_video=12, visual_dim=4, word_dim=3,
+                             vocab_size=8, queries_per_video=1, seed=0)
+        corpus_dir = str(tmp_path / "c")
+        generate_synthetic(spec, get_preset("didemo"), corpus_dir)
+        path = os.path.join(corpus_dir, "queries.jsonl")
+        with open(path) as f:
+            records = [json.loads(line) for line in f]
+        records[1]["spans"] = spans
+        write_jsonl(path, records)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: bad spans: ")):
+            load_queries(path, corpus_dir)
+
     def test_results_round_trip(self, tmp_path):
         from momentsearch.core import Moment, VideoMeta
         from momentsearch.costs import ScoredMoment

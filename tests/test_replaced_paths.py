@@ -16,7 +16,9 @@ row blocks of `index.build_ivf` and `index.save_index`,
 `load_queries` and whole-payload `index.load_index` replaced, kept here as
 references: the merged paths must give the same bytes. Suppression in the
 references is the greedy `temporal_iou` loop, not the product's `nms`,
-except in `reference_select`, which isolates the bound.
+except in `reference_select`, which isolates the bound. `reference_generated`
+replays `dataio.generate_synthetic`'s draws with every candidate built as a
+`Moment`, as the generator did before it planted from `candidate_clips` pairs.
 
 Costs and distances are compared by `float.hex`, batch tensors and
 gradients by `tobytes()`.
@@ -49,7 +51,7 @@ from momentsearch.core import (
     offsets,
     span_ious,
 )
-from momentsearch.costs import CostCounters, ScoredMoment, score_moments, sq_distances
+from momentsearch.costs import ScoredMoment, score_moments, sq_distances
 from momentsearch import dataio
 from momentsearch.dataio import (
     FORMAT_VERSION,
@@ -68,7 +70,13 @@ from momentsearch.dataio import (
     write_features,
     write_jsonl,
 )
-from momentsearch.enumeration import PRESETS, EnumConfig, candidate_clips, enumerate_moments
+from momentsearch.enumeration import (
+    PRESETS,
+    DatasetPreset,
+    EnumConfig,
+    candidate_clips,
+    enumerate_moments,
+)
 from momentsearch.index import (
     INDEX_MAGIC,
     ClipHit,
@@ -159,25 +167,22 @@ def reference_tef_costs_for_moments(video, video_features, context, query_emb, f
     return sums / counts, int(dists.shape[0])
 
 
-def reference_score_moments(video, video_features, query_emb, variant, params, firsts, lasts,
-                            counters):
+def reference_score_moments(video, video_features, query_emb, variant, params, firsts, lasts):
     if len(firsts) == 0:
         return np.empty(0, dtype=np.float64)
     feats = np.asarray(video_features, dtype=np.float64)
     context = compute_context(feats)
     q = np.asarray(query_emb, dtype=np.float64)
     if params.dims.use_tef:
-        costs, n_dists = reference_tef_costs_for_moments(
+        costs, _ = reference_tef_costs_for_moments(
             video, feats, context, q, firsts, lasts, params, aggregate=variant == "aggregate"
         )
-        counters.distance_evals += n_dists
     elif variant == "cal":
         emb = embed_clips(feats, context, None, params)
         d = sq_distances(np.asarray(emb, dtype=np.float64), q)
         prefix = np.zeros(d.shape[0] + 1, dtype=np.float64)
         np.cumsum(d, out=prefix[1:])
         costs = (prefix[lasts + 1] - prefix[firsts]) / (lasts - firsts + 1)
-        counters.distance_evals += d.shape[0]
     elif variant == "aggregate":
         pooled = np.stack([
             feats[first:last + 1].mean(axis=0)
@@ -186,18 +191,32 @@ def reference_score_moments(video, video_features, query_emb, variant, params, f
         inputs = assemble_visual_inputs(pooled, context, None, params.dims)
         emb = mlp_forward(inputs, params)
         costs = sq_distances(emb, q)
-        counters.distance_evals += len(firsts)
-    counters.moments_scored += len(firsts)
     return costs
+
+
+def reference_distance_count(video, variant, params, firsts, lasts):
+    """Distances that pricing one video's moments evaluates: one per clip
+    under clip alignment without TEF, else one per moment row (each clip,
+    or one pooled row under "aggregate"); none without moments."""
+    if len(firsts) == 0:
+        return 0
+    if variant == "cal" and not params.dims.use_tef:
+        return video.num_clips
+    return len(firsts) if variant == "aggregate" else int((lasts - firsts + 1).sum())
+
+
+Counts = namedtuple("Counts", "distance_evals moments_scored")
 
 
 def reference_rank(groups, q_emb, variant, params, nms_iou, top_k):
     """Score each (video, features, firsts, lasts) group, suppress within the
     video cheapest first, and merge by (cost, video_id, first, last)."""
-    counters = CostCounters()
+    evals = scored = 0
     videos, rows = [], []
     for video, feats, firsts, lasts in groups:
-        costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts, counters)
+        costs = score_moments(video, feats, q_emb, variant, params, firsts, lasts)
+        evals += reference_distance_count(video, variant, params, firsts, lasts)
+        scored += len(firsts)
         order = np.lexsort((lasts, firsts, costs))
         spans = [Moment.from_clips(video, f, l).span
                  for f, l in zip(firsts[order].tolist(), lasts[order].tolist())]
@@ -205,13 +224,13 @@ def reference_rank(groups, q_emb, variant, params, nms_iou, top_k):
         rows.append((np.full(len(kept), len(videos)), firsts[kept], lasts[kept], costs[kept]))
         videos.append(video)
     if not videos:
-        return [], counters
+        return [], Counts(evals, scored)
     ordinal, firsts, lasts, costs = (np.concatenate(col) for col in zip(*rows))
     id_rank = np.argsort(np.argsort(np.asarray([v.video_id for v in videos], dtype=object)))
     top = np.lexsort((lasts, firsts, id_rank[ordinal], costs))[:top_k]
     return [ScoredMoment(Moment.from_clips(videos[v], f, l), c)
             for v, f, l, c in zip(ordinal[top].tolist(), firsts[top].tolist(),
-                                  lasts[top].tolist(), costs[top].tolist())], counters
+                                  lasts[top].tolist(), costs[top].tolist())], Counts(evals, scored)
 
 
 def reference_select(corpus, ordinal, firsts, lasts, costs, nms_iou, top_k):
@@ -815,12 +834,9 @@ def test_score_moments_equals_replaced_paths(preset_name, variant, mode):
         feats = rng.standard_normal((n, 5))
         q = rng.standard_normal(6)
         for grid in (candidate_clips(n, enum_cfg), empty):
-            got_counters, want_counters = CostCounters(), CostCounters()
-            got = score_moments(video, feats, q, variant, params, *grid.T, got_counters)
-            want = reference_score_moments(video, feats, q, variant, params, *grid.T,
-                                           want_counters)
+            got = score_moments(video, feats, q, variant, params, *grid.T)
+            want = reference_score_moments(video, feats, q, variant, params, *grid.T)
             assert _hex(got) == _hex(want)
-            assert got_counters == want_counters
 
 
 @pytest.mark.parametrize("preset_name", sorted(PRESETS))
@@ -1773,3 +1789,105 @@ def test_load_index_equals_whole_payload_reference(kind, block_bytes, monkeypatc
     names = ("keys", "vectors") + (("centroids", "offsets") if kind == "ivf" else ())
     for name in names:
         _assert_same_array(getattr(got, name), getattr(want, name), name)
+
+
+def reference_pick_disjoint_moments(candidates, count, rng):
+    """Randomly pick `count` candidate `Moment`s, preferring clip-disjoint ones."""
+    order = rng.permutation(len(candidates))
+    picked = []
+    used = set()
+    for idx in order:
+        m = candidates[idx]
+        clips = set(range(m.first_clip, m.last_clip + 1))
+        if not clips & used:
+            picked.append(m)
+            used |= clips
+            if len(picked) == count:
+                return picked
+    for idx in order:  # not enough disjoint ones; allow overlap
+        if len(picked) == count:
+            break
+        if candidates[idx] not in picked:
+            picked.append(candidates[idx])
+    return picked
+
+
+def reference_generated(spec, preset):
+    """(clip features, planted moments) of each video `generate_synthetic`
+    writes, replaying its draws with every candidate of every video built
+    as a `Moment` and planted at the shortest candidate length (or at
+    `planted_moment_clips`, when some candidate has it)."""
+    rng = np.random.default_rng(spec.seed)
+    vocab = rng.standard_normal((spec.vocab_size, spec.word_dim)).astype(np.float32)
+    readout = (rng.standard_normal((spec.visual_dim, spec.word_dim))
+               / np.sqrt(spec.word_dim)).astype(np.float32)
+    clip_len = preset.enum.clip_length
+    videos = []
+    for vi in range(spec.num_videos):
+        n = spec.clips_per_video if isinstance(spec.clips_per_video, int) else \
+            int(rng.integers(spec.clips_per_video[0], spec.clips_per_video[1] + 1))
+        video = VideoMeta(f"v{vi:05d}", n * clip_len, clip_len, n)
+        feats = rng.standard_normal((n, spec.visual_dim))
+        candidates = enumerate_moments(video, preset.enum)
+        if candidates:
+            target_len = spec.planted_moment_clips or min(m.num_clips for m in candidates)
+            plantable = [m for m in candidates if m.num_clips == target_len] or candidates
+        else:
+            plantable = []
+        planted = reference_pick_disjoint_moments(
+            plantable, min(spec.queries_per_video, len(plantable)), rng)
+        for m in planted:
+            words = vocab[rng.integers(0, spec.vocab_size,
+                                       size=int(rng.integers(spec.words_min, spec.words_max + 1)))]
+            latent = readout.astype(np.float64) @ words.astype(np.float64).mean(axis=0)
+            noise = spec.signal_noise * rng.standard_normal((m.num_clips, spec.visual_dim))
+            feats[m.first_clip:m.last_clip + 1] = \
+                latent[None, :].astype(np.float32).astype(np.float64) + noise
+        videos.append((feats, planted))
+    return videos
+
+
+# A preset whose minimum moment exceeds the shortest videos of 2-9 clips.
+_SHORT_VIDEOS = DatasetPreset(
+    "min-4", EnumConfig(clip_length=2.0, max_moment_clips=6, stride_ratio=0.5,
+                        min_moment_clips=4), 0.5, 1, 0.35)
+# case -> (spec fields beyond the shared ones, preset)
+GENERATED = {
+    "mixed-counts-overlap": ({"clips_per_video": (2, 20), "queries_per_video": 3},
+                             PRESETS["charades-sta"]),
+    "planted-clips-overlap": ({"clips_per_video": (4, 14), "queries_per_video": 4,
+                               "planted_moment_clips": 4}, PRESETS["charades-sta"]),
+    "planted-clips-off-grid": ({"clips_per_video": 12, "planted_moment_clips": 5},
+                               PRESETS["didemo"]),
+    "videos-below-minimum": ({"clips_per_video": (2, 9), "queries_per_video": 2},
+                             _SHORT_VIDEOS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATED))
+def test_generated_corpus_equals_per_moment_planting(case, tmp_path, caplog):
+    fields, preset = GENERATED[case]
+    spec = dataio.SyntheticSpec(num_videos=30, visual_dim=4, word_dim=3, vocab_size=9, seed=17,
+                                **fields)
+    with caplog.at_level("WARNING", logger="momentsearch.enumeration"):
+        corpus, queries = dataio.generate_synthetic(spec, preset, str(tmp_path))
+    logged = [r.args[0] for r in caplog.records if "no candidates" in r.getMessage()]
+    want = reference_generated(spec, preset)
+    assert corpus.num_clips.tolist() == [len(feats) for feats, _ in want]
+    _assert_same_array(corpus.clip_features,
+                       np.concatenate([feats for feats, _ in want]).astype(np.float32)
+                       .astype(np.float64), "clip features")
+    planted = [(q.query_id, q.ground_truth.video_id, q.ground_truth.annotations[0])
+               for q in queries]
+    assert planted == [(f"q{vi:05d}_{qi}", m.video_id, m.span)
+                       for vi, (_, moments) in enumerate(want) for qi, m in enumerate(moments)]
+    # Every video below the minimum logs that it has no candidates.
+    short = [v.video_id for v in corpus.videos if v.num_clips < preset.enum.min_moment_clips]
+    assert logged == short
+    assert bool(short) == (case == "videos-below-minimum")
+    if case.endswith("-overlap"):  # some video plants more queries than disjoint slots
+        spans = {}
+        for _, video_id, span in planted:
+            spans.setdefault(video_id, []).append(span)
+        assert any(a.end > b.start and b.end > a.start for s in spans.values()
+                   for i, a in enumerate(s) for b in s[i + 1:])

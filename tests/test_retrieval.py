@@ -296,13 +296,15 @@ class TestTwoStage:
                                         num_videos=10)
         params = init_params(ModelDims(3, 2, hidden_mlp=6, embed=4, hidden_lstm=3), 5)
         calls = []
-        score_moments = retrieval.score_moments
+        moment_inputs = retrieval.moment_inputs
 
-        def spy(video, feats, q_emb, variant, p, firsts, lasts, counters=None):
-            calls.append((video.video_id, list(zip(firsts.tolist(), lasts.tolist()))))
-            return score_moments(video, feats, q_emb, variant, p, firsts, lasts, counters)
+        def spy(corpus_, ordinal, firsts, lasts, pooled, dims):
+            assert np.ndim(ordinal) == 0 and pooled  # one video a call, aggregate rows
+            calls.append((corpus_.videos[ordinal].video_id,
+                          list(zip(firsts.tolist(), lasts.tolist()))))
+            return moment_inputs(corpus_, ordinal, firsts, lasts, pooled, dims)
 
-        monkeypatch.setattr(retrieval, "score_moments", spy)
+        monkeypatch.setattr(retrieval, "moment_inputs", spy)
         cfg = RetrievalConfig(rerank_variant="aggregate", nms_iou=0.5, top_k=20, budget=60)
         for q in queries[:3]:
             stage1 = exhaustive_search(corpus, q, params, enum_cfg,
