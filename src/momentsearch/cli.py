@@ -108,7 +108,10 @@ def cmd_gen(args) -> int:
     preset_name = data.pop("preset", args.preset)
     if args.seed is not None:
         data["seed"] = args.seed
-    spec = SyntheticSpec.from_dict(data)
+    try:
+        spec = SyntheticSpec.from_dict(data)
+    except TypeError as e:
+        raise CliError("E_CONFIG", f"bad synthetic spec: {e}")
     preset = get_preset(preset_name)
     os.makedirs(args.out, exist_ok=True)
     corpus, queries = generate_synthetic(spec, preset, args.out)

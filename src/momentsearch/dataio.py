@@ -647,6 +647,8 @@ class SyntheticSpec:
 def _pick_disjoint_moments(pairs: list, count: int, rng) -> list:
     """Randomly pick `count` of the (first, last) clip ranges `pairs`,
     preferring clip-disjoint ones."""
+    if count == 0:
+        return []
     order = rng.permutation(len(pairs))
     picked = []
     used = set()

@@ -124,17 +124,21 @@ class ClipIndex:
     def _scan(self, q: np.ndarray, starts: np.ndarray, sizes: np.ndarray, top_c: int) -> ClipHits:
         """The top_c entries of lists [starts[k], starts[k] + sizes[k]) by
         (distance, video_id, clip). Each list is one contiguous slice of
-        `vectors`, scanned in place through one reused difference buffer."""
+        `vectors`, scanned in place through one reused difference buffer of
+        at most _BLOCK_BYTES, a longer list in blocks of that many rows."""
         if top_c < 1:
             raise ValueError("top_c must be at least 1")
         idx = ranges(starts, sizes)
         dists = np.empty(len(idx), dtype=np.float32)
-        diff = np.empty((int(sizes.max()), self.dim), dtype=np.float32)
+        rows = max(1, _BLOCK_BYTES // (4 * self.dim))
+        diff = np.empty((min(int(sizes.max()), rows), self.dim), dtype=np.float32)
         at = 0
-        for lo, n in zip(starts.tolist(), sizes.tolist()):
-            part = np.subtract(self.vectors[lo:lo + n], q, out=diff[:n])
-            dists[at:at + n] = np.einsum("ij,ij->i", part, part)
-            at += n
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            for lo in range(start, start + size, rows):
+                n = min(rows, start + size - lo)
+                part = np.subtract(self.vectors[lo:lo + n], q, out=diff[:n])
+                dists[at:at + n] = np.einsum("ij,ij->i", part, part)
+                at += n
         if top_c < len(dists):
             # Only entries no farther than the top_c-th distance can place;
             # NaN distances sort last.
@@ -226,32 +230,55 @@ def build_exact(corpus: Corpus, params: ModelParams,
     return ClipIndex(tuple(v.video_id for v in corpus.videos), keys, vectors)
 
 
-def _kmeans_pp_seed(x: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
-    # distances via |x|^2 - 2 x.c + |c|^2 (clamped at 0) to avoid
-    # materializing an (entries, dim) difference per seeding step
-    n = x.shape[0]
-    x_norms = np.einsum("ij,ij->i", x, x)
-    centroids = np.empty((p, x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(0, n))
-    centroids[0] = x[first]
-    best = np.maximum(x_norms - 2.0 * (x @ centroids[0]) + x_norms[first], 0.0)
-    for i in range(1, p):
-        total = best.sum()
-        if total <= 0:  # all points coincide with chosen centroids
-            pick = int(rng.integers(0, n))
-        else:
-            pick = int(rng.choice(n, p=best / total))
-        centroids[i] = x[pick]
-        d = np.maximum(x_norms - 2.0 * (x @ centroids[i]) + x_norms[pick], 0.0)
-        best = np.minimum(best, d)
+def _kmeans_pp_seed(vectors: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds over float32 `vectors`, as float64 centroids.
+
+    Distances come from |x|^2 - 2 x.c + |c|^2 (clamped at 0), so no step
+    makes an (entries, dim) difference. Each step casts the rows to float64
+    one fixed block at a time through one reused buffer: blocks of a
+    multiple of 16 rows, only the last one short, so the GEMV gives every
+    row the bytes of a whole-matrix product (see _BLOCK_BYTES).
+    """
+    n, dim = vectors.shape
+    rows = max(16, _BLOCK_BYTES // (8 * dim) // 16 * 16)
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    buf = np.empty((min(rows, n), dim), dtype=np.float64)
+    x_norms = np.empty(n, dtype=np.float64)
+    for lo, hi in blocks:
+        x = buf[:hi - lo]
+        x[...] = vectors[lo:hi]
+        x_norms[lo:hi] = np.einsum("ij,ij->i", x, x)
+    centroids = np.empty((p, dim), dtype=np.float64)
+    best = np.full(n, np.inf)
+    pick = int(rng.integers(0, n))
+    for i in range(p):
+        if i:
+            total = best.sum()
+            if total <= 0:  # all points coincide with chosen centroids
+                pick = int(rng.integers(0, n))
+            else:
+                pick = int(rng.choice(n, p=best / total))
+        centroids[i] = vectors[pick]
+        if i == p - 1:
+            break
+        for lo, hi in blocks:
+            x = buf[:hi - lo]
+            x[...] = vectors[lo:hi]
+            d = x_norms[lo:hi] - 2.0 * (x @ centroids[i]) + x_norms[pick]
+            np.minimum(best[lo:hi], np.maximum(d, 0.0), out=best[lo:hi])
     return centroids
 
 
-# Bytes that one block of rows may take while `build_ivf` scores, measures
-# and copies its clips and while `save_index` writes them: 2,340 rows of
-# float64 scores at 448 partitions. BLAS rounds a GEMM of under about a
-# thousand outputs on another code path (scipy-openblas 0.3.31 measured);
-# blocks stay far above that, so blocking changes no score.
+# Bytes that one block of rows may take while `build_ivf` casts, scores and
+# measures its clips, while a search takes differences and while
+# `save_index` and `load_index` move the payload: 2,340 rows of float64
+# scores at 448 partitions, 21,840 float64 rows of 48-d in seeding. Measured
+# on scipy-openblas 0.3.31 (Haswell kernels, one thread): a GEMM of under
+# about a thousand outputs is rounded on another code path, and blocks stay
+# far above that; a GEMV gives a row the bytes of a whole-matrix product
+# only when its block starts at a multiple of 16 rows (blocks of 21,845 or
+# 1,000 rows changed the last bit of some products, blocks of 21,840 did
+# not), so seeding walks fixed 16-row-multiple blocks, not `_row_blocks`.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -265,32 +292,34 @@ def _row_blocks(n: int, row_bytes: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Each row's nearest centroid, the lowest index on ties.
 
     Scores -2 x.c + ||c||^2 (||x - c||^2 less the rank-invariant ||x||^2)
-    in place, in row blocks of at most _BLOCK_BYTES, so the transient is one
-    (rows, p) float64 block whatever n is. Each block takes the same IEEE
-    operations in the same order as a whole-matrix pass, and a GEMM above
-    the small size gives a row the same dot products in any block, so the
-    labels keep their bytes.
+    in place, in row blocks of at most _BLOCK_BYTES, each cast to float64
+    on its own, so the transient is one (rows, p) float64 block and its
+    float64 rows whatever n is. Each block takes the same IEEE operations
+    in the same order as a whole-matrix pass, and a GEMM above the small
+    size gives a row the same dot products in any block, so the labels
+    keep their bytes.
     """
     c_norms = np.einsum("ij,ij->i", centroids, centroids)
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    for lo, hi in _row_blocks(x.shape[0], 8 * centroids.shape[0]):
-        scores = x[lo:hi] @ centroids.T
+    labels = np.empty(vectors.shape[0], dtype=np.int64)
+    for lo, hi in _row_blocks(vectors.shape[0], 8 * max(centroids.shape)):
+        scores = vectors[lo:hi].astype(np.float64) @ centroids.T
         scores *= -2.0
         scores += c_norms
         labels[lo:hi] = np.argmin(scores, axis=1)
     return labels
 
 
-def _centroid_means(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _centroid_means(vectors: np.ndarray, labels: np.ndarray,
+                    centroids: np.ndarray) -> np.ndarray:
     p, dim = centroids.shape
     counts = np.bincount(labels, minlength=p).astype(np.float64)
     sums = np.empty((p, dim), dtype=np.float64)
-    for d in range(dim):
-        sums[:, d] = np.bincount(labels, weights=x[:, d], minlength=p)
+    for d in range(dim):  # bincount sums its weights in float64
+        sums[:, d] = np.bincount(labels, weights=vectors[:, d], minlength=p)
     out = centroids.copy()
     nonzero = counts > 0
     out[nonzero] = sums[nonzero] / counts[nonzero, None]
@@ -309,12 +338,14 @@ def build_ivf(
     An empty partition after the final assignment is repaired once by
     re-seeding its centroid at the entry farthest from its own centroid.
 
-    Memory: the peak is 12 x n x dim bytes, the float64 clip matrix beside
-    first the float32 one it is cast from (dropped then) and later the
-    partition-sorted float32 vectors it returns, plus O(n) keys and labels
-    and a few blocks of at most _BLOCK_BYTES: scores, the repair's distances
-    and the sorted copy are made block by block. Keys, vectors, centroids
-    and offsets keep the bytes of a build over whole matrices.
+    Memory: the peak is 8 x n x dim bytes, the float32 clip matrix beside
+    the partition-sorted float32 copy it returns, plus O(n) keys, labels,
+    norms and distances and a few blocks of at most _BLOCK_BYTES. No float64
+    clip matrix is made: seeding, assignment, the repair and the means cast
+    the float32 rows one block (or one column) at a time, and the sorted
+    copy is gathered from the float32 rows, which float32 -> float64 ->
+    float32 would give back unchanged. Keys, vectors, centroids and offsets
+    keep the bytes of a float64 build over whole matrices.
     """
     if kmeans_iters < 0:
         raise ValueError(f"kmeans_iters must be non-negative, got {kmeans_iters}")
@@ -324,36 +355,31 @@ def build_ivf(
     if not 1 <= p <= n:
         raise ValueError(f"partition count must lie in [1, {n}], got {p}")
     rng = np.random.default_rng(seed)
-    x = vectors.astype(np.float64)
-    del vectors  # rebuilt from x below: float32 -> float64 -> float32 is exact
-    centroids = _kmeans_pp_seed(x, p, rng)
+    centroids = _kmeans_pp_seed(vectors, p, rng)
     for _ in range(kmeans_iters):
-        labels = _assign(x, centroids)
-        centroids = _centroid_means(x, labels, centroids)
-    labels = _assign(x, centroids)
+        labels = _assign(vectors, centroids)
+        centroids = _centroid_means(vectors, labels, centroids)
+    labels = _assign(vectors, centroids)
     counts = np.bincount(labels, minlength=p)
 
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         dist_to_own = np.empty(n)
         for lo, hi in _row_blocks(n, 8 * dim):
-            diff = x[lo:hi] - centroids[labels[lo:hi]]
+            diff = vectors[lo:hi] - centroids[labels[lo:hi]]
             dist_to_own[lo:hi] = np.einsum("ij,ij->i", diff, diff)
         for j, entry in zip(empty, np.argsort(-dist_to_own)):
-            centroids[j] = x[entry]
-        labels = _assign(x, centroids)
+            centroids[j] = vectors[entry]
+        labels = _assign(vectors, centroids)
         counts = np.bincount(labels, minlength=p)
 
     order = np.argsort(labels, kind="stable")
     offsets = np.zeros(p + 1, dtype=np.uint64)
     np.cumsum(counts, out=offsets[1:])
-    sorted_vectors = np.empty((n, dim), dtype=np.float32)
-    for lo, hi in _row_blocks(n, 8 * dim):
-        sorted_vectors[lo:hi] = x[order[lo:hi]]
     return IvfIndex(
         tuple(v.video_id for v in corpus.videos),
         keys[order],
-        sorted_vectors,
+        vectors[order],
         centroids.astype(np.float32),
         offsets,
     )
@@ -390,23 +416,26 @@ def save_index(index: ClipIndex, path: str) -> None:
             f.write(index.offsets.astype("<u8").tobytes())
 
 
-def _read_entries(f, count: int, dim: int, path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_entries(f, count: int, dim: int, path: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """The interleaved key|vector payload of `count` entries as (keys,
-    vectors), read in row blocks of at most _BLOCK_BYTES through one reused
-    buffer straight into the two arrays the index keeps. A count that runs
-    past the end of the file is refused before anything is allocated."""
+    vectors, whether every vector is finite), read in row blocks of at most
+    _BLOCK_BYTES through one reused buffer straight into the two arrays the
+    index keeps, each block checked as it lands. A count that runs past the
+    end of the file is refused before anything is allocated."""
     row_bytes = 4 * (2 + dim)
     check_length(f, count * row_bytes, "entries", path)
     keys = np.empty((count, 2), dtype=np.uint32)
     vectors = np.empty((count, dim), dtype=np.float32)
     blocks = _row_blocks(count, row_bytes)
     buf = np.empty((max(hi - lo for lo, hi in blocks), 2 + dim), dtype="<u4")
+    finite = True
     for lo, hi in blocks:
         block = buf[:hi - lo]
         read_into(f, block, "entries", path)
         keys[lo:hi] = block[:, :2]
         vectors[lo:hi] = block[:, 2:].view("<f4")
-    return keys, vectors
+        finite = finite and bool(np.isfinite(vectors[lo:hi]).all())
+    return keys, vectors, finite
 
 
 def load_index(path: str, video_ids: tuple[str, ...]):
@@ -418,7 +447,7 @@ def load_index(path: str, video_ids: tuple[str, ...]):
         count = int(read_array(f, "<u8", 1, "entry count", path)[0])
         if count == 0:
             raise FormatError(f"{path}: entry count at byte 11 is 0; an index needs entries")
-        keys, vectors = _read_entries(f, count, dim, path)
+        keys, vectors, finite = _read_entries(f, count, dim, path)
         max_ordinal = int(keys[:, 0].max())
         if max_ordinal >= len(video_ids):
             raise FormatError(f"{path}: entry references video ordinal {max_ordinal}, "
@@ -437,6 +466,6 @@ def load_index(path: str, video_ids: tuple[str, ...]):
             index = IvfIndex(video_ids, keys, vectors, centroids, offsets)
         else:
             raise FormatError(f"{path}: unknown index flavor {flavor}")
-    if not np.all(np.isfinite(index.vectors)):
+    if not finite:  # refused last, after every structural check
         raise FormatError(f"{path}: non-finite vector payload")
     return index

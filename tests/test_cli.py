@@ -286,6 +286,19 @@ class TestErrorHandling:
         assert rc != 0
         assert capsys.readouterr().err.startswith("E_FORMAT")
 
+    @pytest.mark.parametrize("spec", [{"bogus": 1}, {"clips_per_video": 12.0}])
+    def test_gen_bad_spec_field_is_one_config_line(self, tmp_path, capsys, spec):
+        path = str(tmp_path / "spec.json")
+        with open(path, "w") as f:
+            json.dump(spec, f)
+        out = tmp_path / "c"
+        rc = main(["gen", "--spec", path, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG: bad synthetic spec: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_bench_unknown_method_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "bench_report.txt")
         rc = main(["bench", "--methods", "cal,aprox", "--workdir", str(tmp_path / "w"),

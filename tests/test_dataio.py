@@ -342,6 +342,14 @@ class TestSyntheticGenerator:
                 path_b = path_a.replace(dir_a, dir_b, 1)
                 assert open(path_a, "rb").read() == open(path_b, "rb").read(), name
 
+    def test_zero_queries_per_video_plants_nothing(self, tmp_path):
+        spec = SyntheticSpec(num_videos=3, clips_per_video=12, queries_per_video=0, seed=0)
+        out = str(tmp_path / "c")
+        corpus, queries = generate_synthetic(spec, get_preset("didemo"), out)
+        assert len(corpus) == 3 and queries == []
+        assert os.path.getsize(os.path.join(out, "queries.jsonl")) == 0
+        assert os.listdir(os.path.join(out, "words")) == []
+
     def test_planted_spans_on_clip_grid(self, tmp_path):
         spec = SyntheticSpec(num_videos=10, clips_per_video=(8, 14), visual_dim=6,
                              word_dim=4, vocab_size=16, queries_per_video=2, seed=9)

@@ -253,10 +253,34 @@ class TestPersistence:
         with pytest.raises(FormatError, match=r"x\.calx: IVF partition offsets"):
             load_index(path, good.video_ids)
 
+    @pytest.mark.parametrize("fault", ["non-finite", "and-offsets", "and-ordinal"])
+    @pytest.mark.parametrize("row", [0, 40, 71])
+    def test_non_finite_payload_refused_after_every_other_fault(self, tmp_path, rng, monkeypatch,
+                                                                 fault, row):
+        # Payload blocks of 5 rows: the bad value lands in the first, a middle
+        # or the last block; a file with another fault too is refused for it.
+        corpus = make_corpus(rng, num_videos=6, num_clips=12)
+        good = build_ivf(corpus, small_params(), partitions=6, seed=1)
+        vectors = good.vectors.copy()
+        vectors[row, row % good.dim] = np.inf if row % 2 else np.nan
+        offsets = good.offsets.copy()
+        if fault == "and-offsets":
+            offsets[0] = 1
+        path = str(tmp_path / "x.calx")
+        save_index(IvfIndex(good.video_ids, good.keys, vectors, good.centroids, offsets), path)
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", 5 * 4 * (2 + good.dim))
+        ids = good.video_ids[:1] if fault == "and-ordinal" else good.video_ids
+        message = {"non-finite": r"x\.calx: non-finite vector payload$",
+                   "and-offsets": r"x\.calx: IVF partition offsets",
+                   "and-ordinal": r"x\.calx: entry references video ordinal"}[fault]
+        with pytest.raises(FormatError, match=message):
+            load_index(path, ids)
+
 
 class TestBoundedMemory:
-    """`build_ivf` and `save_index` work in row blocks of at most
-    `index._BLOCK_BYTES`; tracemalloc sees every numpy buffer they make."""
+    """`build_ivf`, searches, `save_index` and `load_index` work in row
+    blocks of at most `index._BLOCK_BYTES`; tracemalloc sees every numpy
+    buffer they make."""
 
     BLOCK = 64 << 10
 
@@ -302,7 +326,30 @@ class TestBoundedMemory:
                                                        kmeans_iters=3))
         n, dim = ivf.vectors.shape
         assert ivf.num_partitions == 100
-        assert peak < 3 * n * dim * 8 + 4 * self.BLOCK
+        # The float32 clip matrix and its partition-sorted copy (no float64
+        # matrix: that would add 768 KB); the keys and their sorted copy;
+        # six int64 or float64 n-vectors (labels, sort order, the id ranks
+        # and their ordinals, or seeding's norms, distances and weights);
+        # two blocks.
+        assert peak < 2 * n * dim * 4 + 2 * 8 * n + 6 * 8 * n + 2 * self.BLOCK
+
+    @pytest.mark.parametrize("kind", ["exact", "ivf"])
+    def test_search_peak_is_one_block_and_a_few_entry_vectors(self, corpus_and_params,
+                                                              monkeypatch, kind):
+        corpus, params = corpus_and_params
+        built = build_exact(corpus, params) if kind == "exact" else \
+            build_ivf(corpus, params, partitions=3, kmeans_iters=1)
+        nprobe = 0 if kind == "exact" else built.num_partitions  # every entry
+        q = np.random.default_rng(8).standard_normal(built.dim)
+        want, _ = built.search(q, 10, nprobe)
+        monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
+        (hits, stats), peak = self.traced_peak(lambda: built.search(q, 10, nprobe))
+        n = built.num_entries
+        assert stats.distance_evals == n and hits == want
+        # One difference block (a whole list's would be 384 KB); the entry
+        # numbers (8 B), distances and their partition copy (4 B each) and
+        # the selection's masks and picks.
+        assert peak < self.BLOCK + 24 * n
 
     def test_load_index_peak_is_the_index_and_one_block(self, corpus_and_params, monkeypatch,
                                                         tmp_path):
@@ -314,9 +361,11 @@ class TestBoundedMemory:
         loaded, peak = self.traced_peak(lambda: load_index(path, ivf.video_ids))
         n = loaded.num_entries
         held = loaded.keys.nbytes + loaded.vectors.nbytes + n * 8  # and the id-rank table
-        # Beside what the index keeps: one block, the finiteness mask of the
-        # vectors, the id ranks' int64 ordinals, and headers and file buffers.
-        assert peak < held + self.BLOCK + loaded.vectors.size + n * 8 + (16 << 10)
+        # Beside what the index keeps: one block while the payload is read
+        # (each checked for finiteness as it lands), later the id ranks'
+        # int64 ordinals, and headers and file buffers. A finiteness mask
+        # of every vector (96 KB) would not fit.
+        assert peak < held + max(self.BLOCK, n * 8) + (16 << 10)
 
     def test_save_index_peak_is_one_block(self, corpus_and_params, monkeypatch, tmp_path):
         corpus, params = corpus_and_params

@@ -9,7 +9,8 @@ candidate-table and batched approximate search, `retrieval._select`'s
 per-video bound, `index.ClipHits`, `ClipIndex._scan`'s in-place list
 scan, `CandidateTable`'s gather from `retrieval._grid_table`,
 `retrieval._hit_candidates`' ordinal map, `index.corpus_clip_matrix`, the
-row blocks of `index.build_ivf` and `index.save_index`,
+float32 row blocks of `index.build_ivf` (k-means++ seeding and means
+included) and the row blocks of `index.save_index`,
 `model.embed_videos`'s gathered chunks, `dataio.Corpus.contexts` and
 `model.range_means`, `model.sigmoid`, `model.lstm_forward_batch` and
 `training._lstm_backward`, and the per-file `dataio.load_corpus` /
@@ -83,7 +84,6 @@ from momentsearch.index import (
     ClipHits,
     ClipIndex,
     IvfIndex,
-    _centroid_means,
     _kmeans_pp_seed,
     build_exact,
     build_ivf,
@@ -424,8 +424,41 @@ def reference_assign(x, centroids, chunk=16384):
     return labels
 
 
+def reference_kmeans_pp_seed(x, p, rng):
+    """k-means++ over the whole float64 matrix: one GEMV over every row a step."""
+    n = x.shape[0]
+    x_norms = np.einsum("ij,ij->i", x, x)
+    centroids = np.empty((p, x.shape[1]), dtype=np.float64)
+    first = int(rng.integers(0, n))
+    centroids[0] = x[first]
+    best = np.maximum(x_norms - 2.0 * (x @ centroids[0]) + x_norms[first], 0.0)
+    for i in range(1, p):
+        total = best.sum()
+        if total <= 0:
+            pick = int(rng.integers(0, n))
+        else:
+            pick = int(rng.choice(n, p=best / total))
+        centroids[i] = x[pick]
+        d = np.maximum(x_norms - 2.0 * (x @ centroids[i]) + x_norms[pick], 0.0)
+        best = np.minimum(best, d)
+    return centroids
+
+
+def reference_centroid_means(x, labels, centroids):
+    """Per-partition means of the float64 rows; an empty partition keeps its centroid."""
+    p, dim = centroids.shape
+    counts = np.bincount(labels, minlength=p).astype(np.float64)
+    sums = np.empty((p, dim), dtype=np.float64)
+    for d in range(dim):
+        sums[:, d] = np.bincount(labels, weights=x[:, d], minlength=p)
+    out = centroids.copy()
+    nonzero = counts > 0
+    out[nonzero] = sums[nonzero] / counts[nonzero, None]
+    return out
+
+
 def reference_build_ivf(corpus, params, partitions=None, seed=0, kmeans_iters=10):
-    """Whole-matrix build: (16,384, p) score blocks, full differences, one sort copy."""
+    """Whole float64 matrix build: (16,384, p) score blocks, full differences, one sort copy."""
     keys, vectors = corpus_clip_matrix(corpus, params)
     n = vectors.shape[0]
     p = partitions if partitions is not None else int(np.ceil(np.sqrt(n)))
@@ -433,10 +466,10 @@ def reference_build_ivf(corpus, params, partitions=None, seed=0, kmeans_iters=10
         raise ValueError(f"partition count must lie in [1, {n}], got {p}")
     rng = np.random.default_rng(seed)
     x = vectors.astype(np.float64)
-    centroids = _kmeans_pp_seed(x, p, rng)
+    centroids = reference_kmeans_pp_seed(x, p, rng)
     for _ in range(kmeans_iters):
         labels = reference_assign(x, centroids)
-        centroids = _centroid_means(x, labels, centroids)
+        centroids = reference_centroid_means(x, labels, centroids)
     labels = reference_assign(x, centroids)
 
     empty = [j for j in range(p) if not np.any(labels == j)]
@@ -1363,6 +1396,42 @@ def test_build_and_save_ivf_equal_whole_matrix_reference(seed, block_bytes, monk
     _assert_same_saved_bytes(got, want, tmp_path)
 
 
+class _RecordingRng:
+    """A Generator that keeps a copy of every weight vector `choice` draws from."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.weights = []
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def choice(self, n, p):
+        self.weights.append(p.copy())
+        return self.rng.choice(n, p=p)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 48])
+def test_blocked_seeding_equals_whole_matrix_gemv(dim, monkeypatch):
+    # 5,003 rows of float32 at magnitudes 1e-3 to 1e2, cast to float64 in
+    # fixed blocks of 144 rows with a short last one. Near-equal blocks of
+    # 147 or 148 rows (`_row_blocks`' split) or fixed blocks of 150 rows
+    # change the last bit of some 48-d products here, which moves the
+    # weights even where the picks hold.
+    n, p = 5003, 24
+    gen = np.random.default_rng(60 + dim)
+    vectors = (gen.standard_normal((n, dim))
+               * 10.0 ** gen.integers(-3, 3, (n, 1))).astype(np.float32)
+    monkeypatch.setattr(index_mod, "_BLOCK_BYTES", 150 * 8 * dim)
+    got_rng, want_rng = _RecordingRng(dim), _RecordingRng(dim)
+    got = _kmeans_pp_seed(vectors, p, got_rng)
+    want = reference_kmeans_pp_seed(vectors.astype(np.float64), p, want_rng)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(got_rng.weights) == len(want_rng.weights) == p - 1
+    for step, (a, b) in enumerate(zip(got_rng.weights, want_rng.weights)):
+        assert a.tobytes() == b.tobytes(), step
+
+
 def _repair_case(name):
     """(corpus, params, partitions, kmeans_iters) whose final assignment
     leaves a partition empty."""
@@ -1542,7 +1611,11 @@ def test_index_search_scans_lists_in_place_as_the_gathering_search():
     # distances under the zero query, so many entries tie on distance.
     indexes += [exact, reordered_ids(exact, 41),
                 ClipIndex(exact.video_ids, exact.keys, np.round(exact.vectors))]
-    for index in indexes:
+    # A whole list takes one difference block by default; at 5 rows a block
+    # most lists are scanned in several, the last one short.
+    cases = [(index, index_mod._BLOCK_BYTES) for index in indexes]
+    cases += [(index, 5 * 4 * index.dim) for index in indexes]
+    for index, block_bytes in cases:
         ivf = isinstance(index, IvfIndex)
         p = index.num_partitions if ivf else 0
         queries = [rng.standard_normal(index.dim) for _ in range(3)]
@@ -1551,7 +1624,8 @@ def test_index_search_scans_lists_in_place_as_the_gathering_search():
         for nprobe in sorted({1, 2, p - 1, p} - {0}) if ivf else [0]:
             for top_c in (1, 9, index.num_entries, index.num_entries + 4):
                 for q in queries:
-                    got, got_stats = index.search(q, top_c=top_c, nprobe=nprobe)
+                    with mock.patch.object(index_mod, "_BLOCK_BYTES", block_bytes):
+                        got, got_stats = index.search(q, top_c=top_c, nprobe=nprobe)
                     want, want_stats = reference_gathering_search(index, q, top_c, nprobe)
                     assert got_stats == want_stats
                     for a, b in zip(got.arrays(), want.arrays()):
@@ -1793,6 +1867,8 @@ def test_load_index_equals_whole_payload_reference(kind, block_bytes, monkeypatc
 
 def reference_pick_disjoint_moments(candidates, count, rng):
     """Randomly pick `count` candidate `Moment`s, preferring clip-disjoint ones."""
+    if count == 0:
+        return []
     order = rng.permutation(len(candidates))
     picked = []
     used = set()
