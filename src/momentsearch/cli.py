@@ -86,7 +86,7 @@ def _train_config(args, preset, config_data: dict) -> TrainConfig:
 
 def _model_dims(args, config_data: dict, corpus: Corpus, queries) -> ModelDims:
     dims_data = dict(config_data.get("dims", {}))
-    visual_in = corpus.features_for(corpus.videos[0].video_id).shape[1]
+    visual_in = corpus.clip_features.shape[1]
     word_in = queries[0].word_vectors.shape[1]
     dims_data.setdefault("visual_in", visual_in)
     dims_data.setdefault("word_in", word_in)

@@ -434,15 +434,18 @@ class Corpus:
     of the id, the tie-break of every ranking; built on first read);
     `clip_counts` is the tuple of distinct clip counts, ascending.
     `clip_features` is every clip's features as one C-contiguous
-    (total_clips, visual_in) float64 matrix laid out by `clip_offsets`;
-    `features_for(video_id)` is the row view of one video's clips.
-    `contexts` is the (videos, visual_in) table of each video's
+    (total_clips, visual_in) matrix laid out by `clip_offsets`: float32 when
+    given as a float32 matrix (as `load_corpus` reads the `.calf` files),
+    float64 otherwise. Only `model.py` cuts it, and every cut reaches float64
+    before any arithmetic, so both dtypes give the same bytes downstream.
+    `features_for(video_id)` is one video's clips as float64 rows.
+    `contexts` is the (videos, visual_in) float64 table of each video's
     `model.compute_context`, with the bytes of a per-video call
     (`model.range_means`). `candidates` holds the `retrieval.CandidateTable`
     that search and training read, built by the first that needs it.
 
     The constructor takes the flat matrix, or a dict of per-video blocks of
-    one width, which it concatenates once.
+    one width, which it concatenates once into float64.
     """
 
     def __init__(self, videos: list[VideoMeta],
@@ -462,7 +465,8 @@ class Corpus:
         if features.ndim != 2 or features.shape[0] != self.total_clips:
             raise ValueError(f"clip features of shape {features.shape} for "
                              f"{self.total_clips} clips")
-        self.clip_features = np.ascontiguousarray(features, dtype=np.float64)
+        dtype = np.float32 if features.dtype == np.float32 else np.float64
+        self.clip_features = np.ascontiguousarray(features, dtype=dtype)
         self.contexts = range_means(self.clip_features, self.clip_offsets, self.num_clips)
         self._mapped_ids = self._mapped = None  # `ordinals_for`'s last id table and its map
 
@@ -473,6 +477,10 @@ class Corpus:
         return self.videos[self.ordinal_of[video_id]]
 
     def features_for(self, video_id: str) -> np.ndarray:
+        return self.stored_rows(video_id).astype(np.float64, copy=False)
+
+    def stored_rows(self, video_id: str) -> np.ndarray:
+        """The row view of one video's clips in `clip_features`, of its dtype."""
         o = self.ordinal_of[video_id]
         lo = int(self.clip_offsets[o])
         return self.clip_features[lo:lo + int(self.num_clips[o])]
@@ -536,20 +544,18 @@ def _member_features(path: str, video: VideoMeta, width: Optional[int],
 
 
 def load_corpus(corpus_dir: str) -> Corpus:
-    """Load a corpus directory into one flat clip-feature matrix.
+    """Load a corpus directory into one flat float32 clip-feature matrix,
+    the dtype the feature files store (see `Corpus`).
 
     The first feature file is read by `read_features` and fixes the width.
     Each later one takes one raw `os.readv`: its 14-byte header, its
-    video's rows of one reused float32 buffer and a 1-byte end-of-file
-    probe, so no size is taken from a header; the header must then hold
-    the magic, the version, `num_clips` rows and the first file's width. A
-    file that fails is read again by `read_features`, whose `FormatError`
-    it gets; one that `read_features` accepts is refused for its rows or
-    width (or kept, if only the raw read came up short). Each file's rows
-    are cast into the float64 matrix as they arrive, and one finiteness
-    check covers the whole matrix. (A float32 staging copy of the whole
-    corpus, cast once, raised the later peak RSS of a 10,000-video
-    load-and-index run by 17 MB.)
+    video's rows of the matrix itself and a 1-byte end-of-file probe, so no
+    size is taken from a header and no row passes through a staging buffer;
+    the header must then hold the magic, the version, `num_clips` rows and
+    the first file's width. A file that fails is read again by
+    `read_features`, whose `FormatError` it gets; one that `read_features`
+    accepts is refused for its rows or width (or kept, if only the raw read
+    came up short). One finiteness check covers the whole matrix.
     """
     manifest = os.path.join(corpus_dir, "manifest.jsonl")
     if not os.path.exists(manifest):
@@ -566,8 +572,7 @@ def load_corpus(corpus_dir: str) -> Corpus:
     counts = [v.num_clips for v in videos]
     starts = offsets(counts)
     try:
-        features = np.empty((sum(counts), width))
-        buf = np.empty((max(counts), width), dtype="<f4")
+        features = np.empty((sum(counts), width), dtype="<f4")
     except MemoryError:
         # Refuse a manifest count too large to hold as its file's rows error.
         for o, v in enumerate(videos):
@@ -577,12 +582,11 @@ def load_corpus(corpus_dir: str) -> Corpus:
     header, probe = bytearray(_FEATURE_HEADER.size), bytearray(1)
     for v, lo in zip(videos[1:], starts[1:].tolist()):
         path = os.path.join(corpus_dir, v.feature_ref)
-        rows = buf[:v.num_clips]
+        rows = features[lo:lo + v.num_clips]
         if (_raw_read(path, (header, rows, probe)) != len(header) + rows.nbytes
                 or _FEATURE_HEADER.unpack(header)
                 != (FEATURE_MAGIC, FORMAT_VERSION, v.num_clips, width)):
-            rows = _member_features(path, v, width, path_of(0))
-        features[lo:lo + v.num_clips] = rows
+            rows[...] = _member_features(path, v, width, path_of(0))
     _check_finite(features.reshape(-1), starts * width, path_of)
     return Corpus(videos, features)
 

@@ -206,20 +206,24 @@ class IvfIndex(ClipIndex):
 
 
 def corpus_clip_matrix(corpus: Corpus, params: ModelParams,
-                       embeddings: Optional[np.ndarray] = None):
-    """Embed every clip of every video (manifest order) with the non-TEF head:
-    (keys, vectors), one (video ordinal, clip) uint32 key per float32 row.
-    `embeddings`, every clip's float64 embedding under `params` in that
-    order (`model.embed_videos`), is cast instead when already at hand: the
-    same cast that embedding into float32 makes."""
+                       embeddings: Optional[np.ndarray] = None, lo: int = 0,
+                       hi: Optional[int] = None):
+    """Embed every clip of videos lo .. hi - 1 (manifest order; by default
+    every video) with the non-TEF head: (keys, vectors), one (video ordinal,
+    clip) uint32 key per float32 row. A video's rows keep their bytes in any
+    range. `embeddings`, every clip's float64 embedding under `params` in
+    that order (`model.embed_videos`), is cast instead when already at hand
+    and the range is the whole corpus: the same cast that embedding into
+    float32 makes."""
+    hi = len(corpus) if hi is None else hi
+    num_clips = corpus.num_clips[lo:hi]
     if embeddings is None:
-        vectors = embed_videos(corpus.clip_features, corpus.clip_offsets, corpus.num_clips,
-                               corpus.contexts, params, np.float32)
+        vectors = embed_videos(corpus.clip_features, corpus.clip_offsets[lo:hi], num_clips,
+                               corpus.contexts[lo:hi], params, np.float32)
     else:
         vectors = embeddings.astype(np.float32)
-    num_clips = corpus.num_clips
     keys = np.empty((len(vectors), 2), dtype=np.uint32)
-    keys[:, 0] = np.repeat(np.arange(len(num_clips)), num_clips)
+    keys[:, 0] = np.repeat(np.arange(lo, hi), num_clips)
     keys[:, 1] = ranges(np.zeros_like(num_clips), num_clips)
     return keys, vectors
 
@@ -338,14 +342,16 @@ def build_ivf(
     An empty partition after the final assignment is repaired once by
     re-seeding its centroid at the entry farthest from its own centroid.
 
-    Memory: the peak is 8 x n x dim bytes, the float32 clip matrix beside
-    the partition-sorted float32 copy it returns, plus O(n) keys, labels,
-    norms and distances and a few blocks of at most _BLOCK_BYTES. No float64
-    clip matrix is made: seeding, assignment, the repair and the means cast
-    the float32 rows one block (or one column) at a time, and the sorted
-    copy is gathered from the float32 rows, which float32 -> float64 ->
-    float32 would give back unchanged. Keys, vectors, centroids and offsets
-    keep the bytes of a float64 build over whole matrices.
+    Memory: the peak is 4 x n x dim bytes, one float32 clip matrix at a
+    time, plus O(n) keys, labels, norms and distances and a few blocks of
+    about _BLOCK_BYTES. No float64 clip matrix is made: seeding, assignment,
+    the repair and the means cast the float32 rows one block (or one column)
+    at a time. The clip matrix is released after the final assignment, and
+    the partition-sorted vectors are filled in place by a second embedding
+    pass, `corpus_clip_matrix` over blocks of whole videos, each scattered
+    to its sorted rows: a video's embedding is its own stacked GEMM, so the
+    second pass repeats the first's bytes. Keys, vectors, centroids and
+    offsets keep the bytes of a float64 build over whole matrices.
     """
     if kmeans_iters < 0:
         raise ValueError(f"kmeans_iters must be non-negative, got {kmeans_iters}")
@@ -373,13 +379,24 @@ def build_ivf(
         labels = _assign(vectors, centroids)
         counts = np.bincount(labels, minlength=p)
 
+    del vectors
     order = np.argsort(labels, kind="stable")
+    del labels
     offsets = np.zeros(p + 1, dtype=np.uint64)
     np.cumsum(counts, out=offsets[1:])
+    position = np.empty(n, dtype=np.int64)  # the sorted row of each clip
+    position[order] = np.arange(n)
+    sorted_vectors = np.empty((n, dim), dtype=np.float32)
+    bounds = [lo for lo, _ in _row_blocks(n, 4 * dim)] + [n]
+    cuts = np.unique(np.searchsorted(corpus.clip_offsets, bounds)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):  # blocks of whole videos
+        _, block = corpus_clip_matrix(corpus, params, lo=lo, hi=hi)
+        first = int(corpus.clip_offsets[lo])
+        sorted_vectors[position[first:first + len(block)]] = block
     return IvfIndex(
         tuple(v.video_id for v in corpus.videos),
         keys[order],
-        vectors[order],
+        sorted_vectors,
         centroids.astype(np.float32),
         offsets,
     )

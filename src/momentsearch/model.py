@@ -10,6 +10,10 @@ Ranges of a flat clip-feature matrix, named by start and count, are cut
 only here: `embed_videos` embeds videos' clips, `range_means` gives each
 range's mean (context tables, aggregate moments) and `moment_rows` each
 moment's rows. Equal-count ranges go in capped stacks, with per-range bytes.
+The matrix may be float32 (as the feature files store it); every cut then
+reaches float64 before any arithmetic (`range_means` casts its gathered
+block, the others pass through `assemble_visual_inputs`), and the cast is
+exact, so a float32 matrix gives the bytes of its float64 copy.
 
 Forward passes are pure given immutable parameters; parameter mutation
 happens only in the training module.
@@ -251,10 +255,13 @@ def range_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
     arrays, counts >= 1; ranges may overlap and come in any order), gathered in
     (ranges, count, width) stacks of at most `_MEAN_CHUNK_ROWS` rows. A stacked
     mean sums each range's rows in a lone range's order, so every row has the
-    bytes of a per-range call (`np.add.reduceat` sums in another order)."""
+    bytes of a per-range call (`np.add.reduceat` sums in another order). Each
+    stack is cast to float64 first, so float32 `values` give the float64 means
+    of their float64 copy."""
     means = np.empty((len(counts), values.shape[1]))
     for n, chunk in _equal_count_chunks(counts, _MEAN_CHUNK_ROWS):
-        means[chunk] = np.take(values, starts[chunk, None] + np.arange(n), axis=0).mean(axis=1)
+        block = np.take(values, starts[chunk, None] + np.arange(n), axis=0)
+        means[chunk] = block.astype(np.float64, copy=False).mean(axis=1)
     return means
 
 

@@ -625,4 +625,4 @@ def baseline_scores(
 
 def restrict_corpus(corpus: Corpus, video_id: str) -> Corpus:
     video = corpus.video(video_id)
-    return Corpus([video], {video_id: corpus.features_for(video_id)})
+    return Corpus([video], corpus.stored_rows(video_id))

@@ -599,7 +599,7 @@ def test_feature_rows_must_equal_num_clips(tmp_path):
 
 
 def test_num_clips_too_large_to_hold_refused_as_a_rows_error(tmp_path):
-    # 10^9 clips of 4 features would take 30 GB: the loader must not stop
+    # 10^9 clips of 4 float32 features would take 15 GB: the loader must not stop
     # at the allocation but name the video whose file holds 3 rows.
     _save_shapes(str(tmp_path), [4, 4])
     manifest = str(tmp_path / "manifest.jsonl")
@@ -608,3 +608,32 @@ def test_num_clips_too_large_to_hold_refused_as_a_rows_error(tmp_path):
     write_manifest(manifest, videos)
     with pytest.raises(ValueError, match="v1: feature rows 3 != num_clips 1000000000"):
         load_corpus(str(tmp_path))
+
+
+def test_load_corpus_peak_is_one_float32_matrix_and_per_video_records(tmp_path):
+    """The files' rows land straight in one float32 matrix: no float64 copy
+    (another 2.56 MB here) and no staging buffer; tracemalloc sees every
+    numpy buffer and Python record the load makes."""
+    import tracemalloc
+
+    from momentsearch import model
+
+    rng = np.random.default_rng(4)
+    num_videos, clips, width = 400, 50, 32
+    videos = [VideoMeta(f"v{i:04d}", 2.0 * clips, 2.0, clips) for i in range(num_videos)]
+    save_corpus(str(tmp_path), videos,
+                {v.video_id: rng.standard_normal((clips, width)) for v in videos})
+    load_corpus(str(tmp_path))  # keep first-call imports and caches out of the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_corpus(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert corpus.clip_features.dtype == np.float32
+    matrix = corpus.clip_features.nbytes  # 2.56 MB
+    # The matrix; per video, its manifest record, `VideoMeta`, id and
+    # per-video arrays (context row included) in at most 1.5 KB; one
+    # `range_means` stack of float32 rows and their float64 cast.
+    assert peak < matrix + 1536 * num_videos + 12 * model._MEAN_CHUNK_ROWS * width

@@ -319,19 +319,24 @@ class TestBoundedMemory:
         assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
         assert len(blocks) == 1 or min(sizes) >= rows // 2
 
-    def test_build_ivf_peak_is_a_few_clip_matrices(self, corpus_and_params, monkeypatch):
+    def test_build_ivf_peak_is_one_clip_matrix(self, corpus_and_params, monkeypatch):
         corpus, params = corpus_and_params
+        want = build_ivf(corpus, params, partitions=100, kmeans_iters=3)
         monkeypatch.setattr(index_mod, "_BLOCK_BYTES", self.BLOCK)
         ivf, peak = self.traced_peak(lambda: build_ivf(corpus, params, partitions=100,
                                                        kmeans_iters=3))
         n, dim = ivf.vectors.shape
         assert ivf.num_partitions == 100
-        # The float32 clip matrix and its partition-sorted copy (no float64
-        # matrix: that would add 768 KB); the keys and their sorted copy;
-        # six int64 or float64 n-vectors (labels, sort order, the id ranks
-        # and their ordinals, or seeding's norms, distances and weights);
-        # two blocks.
-        assert peak < 2 * n * dim * 4 + 2 * 8 * n + 6 * 8 * n + 2 * self.BLOCK
+        # Six blocks of 50 videos fill the sorted rows with the bytes of one.
+        for name in ("keys", "vectors", "centroids", "offsets"):
+            assert getattr(ivf, name).tobytes() == getattr(want, name).tobytes(), name
+        # One float32 clip matrix at a time: the partition-sorted one is
+        # filled by a second embedding pass after the first is released (the
+        # two side by side would add 384 KB, a float64 matrix 768 KB); the
+        # keys and their sorted copy; six int64 or float64 n-vectors (labels,
+        # sort order, sorted positions, the id ranks and their ordinals, or
+        # seeding's norms, distances and weights); two blocks.
+        assert peak < n * dim * 4 + 2 * 8 * n + 6 * 8 * n + 2 * self.BLOCK
 
     @pytest.mark.parametrize("kind", ["exact", "ivf"])
     def test_search_peak_is_one_block_and_a_few_entry_vectors(self, corpus_and_params,

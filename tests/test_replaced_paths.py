@@ -1396,6 +1396,23 @@ def test_build_and_save_ivf_equal_whole_matrix_reference(seed, block_bytes, monk
     _assert_same_saved_bytes(got, want, tmp_path)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_clip_matrix_over_video_ranges_equals_whole_corpus(seed):
+    # The IVF build embeds the corpus again in ranges of whole videos and
+    # scatters them to the sorted rows; every range must repeat the bytes.
+    corpus, _ = shuffled_corpus(40 + seed, 3.0)
+    params = init_params(_dims("plain", 3, 2), 44 + seed)
+    want_keys, want = corpus_clip_matrix(corpus, params)
+    inner = np.random.default_rng(seed).choice(np.arange(1, len(corpus)), 5, replace=False)
+    for cuts in ([0, *sorted(inner.tolist()), len(corpus)], list(range(len(corpus) + 1))):
+        parts = [corpus_clip_matrix(corpus, params, lo=lo, hi=hi)
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
+        keys = np.concatenate([k for k, _ in parts])
+        vectors = np.concatenate([v for _, v in parts])
+        assert keys.tobytes() == want_keys.tobytes()
+        assert (vectors.dtype, vectors.tobytes()) == (want.dtype, want.tobytes())
+
+
 class _RecordingRng:
     """A Generator that keeps a copy of every weight vector `choice` draws from."""
 
@@ -1563,19 +1580,23 @@ def test_corpus_contexts_equal_per_video_compute_context(counts, width, seed, ch
 @settings(max_examples=100, deadline=None)
 @given(counts=st.lists(st.one_of(_CONTEXT_CLIPS, st.integers(1, 4), st.just(4)), max_size=12),
        width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       chunk_rows=st.sampled_from([model._MEAN_CHUNK_ROWS, 600, 8]))
-def test_range_means_equal_per_range_mean(counts, width, seed, chunk_rows):
+       chunk_rows=st.sampled_from([model._MEAN_CHUNK_ROWS, 600, 8]),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_range_means_equal_per_range_mean(counts, width, seed, chunk_rows, dtype):
     """Ranges as moments are: of any start, overlapping and unsorted, with
     runs of equal counts, counts of 1 and counts above the cap of 8 rows;
     rows of magnitudes 1e-6 to 1e6, so that another summation order would
-    show in the bytes."""
+    show in the bytes. float32 values (as `load_corpus` keeps them) give the
+    float64 means of their float64 copy."""
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((310, width)) * 10.0 ** rng.uniform(-6, 6, (310, 1))
+    values = (rng.standard_normal((310, width)) * 10.0 ** rng.uniform(-6, 6, (310, 1))
+              ).astype(dtype)
     counts = np.asarray(counts, dtype=np.int64)
     starts = rng.integers(0, len(values) - counts + 1) if len(counts) else counts
     with mock.patch.object(model, "_MEAN_CHUNK_ROWS", chunk_rows):
         got = model.range_means(values, starts, counts)
-    want = np.array([values[s:s + n].mean(axis=0)
+    wide = values.astype(np.float64)
+    want = np.array([wide[s:s + n].mean(axis=0)
                      for s, n in zip(starts.tolist(), counts.tolist())]).reshape(-1, width)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
@@ -1796,18 +1817,82 @@ def test_loaders_equal_per_file_references(seed, words_read_bytes, raw_read, mon
     assert corpus.videos == want_videos
     assert {v.num_clips for v in corpus.videos} >= {2, 3, 4}
     assert [v.video_id for v in corpus.videos] == list(want_features)
+    # The matrix keeps the files' float32; `features_for` gives float64 rows
+    # with the bytes of the per-file float64 references (float32-exact).
+    want_matrix = np.concatenate([want_features[v.video_id] for v in want_videos])
+    assert want_matrix.astype(np.float32).astype(np.float64).tobytes() == want_matrix.tobytes()
+    _assert_same_array(corpus.clip_features, want_matrix.astype(np.float32), "matrix")
     for video_id, want in want_features.items():
-        got = corpus.features_for(video_id)
-        _assert_same_array(got, want, video_id)
-        assert np.shares_memory(got, corpus.clip_features)
-    _assert_same_array(corpus.clip_features,
-                       np.concatenate([want_features[v.video_id] for v in want_videos]), "matrix")
+        _assert_same_array(corpus.features_for(video_id), want, video_id)
 
     assert [(q.query_id, q.ground_truth) for q in queries] == \
         [(q.query_id, q.ground_truth) for q in want_queries]
     assert {len(q.word_vectors) for q in queries} == set(range(1, 9))
     for got, want in zip(queries, want_queries):
         _assert_same_array(got.word_vectors, want.word_vectors, got.query_id)
+
+
+def test_float32_corpus_gives_the_bytes_of_its_float64_copy(tmp_path):
+    """A corpus loaded from disk keeps float32 clip features; the same values
+    given as float64 must give every downstream output's bytes, so float32
+    arithmetic added to any path shows here."""
+    preset = PRESETS["charades-sta"]
+    spec = dataio.SyntheticSpec(num_videos=24, clips_per_video=(2, 16), visual_dim=5,
+                                word_dim=4, vocab_size=12, seed=23)
+    narrow, queries = dataio.generate_synthetic(spec, preset, str(tmp_path / "corpus"))
+    wide = Corpus(narrow.videos, narrow.clip_features.astype(np.float64))
+    assert (narrow.clip_features.dtype, wide.clip_features.dtype) == (np.float32, np.float64)
+    assert narrow.contexts.tobytes() == wide.contexts.tobytes()
+    for v in narrow.videos[:3]:
+        assert narrow.features_for(v.video_id).tobytes() == \
+            wide.features_for(v.video_id).tobytes()
+    restricted = retrieval_mod.restrict_corpus(narrow, narrow.videos[1].video_id)
+    assert restricted.clip_features.dtype == np.float32
+
+    plain = init_params(_dims("plain", visual_in=5, word_in=4), 31)
+    tef_params = init_params(_dims("tef", visual_in=5, word_in=4), 32)
+    enum_cfg, top = preset.enum, dict(nms_iou=preset.nms_iou, top_k=15)
+
+    def same(run):
+        got, want = run(narrow), run(wide)
+        assert (_ranked_hex(got.ranked), got.stage_counters) == \
+            (_ranked_hex(want.ranked), want.stage_counters)
+
+    for q in queries[:4]:
+        for variant, params in (("cal", plain), ("aggregate", plain), ("cal", tef_params),
+                                ("aggregate", tef_params)):
+            cfg = RetrievalConfig(variant=variant, **top)
+            same(lambda c: exhaustive_search(c, q, params, enum_cfg, cfg))
+        cfg = RetrievalConfig(budget=40, **top)
+        same(lambda c: two_stage_search(c, None, q, plain, tef_params, enum_cfg, cfg,
+                                        mode="moment"))
+
+    indexes = {}
+    for name, build in (("exact", lambda c: build_exact(c, plain)),
+                        ("ivf", lambda c: build_ivf(c, plain, partitions=6, seed=4,
+                                                    kmeans_iters=3))):
+        built = [build(c) for c in (narrow, wide)]
+        paths = [tmp_path / f"{name}_{i}.calx" for i in range(2)]
+        for index, path in zip(built, paths):
+            save_index(index, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), name
+        indexes[name] = built[0]
+    for name, index in indexes.items():
+        cfg = RetrievalConfig(clip_budget=12, nprobe=2, **top)
+        for q in queries[:4]:
+            for rerank in (None, tef_params):
+                same(lambda c: two_stage_search(c, index, q, plain, rerank, enum_cfg, cfg,
+                                                mode="approx"))
+
+    for variant, params in (("cal", plain), ("aggregate", tef_params)):
+        cfg = TrainConfig(variant=variant, batch_triples=24, seed=5)
+        got = []
+        for c in (narrow, wide):
+            dataset = TrainDataset(c, queries, enum_cfg)
+            triples = sample_triples(dataset, cfg, np.random.default_rng(8))
+            loss, grads = loss_and_grads(dataset, triples, params, cfg)
+            got.append((float(loss).hex(), {k: g.tobytes() for k, g in grads.items()}))
+        assert got[0] == got[1], variant
 
 
 # JSON-lines bodies: accepted ones (blank lines, NaN, nesting, escapes,
@@ -1950,9 +2035,13 @@ def test_generated_corpus_equals_per_moment_planting(case, tmp_path, caplog):
     logged = [r.args[0] for r in caplog.records if "no candidates" in r.getMessage()]
     want = reference_generated(spec, preset)
     assert corpus.num_clips.tolist() == [len(feats) for feats, _ in want]
+    # The files store float32: the matrix keeps it, `features_for` casts back.
     _assert_same_array(corpus.clip_features,
-                       np.concatenate([feats for feats, _ in want]).astype(np.float32)
-                       .astype(np.float64), "clip features")
+                       np.concatenate([feats for feats, _ in want]).astype(np.float32),
+                       "clip features")
+    for video, (feats, _) in zip(corpus.videos, want):
+        _assert_same_array(corpus.features_for(video.video_id),
+                           feats.astype(np.float32).astype(np.float64), video.video_id)
     planted = [(q.query_id, q.ground_truth.video_id, q.ground_truth.annotations[0])
                for q in queries]
     assert planted == [(f"q{vi:05d}_{qi}", m.video_id, m.span)
